@@ -15,7 +15,7 @@
 use ac_bench::{header, json::JsonObject, section, sized, verdict, write_json_report};
 use ac_core::CounterSpec;
 use ac_engine::{IngestConfig, Store};
-use ac_net::{Identity, ReplicaNode, ServerConfig, StoreClient, StoreServer, WriterConfig};
+use ac_net::{Identity, ReplicaNode, StoreClient, StoreServer, WriterConfig};
 use ac_randkit::SplitMix64;
 use ac_sim::ZipfKeys;
 use std::time::{Duration, Instant};
@@ -119,16 +119,7 @@ fn main() {
 
     // ----- the cluster: primary + 2 replicas + 4 remote writers ---------
     section("cluster: primary + 2 replicas + 4 remote writers over loopback");
-    let server = StoreServer::start_with(
-        start_store(),
-        "127.0.0.1:0",
-        ServerConfig {
-            delta_every_events: 16_384,
-            cut_poll: Duration::from_millis(2),
-            max_chain_segments: 16,
-        },
-    )
-    .expect("server starts");
+    let server = StoreServer::start(start_store(), "127.0.0.1:0").expect("server starts");
     let addr = server.local_addr();
     let replica_a = ReplicaNode::connect(addr, identity()).expect("replica A");
     let replica_b = ReplicaNode::connect(addr, identity()).expect("replica B");

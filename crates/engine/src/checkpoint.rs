@@ -40,7 +40,11 @@
 //! [`restore_checkpoint_chain`] refuses a chain whose links don't match —
 //! a delta can never be applied to the wrong base, out of order, or
 //! across a divergent history, because any of those changes the parent's
-//! bytes and therefore its digest.
+//! bytes and therefore its digest. A node that receives the chain one
+//! segment at a time folds each delta into its resident engine with
+//! [`fold_checkpoint_delta`] — the same validator, one delta at a time —
+//! and a node cutting a chain compacts it with [`compact_snapshot`],
+//! straight from the snapshot its tip was cut from.
 //!
 //! Corruption behavior mid-chain: every segment carries its own header
 //! and payload checksums, verified before parsing, so a truncated or
@@ -750,7 +754,10 @@ fn write_checkpoint<C: StateCodec + Clone + Send + Sync + 'static>(
     }
 }
 
-/// Parses and validates the fixed header.
+/// Parses and validates the fixed header. Only the first 83 bytes are
+/// read, so a peek costs the same for a 100-byte delta and a 100 MB
+/// base; a buffer cut anywhere after the header still yields it (the
+/// payload is verified by the restore paths, not here).
 ///
 /// # Errors
 ///
@@ -758,7 +765,7 @@ fn write_checkpoint<C: StateCodec + Clone + Send + Sync + 'static>(
 /// magic, an unsupported version, an unknown kind, or a checksum
 /// mismatch.
 pub fn read_header(bytes: &[u8]) -> Result<CheckpointHeader, CheckpointError> {
-    let v = BitVec::from_bytes(bytes);
+    let v = BitVec::from_bytes(&bytes[..bytes.len().min(PAYLOAD_BYTE)]);
     let mut r = BitReader::new(&v);
     let magic = r.try_read_bits(32).ok_or(CheckpointError::Truncated)?;
     if magic != u64::from(CHECKPOINT_MAGIC) {
@@ -1119,9 +1126,10 @@ pub fn restore_checkpoint_with<C: StateCodec + Clone + Send + Sync + 'static>(
 /// must be a full checkpoint, every later segment a delta whose
 /// `parent_chain` cites the digest of the segment before it. Dirty shards
 /// are replaced wholesale by the newest delta that carries them; clean
-/// shards keep the newest earlier state. The chain's final totals are
-/// verified against the last header, so a fold that loses or duplicates
-/// anything is refused.
+/// shards keep the newest earlier state. The chain is folded one delta
+/// at a time through [`fold_checkpoint_delta`]'s validator, which checks
+/// every header's whole-engine totals against the state it produces, so
+/// a fold that loses or duplicates anything is refused.
 ///
 /// # Errors
 ///
@@ -1196,79 +1204,112 @@ pub fn restore_checkpoint_chain_with_workers<C: StateCodec + Clone + Send + Sync
             })
         }
     }
-    let sections = parse_sections(templates, first, &base, workers)?;
-    let mut shards: Vec<Option<Shard<C>>> = (0..base.config.shards).map(|_| None).collect();
-    for (idx, shard) in sections {
-        shards[idx] = Some(shard);
-    }
     // parse_sections proved a full frame holds exactly `shards` strictly
-    // increasing in-range indices, so every slot is filled.
-    debug_assert!(shards.iter().all(Option::is_some));
-
-    let mut prev = base;
-    for &segment in rest {
-        let header = read_header(segment)?;
-        if header.kind != CheckpointKind::Delta {
-            return Err(CheckpointError::BadChain {
-                what: "full checkpoint mid-chain (start a new chain from it instead)",
-            });
-        }
-        if header.config != prev.config {
-            return Err(CheckpointError::ConfigMismatch {
-                expected: prev.config,
-                got: header.config,
-            });
-        }
-        if header.parent_chain != prev.chain {
-            // A compacted base (written by `compact_chain*`) replaces a
-            // base+deltas prefix whose tip it folded; it records that
-            // tip's digest in its own `parent_chain` (ordinary full
-            // frames store 0 there). The first delta after it still
-            // cites the folded tip — by construction the same bytes the
-            // compacted base holds — so the alias is accepted exactly
-            // there and nowhere else. From the second delta on, normal
-            // hash chaining resumes.
-            let compacted_alias = prev.kind == CheckpointKind::Full
-                && prev.parent_chain != 0
-                && header.parent_chain == prev.parent_chain;
-            if !compacted_alias {
-                return Err(CheckpointError::BadChain {
-                    what: "delta cites a different parent checkpoint",
-                });
-            }
-        }
-        if header.epoch < prev.epoch {
-            return Err(CheckpointError::BadChain {
-                what: "delta freeze epoch precedes its parent",
-            });
-        }
-        for (idx, shard) in parse_sections(templates, segment, &header, workers)? {
-            shards[idx] = Some(shard);
-        }
-        prev = header;
-    }
-
-    let shards: Vec<Shard<C>> = shards
+    // increasing in-range indices, so the sections are the shards in
+    // order.
+    let shards: Vec<Shard<C>> = parse_sections(templates, first, &base, workers)?
         .into_iter()
-        .map(|s| {
-            s.ok_or(CheckpointError::Corrupt {
-                what: "chain leaves a shard with no state",
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let keys_total: u64 = shards.iter().map(|s| s.len() as u64).sum();
-    let events_total: u64 = shards.iter().map(Shard::events).sum();
-    if keys_total != prev.keys || events_total != prev.events {
+        .map(|(_, shard)| shard)
+        .collect();
+    let keys: u64 = shards.iter().map(|s| s.len() as u64).sum();
+    let events: u64 = shards.iter().map(Shard::events).sum();
+    if keys != base.keys || events != base.events {
         return Err(CheckpointError::Corrupt {
-            what: "shard totals disagree with the final header",
+            what: "shard totals disagree with the header",
         });
     }
-    Ok(CounterEngine::from_restored(
-        templates[0].clone(),
-        prev.config,
-        shards,
-        prev.epoch + 1,
-    ))
+    let mut engine =
+        CounterEngine::from_restored(templates[0].clone(), base.config, shards, base.epoch + 1);
+    let mut tip = base;
+    for &segment in rest {
+        tip = fold_delta(templates, &mut engine, &tip, segment, workers)?;
+    }
+    Ok(engine)
+}
+
+/// Folds one **delta** into an engine restored from its chain, in place:
+/// the incremental step of [`restore_checkpoint_chain`], for a node that
+/// keeps its engine resident and receives the chain one segment at a
+/// time (a replica). `tip` is the header of the last segment folded into
+/// `engine`; on success the delta's header is returned — the new tip.
+///
+/// Every check runs before any shard is installed, so a refused delta
+/// leaves `engine` exactly as it was: kind, config, parent digest
+/// (including the compacted-base alias, see [`compact_chain`]), epoch
+/// order, both checksums, every section, and the header's whole-engine
+/// key and event totals against the engine the delta would produce.
+///
+/// # Errors
+///
+/// Everything [`restore_checkpoint_chain`] returns for its second and
+/// later segments.
+pub fn fold_checkpoint_delta<C: StateCodec + Clone + Send + Sync + 'static>(
+    engine: &mut CounterEngine<C>,
+    tip: &CheckpointHeader,
+    delta: &[u8],
+) -> Result<CheckpointHeader, CheckpointError> {
+    let template = engine.template().clone();
+    fold_delta(std::slice::from_ref(&template), engine, tip, delta, 0)
+}
+
+/// The one delta validator behind [`restore_checkpoint_chain`],
+/// [`fold_checkpoint_delta`] and store recovery.
+pub(crate) fn fold_delta<C: StateCodec + Clone + Send + Sync + 'static>(
+    templates: &[C],
+    engine: &mut CounterEngine<C>,
+    tip: &CheckpointHeader,
+    bytes: &[u8],
+    workers: usize,
+) -> Result<CheckpointHeader, CheckpointError> {
+    let header = read_header(bytes)?;
+    if header.kind != CheckpointKind::Delta {
+        return Err(CheckpointError::BadChain {
+            what: "full checkpoint mid-chain (start a new chain from it instead)",
+        });
+    }
+    if header.config != engine.config() {
+        return Err(CheckpointError::ConfigMismatch {
+            expected: engine.config(),
+            got: header.config,
+        });
+    }
+    if header.parent_chain != tip.chain {
+        // A compacted base (written by `compact_chain*`) replaces a
+        // base+deltas prefix whose tip it folded; it records that
+        // tip's digest in its own `parent_chain` (ordinary full
+        // frames store 0). The first delta after it still
+        // cites the folded tip — by construction the same bytes the
+        // compacted base holds — so the alias is accepted exactly
+        // there and nowhere else. From the second delta on, normal
+        // hash chaining resumes.
+        let compacted_alias = tip.kind == CheckpointKind::Full
+            && tip.parent_chain != 0
+            && header.parent_chain == tip.parent_chain;
+        if !compacted_alias {
+            return Err(CheckpointError::BadChain {
+                what: "delta cites a different parent checkpoint",
+            });
+        }
+    }
+    if header.epoch < tip.epoch {
+        return Err(CheckpointError::BadChain {
+            what: "delta freeze epoch precedes its parent",
+        });
+    }
+    let sections = parse_sections(templates, bytes, &header, workers)?;
+    let (mut keys, mut events) = (engine.len() as u64, engine.total_events());
+    for (idx, shard) in &sections {
+        let old = &engine.shards()[*idx];
+        keys = keys - old.len() as u64 + shard.len() as u64;
+        events = events - old.events() + shard.events();
+    }
+    if keys != header.keys || events != header.events {
+        return Err(CheckpointError::Corrupt {
+            what: "shard totals disagree with the header",
+        });
+    }
+    engine.install_restored(sections, header.epoch + 1);
+    Ok(header)
 }
 
 /// [`restore_checkpoint`], additionally refusing a checkpoint whose
@@ -1376,16 +1417,64 @@ fn compact_chain_inner<C: StateCodec + Clone + Send + Sync + 'static>(
     // unchainable (their epochs must not precede their parent's) while
     // silently shifting the dirty-shard horizon.
     let snap = engine.snapshot().with_epoch(tip.epoch);
-    let all: Vec<usize> = (0..snap.shards.len()).collect();
     let t = if tiered { Some(templates) } else { None };
-    Ok(write_checkpoint(
-        &snap,
-        t,
+    Ok(write_compacted(&snap, t, &tip, workers))
+}
+
+/// Writes the compacted base of a chain straight from the snapshot its
+/// tip was cut from — no restore, no re-decode. The bytes are identical
+/// to [`compact_chain`] of that chain (same tip epoch, keys, events and
+/// `parent_chain` = tip digest; a test pins this), so a node that still
+/// holds the tip's snapshot compacts for the cost of one full encode.
+///
+/// # Errors
+///
+/// [`CheckpointError::ScheduleMismatch`] / [`CheckpointError::ConfigMismatch`]
+/// when `tip` belongs to a different schedule or engine, and
+/// [`CheckpointError::BadChain`] when `snap` is not the tip's snapshot
+/// (its epoch, keys or events differ).
+pub fn compact_snapshot<C: StateCodec + Clone + Send + Sync + 'static>(
+    snap: &EngineSnapshot<C>,
+    tip: &CheckpointHeader,
+) -> Result<Checkpoint, CheckpointError> {
+    if tip.params_fingerprint != snap.template.params_fingerprint() {
+        return Err(CheckpointError::ScheduleMismatch);
+    }
+    if tip.config != snap.config() {
+        return Err(CheckpointError::ConfigMismatch {
+            expected: snap.config(),
+            got: tip.config,
+        });
+    }
+    if tip.epoch != snap.epoch()
+        || tip.keys != snap.len() as u64
+        || tip.events != snap.total_events()
+    {
+        return Err(CheckpointError::BadChain {
+            what: "snapshot is not the one the chain tip was cut from",
+        });
+    }
+    Ok(write_compacted(snap, None, tip, 0))
+}
+
+/// The compacted-base writer shared by [`compact_chain`] and
+/// [`compact_snapshot`]: a full frame of `snap` (already pinned to the
+/// tip's epoch) citing the folded tip's digest.
+fn write_compacted<C: StateCodec + Clone + Send + Sync + 'static>(
+    snap: &EngineSnapshot<C>,
+    templates: Option<&[C]>,
+    tip: &CheckpointHeader,
+    workers: usize,
+) -> Checkpoint {
+    let all: Vec<usize> = (0..snap.shards.len()).collect();
+    write_checkpoint(
+        snap,
+        templates,
         CheckpointKind::Full,
         tip.chain,
         &all,
         workers,
-    ))
+    )
 }
 
 #[cfg(test)]
@@ -2007,22 +2096,108 @@ mod tests {
         seed: u64,
         rounds: usize,
     ) -> (CounterEngine<C>, Vec<Checkpoint>) {
+        let (e, frames, _) = chain_with_tip(template, seed, rounds);
+        (e, frames)
+    }
+
+    /// [`chain_of`], plus the snapshot the tip frame was cut from.
+    fn chain_with_tip<C: StateCodec + Clone + Send + Sync + 'static>(
+        template: &C,
+        seed: u64,
+        rounds: usize,
+    ) -> (CounterEngine<C>, Vec<Checkpoint>, EngineSnapshot<C>) {
         let mut e = CounterEngine::new(template.clone(), cfg());
         let mut gen = SplitMix64::new(seed);
         let batch: Vec<(u64, u64)> = (0..300u64)
             .map(|k| (k * 13 + 7, 1 + gen.next_u64() % 700))
             .collect();
         e.apply(&batch);
-        let mut frames = vec![checkpoint_snapshot(&e.snapshot())];
+        let mut snap = e.snapshot();
+        let mut frames = vec![checkpoint_snapshot(&snap)];
         for _ in 0..rounds {
             let extra: Vec<(u64, u64)> = (0..40)
                 .map(|_| (gen.next_u64() % 5_000, 1 + gen.next_u64() % 50))
                 .collect();
             e.apply(&extra);
             let parent = frames.last().unwrap().header();
-            frames.push(checkpoint_delta(&e.snapshot(), &parent).unwrap());
+            snap = e.snapshot();
+            frames.push(checkpoint_delta(&snap, &parent).unwrap());
         }
-        (e, frames)
+        (e, frames, snap)
+    }
+
+    /// Folds `segments[1..]` one delta at a time onto a restore of
+    /// `segments[0]`, the way a replica receives them.
+    fn fold_one_by_one<C: StateCodec + Clone + Send + Sync + 'static>(
+        template: &C,
+        segments: &[&[u8]],
+    ) -> (CounterEngine<C>, CheckpointHeader) {
+        let mut engine = restore_checkpoint(template, segments[0]).unwrap();
+        let mut tip = read_header(segments[0]).unwrap();
+        for segment in &segments[1..] {
+            tip = fold_checkpoint_delta(&mut engine, &tip, segment).unwrap();
+        }
+        (engine, tip)
+    }
+
+    /// The fold oracle: a `rounds`-delta chain — with its prefix through
+    /// frame `compact_at` replaced by the compacted base when
+    /// `compact_at <= rounds`, so the next delta chains through the alias
+    /// rule — folded one
+    /// delta at a time lands on exactly the engine
+    /// [`restore_checkpoint_chain`] builds: same epoch clock, same
+    /// snapshot bytes (states, RNG streams, totals), and the same
+    /// evolution under a follow-up batch.
+    fn assert_fold_matches_chain_restore<C>(
+        template: C,
+        seed: u64,
+        rounds: usize,
+        compact_at: usize,
+    ) where
+        C: StateCodec + Clone + Send + Sync + 'static,
+    {
+        let (_, frames, _) = chain_with_tip(&template, seed, rounds);
+        let mut segments: Vec<Vec<u8>> = frames.iter().map(|f| f.bytes().to_vec()).collect();
+        if compact_at <= rounds {
+            let prefix: Vec<&[u8]> = segments[..=compact_at].iter().map(Vec::as_slice).collect();
+            let base = compact_chain(&template, &prefix).unwrap().into_bytes();
+            segments.splice(..=compact_at, [base]);
+        }
+        let refs: Vec<&[u8]> = segments.iter().map(Vec::as_slice).collect();
+        let (mut folded, tip) = fold_one_by_one(&template, &refs);
+        let mut restored = restore_checkpoint_chain(&template, &refs).unwrap();
+        assert_eq!(tip, read_header(refs[refs.len() - 1]).unwrap());
+        assert_eq!(folded.epoch(), restored.epoch());
+        assert_eq!(folded.epoch(), tip.epoch + 1);
+        assert_eq!(
+            checkpoint_snapshot(&folded.snapshot()).bytes(),
+            checkpoint_snapshot(&restored.snapshot()).bytes()
+        );
+        let follow_up: Vec<(u64, u64)> = (0..200u64).map(|k| (k * 37, 1 + k % 90)).collect();
+        folded.apply(&follow_up);
+        restored.apply(&follow_up);
+        assert_eq!(
+            checkpoint_snapshot(&folded.snapshot()).bytes(),
+            checkpoint_snapshot(&restored.snapshot()).bytes(),
+            "RNG streams diverge after the fold"
+        );
+    }
+
+    /// Asserts a refused fold left `engine` and `tip` exactly as they
+    /// were: same epoch clock, same snapshot bytes.
+    fn assert_fold_refused<C: StateCodec + Clone + Send + Sync + 'static>(
+        engine: &mut CounterEngine<C>,
+        tip: &CheckpointHeader,
+        delta: &[u8],
+    ) -> CheckpointError {
+        let before = checkpoint_snapshot(&engine.snapshot().with_epoch(0)).into_bytes();
+        let (epoch, tip_before) = (engine.epoch(), *tip);
+        let err = fold_checkpoint_delta(engine, tip, delta).unwrap_err();
+        assert_eq!(engine.epoch(), epoch, "refused fold moved the epoch clock");
+        assert_eq!(*tip, tip_before);
+        let after = checkpoint_snapshot(&engine.snapshot().with_epoch(0)).into_bytes();
+        assert_eq!(before, after, "refused fold changed the engine");
+        err
     }
 
     /// The tentpole encode oracle: any worker count must commit the very
@@ -2040,20 +2215,23 @@ mod tests {
     }
 
     /// The compaction oracle: a compacted base is byte-identical across
-    /// worker counts, its payload is exactly a full checkpoint of the
+    /// worker counts and to the base compacted straight from the tip's
+    /// snapshot, its payload is exactly a full checkpoint of the
     /// serially folded chain, its header pins the folded tip, and it
     /// restores to the same state the chain does.
     fn assert_compaction_matches_serial_fold<C>(template: C, seed: u64, rounds: usize)
     where
         C: StateCodec + Clone + Send + Sync + 'static,
     {
-        let (_, frames) = chain_of(&template, seed, rounds);
+        let (_, frames, tip_snap) = chain_with_tip(&template, seed, rounds);
         let segments: Vec<&[u8]> = frames.iter().map(Checkpoint::bytes).collect();
         let serial = compact_chain_workers(&template, &segments, 1).unwrap();
         for workers in [0, 2, 8] {
             let parallel = compact_chain_workers(&template, &segments, workers).unwrap();
             assert_eq!(serial.bytes(), parallel.bytes(), "workers {workers}");
         }
+        let from_snap = compact_snapshot(&tip_snap, &frames.last().unwrap().header()).unwrap();
+        assert_eq!(serial.bytes(), from_snap.bytes(), "snapshot compaction");
         let mut folded = restore_checkpoint_chain_workers(&template, &segments, 1).unwrap();
         let replayed = checkpoint_snapshot_workers(&folded.snapshot(), 1);
         assert_eq!(
@@ -2212,6 +2390,150 @@ mod tests {
         assert_eq!(via.stats().tier_keys, folded.stats().tier_keys);
     }
 
+    #[test]
+    fn header_peek_reads_only_the_fixed_header() {
+        let mut e = ny_engine(200);
+        let ck = checkpoint_of(&mut e);
+        let header_only = &ck.bytes()[..PAYLOAD_BYTE];
+        assert_eq!(read_header(header_only).unwrap(), ck.header());
+        assert_eq!(
+            read_header(&header_only[..PAYLOAD_BYTE - 1]).unwrap_err(),
+            CheckpointError::Truncated
+        );
+        // The cut frame itself still refuses to restore.
+        assert_eq!(
+            restore_checkpoint(&ny_template(), header_only).unwrap_err(),
+            CheckpointError::Truncated
+        );
+    }
+
+    #[test]
+    fn fold_refuses_bad_deltas_and_leaves_the_engine_untouched() {
+        let template = ny_template();
+        let (_, frames) = chain_of(&template, 9, 2);
+        let mut engine = restore_checkpoint(&template, frames[0].bytes()).unwrap();
+        let tip = frames[0].header();
+
+        // Mis-parented: the second delta folded straight onto the base.
+        assert_eq!(
+            assert_fold_refused(&mut engine, &tip, frames[2].bytes()),
+            CheckpointError::BadChain {
+                what: "delta cites a different parent checkpoint"
+            }
+        );
+        // Corrupted: one payload bit flipped.
+        let mut flipped = frames[1].bytes().to_vec();
+        let last = flipped.len() - 1;
+        flipped[last] ^= 0x10;
+        assert!(matches!(
+            assert_fold_refused(&mut engine, &tip, &flipped),
+            CheckpointError::Corrupt { .. }
+        ));
+        // A full frame is not a delta.
+        assert!(matches!(
+            assert_fold_refused(&mut engine, &tip, frames[0].bytes()),
+            CheckpointError::BadChain { .. }
+        ));
+        // The intact delta still folds afterwards.
+        let next = fold_checkpoint_delta(&mut engine, &tip, frames[1].bytes()).unwrap();
+        assert_eq!(next, frames[1].header());
+    }
+
+    #[test]
+    fn fold_refuses_a_delta_whose_totals_disagree() {
+        // A delta cut against a parent header that claims a later epoch
+        // than the frame it names: shard 0's writes between the two
+        // epochs are counted in the delta's totals but carried by no
+        // section, so the fold would lose them.
+        let template = ExactCounter::new();
+        let mut e = CounterEngine::new(template.clone(), cfg());
+        let key_in = |shard: usize| (0u64..).find(|&k| e.shard_of(k) == shard).unwrap();
+        let (k0, k1) = (key_in(0), key_in(1));
+        e.apply(&[(k0, 3), (k1, 4)]);
+        let base = checkpoint_snapshot(&e.snapshot());
+        e.apply(&[(k0, 5)]);
+        let skipped_epoch = e.snapshot().epoch();
+        e.apply(&[(k1, 6)]);
+        let lying_parent = CheckpointHeader {
+            epoch: skipped_epoch,
+            ..base.header()
+        };
+        let delta = checkpoint_delta(&e.snapshot(), &lying_parent).unwrap();
+        assert_eq!(delta.stats().shards_written, 1);
+
+        let mut engine = restore_checkpoint(&template, base.bytes()).unwrap();
+        assert_eq!(
+            assert_fold_refused(&mut engine, &base.header(), delta.bytes()),
+            CheckpointError::Corrupt {
+                what: "shard totals disagree with the header"
+            }
+        );
+        assert!(restore_checkpoint_chain(&template, &[base.bytes(), delta.bytes()]).is_err());
+    }
+
+    #[test]
+    fn fold_evicts_the_merge_cache_of_replaced_shards_only() {
+        let template = ny_template();
+        let (_, frames) = chain_of(&template, 12, 1);
+        let mut engine = restore_checkpoint(&template, frames[0].bytes()).unwrap();
+        let mut rng = ac_randkit::Xoshiro256PlusPlus::seed_from_u64(1);
+        engine.snapshot().merged_total(&mut rng).unwrap();
+        assert!(engine
+            .fold_cache()
+            .lock()
+            .unwrap()
+            .iter()
+            .all(Option::is_some));
+        fold_checkpoint_delta(&mut engine, &frames[0].header(), frames[1].bytes()).unwrap();
+        let written = frames[1].stats().shards_written;
+        let cache = engine.fold_cache().lock().unwrap();
+        assert_eq!(cache.iter().filter(|slot| slot.is_none()).count(), written);
+    }
+
+    #[test]
+    fn snapshot_compaction_refuses_a_snapshot_that_is_not_the_tip() {
+        let template = ny_template();
+        let (mut e, frames, snap) = chain_with_tip(&template, 3, 2);
+        let tip = frames.last().unwrap().header();
+        let not_tip = CheckpointError::BadChain {
+            what: "snapshot is not the one the chain tip was cut from",
+        };
+        for wrong in [
+            CheckpointHeader {
+                epoch: tip.epoch - 1,
+                ..tip
+            },
+            CheckpointHeader {
+                keys: tip.keys + 1,
+                ..tip
+            },
+            CheckpointHeader {
+                events: tip.events - 1,
+                ..tip
+            },
+        ] {
+            assert_eq!(compact_snapshot(&snap, &wrong).unwrap_err(), not_tip);
+        }
+        // A later snapshot of the same engine is not the tip either.
+        e.apply(&[(77, 1)]);
+        let later = e.snapshot().with_epoch(tip.epoch);
+        assert_eq!(compact_snapshot(&later, &tip).unwrap_err(), not_tip);
+        assert_eq!(
+            compact_snapshot(
+                &snap,
+                &CheckpointHeader {
+                    config: EngineConfig { shards: 8, ..cfg() },
+                    ..tip
+                }
+            )
+            .unwrap_err(),
+            CheckpointError::ConfigMismatch {
+                expected: cfg(),
+                got: EngineConfig { shards: 8, ..cfg() }
+            }
+        );
+    }
+
     proptest! {
         #[test]
         fn parallel_encode_bytes_equal_serial_across_families(
@@ -2237,6 +2559,23 @@ mod tests {
                 ac_core::MorrisPlus::new(0.2, 8).unwrap(), seed, rounds);
             assert_compaction_matches_serial_fold(ny_template(), seed, rounds);
             assert_compaction_matches_serial_fold(CsurosCounter::new(8).unwrap(), seed, rounds);
+        }
+
+        #[test]
+        fn folding_one_delta_at_a_time_equals_the_chain_restore(
+            seed in 1u64..100_000,
+            rounds in 0usize..5,
+            // Past `rounds` means "no compaction".
+            compact_at in 0usize..7,
+        ) {
+            assert_fold_matches_chain_restore(ExactCounter::new(), seed, rounds, compact_at);
+            assert_fold_matches_chain_restore(
+                MorrisCounter::new(0.25).unwrap(), seed, rounds, compact_at);
+            assert_fold_matches_chain_restore(
+                ac_core::MorrisPlus::new(0.2, 8).unwrap(), seed, rounds, compact_at);
+            assert_fold_matches_chain_restore(ny_template(), seed, rounds, compact_at);
+            assert_fold_matches_chain_restore(
+                CsurosCounter::new(8).unwrap(), seed, rounds, compact_at);
         }
     }
 }

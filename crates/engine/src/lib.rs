@@ -151,11 +151,11 @@ pub use checkpoint::{
     checkpoint_delta, checkpoint_delta_with, checkpoint_snapshot, checkpoint_snapshot_with,
     checkpoint_snapshot_with_workers, checkpoint_snapshot_workers, combined_fingerprint,
     compact_chain, compact_chain_with, compact_chain_with_workers, compact_chain_workers,
-    read_header, restore_checkpoint, restore_checkpoint_chain, restore_checkpoint_chain_with,
-    restore_checkpoint_chain_with_workers, restore_checkpoint_chain_workers,
-    restore_checkpoint_expecting, restore_checkpoint_with, Checkpoint, CheckpointError,
-    CheckpointHeader, CheckpointKind, CheckpointStats, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-    CHECKPOINT_VERSION_TIERED,
+    compact_snapshot, fold_checkpoint_delta, read_header, restore_checkpoint,
+    restore_checkpoint_chain, restore_checkpoint_chain_with, restore_checkpoint_chain_with_workers,
+    restore_checkpoint_chain_workers, restore_checkpoint_expecting, restore_checkpoint_with,
+    Checkpoint, CheckpointError, CheckpointHeader, CheckpointKind, CheckpointStats,
+    CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CHECKPOINT_VERSION_TIERED,
 };
 pub use checkpointer::{
     BackgroundCheckpointer, CheckpointRecord, CheckpointerConfig, CheckpointerProbe,

@@ -421,6 +421,26 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
         self.shards[index] = shard;
     }
 
+    /// Replaces whole shards with restored ones (a delta fold) and
+    /// resumes the freeze-epoch clock at `epoch`. Replaced shards' fold
+    /// cache slots are evicted: a restored shard's `(dirty_epoch,
+    /// events, len)` triple is not a validity key against a cache
+    /// filled from a different lineage step.
+    pub(crate) fn install_restored(&mut self, shards: Vec<(usize, Shard<C>)>, epoch: u64) {
+        let mut folds = self.fold_cache.lock().expect("fold cache lock");
+        let mut tiered = self
+            .tiered_fold_cache
+            .lock()
+            .expect("tiered fold cache lock");
+        for (idx, shard) in shards {
+            self.shards[idx] = Arc::new(shard);
+            folds[idx] = None;
+            tiered[idx] = None;
+        }
+        drop((folds, tiered));
+        self.epoch = epoch;
+    }
+
     /// The reset template counter.
     pub(crate) fn template(&self) -> &C {
         &self.template

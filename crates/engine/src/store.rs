@@ -43,7 +43,7 @@
 //! assert_eq!(report.stats.events, 100_000);
 //! ```
 
-use crate::checkpoint::restore_checkpoint_chain_with_workers;
+use crate::checkpoint::{fold_delta, read_header, restore_checkpoint_chain_with_workers};
 use crate::checkpointer::{
     BackgroundCheckpointer, CheckpointerConfig, CheckpointerProbe, CheckpointerReport,
     CheckpointerStats,
@@ -1363,35 +1363,39 @@ fn recover(
                 Err(_) => break,
             }
         }
-        // Fold the longest restorable prefix: a truncated or corrupt
-        // tail delta drops off one frame at a time; a damaged base sends
-        // us to the previous chain.
-        while !segments.is_empty() {
-            let refs: Vec<&[u8]> = segments.iter().map(Vec::as_slice).collect();
-            // Worker count 0 = auto: recovery decodes shard sections in
-            // parallel on big states, serially on small ones.
-            match restore_checkpoint_chain_with_workers(&templates, &refs, 0) {
-                Ok(engine) => {
-                    let used = segments.len();
-                    let tip = &frames[base + used - 1];
-                    let report = RecoveryReport {
-                        directory: dir.to_path_buf(),
-                        frames_in_manifest: frames.len(),
-                        frames_used: used,
-                        frames_skipped: frames.len() - (base + used),
-                        events: engine.total_events(),
-                        keys: engine.len(),
-                        epoch: tip.epoch,
-                        last_applied: tip.marks.clone(),
-                        session: manifest.next_session(),
-                    };
-                    return Ok((engine, report));
-                }
-                Err(_) => {
-                    segments.pop();
-                }
-            }
+        // Fold the longest restorable prefix: the first truncated or
+        // corrupt delta ends the chain there; a damaged base sends us
+        // to the previous chain. Worker count 0 = auto: recovery
+        // decodes shard sections in parallel on big states, serially on
+        // small ones.
+        let Some((first, rest)) = segments.split_first() else {
+            continue;
+        };
+        let Ok(mut engine) = restore_checkpoint_chain_with_workers(&templates, &[first], 0) else {
+            continue;
+        };
+        let mut tip = read_header(first).expect("a restored base has a valid header");
+        let mut used = 1;
+        for delta in rest {
+            let Ok(header) = fold_delta(&templates, &mut engine, &tip, delta, 0) else {
+                break;
+            };
+            tip = header;
+            used += 1;
         }
+        let tip = &frames[base + used - 1];
+        let report = RecoveryReport {
+            directory: dir.to_path_buf(),
+            frames_in_manifest: frames.len(),
+            frames_used: used,
+            frames_skipped: frames.len() - (base + used),
+            events: engine.total_events(),
+            keys: engine.len(),
+            epoch: tip.epoch,
+            last_applied: tip.marks.clone(),
+            session: manifest.next_session(),
+        };
+        return Ok((engine, report));
     }
     Err(EngineError::NoRestorableChain {
         frames: frames.len(),

@@ -1,18 +1,20 @@
 //! `ReplicaNode`: a warm read-only mirror fed by the primary's delta
 //! checkpoint stream.
 //!
-//! The replica folds every [`ReplSegment`] it receives through
-//! [`restore_checkpoint_chain`] — the same integrity-checked path a
-//! crash recovery takes — acknowledges the segment's chain digest, and
-//! republishes the folded snapshot for local reads. Chain digests do
-//! the integrity work: a delta that does not cite the replica's tip is
-//! refused by the fold itself, and the acknowledged digest is what a
-//! reconnect resumes from. When the primary has compacted past the
-//! acknowledged digest it re-sends from a full frame, which the
-//! replica folds as a reset.
+//! The replica keeps one resident engine and the header of the segment
+//! it folded last. A full [`ReplSegment`] replaces the engine through
+//! [`restore_checkpoint`]; a delta folds into it in place through
+//! [`fold_checkpoint_delta`], the per-delta validator crash recovery
+//! runs, so every delta is decoded once. The replica acknowledges the
+//! segment's chain digest and republishes the folded snapshot for local
+//! reads. A delta that does not cite the replica's tip is refused by the
+//! fold, leaving the engine untouched; the acknowledged digest is what a
+//! reconnect resumes from, and when the primary has compacted past it
+//! the primary re-sends a full frame, which the replica folds as a reset.
 //!
 //! [`ReplSegment`]: crate::wire::Frame::ReplSegment
-//! [`restore_checkpoint_chain`]: ac_engine::restore_checkpoint_chain
+//! [`restore_checkpoint`]: ac_engine::restore_checkpoint
+//! [`fold_checkpoint_delta`]: ac_engine::fold_checkpoint_delta
 
 use crate::client::{connect, expect_hello_ok};
 use crate::conn::FrameConn;
@@ -20,7 +22,8 @@ use crate::error::{NetError, RefuseCode};
 use crate::wire::{Frame, Identity, Role, NEW_PRODUCER};
 use ac_core::{ApproxCounter, CounterFamily};
 use ac_engine::{
-    compact_chain_workers, read_header, restore_checkpoint_chain, CheckpointHeader, EngineSnapshot,
+    fold_checkpoint_delta, read_header, restore_checkpoint, CheckpointHeader, CheckpointKind,
+    CounterEngine, EngineSnapshot,
 };
 use ac_randkit::{mix64, Xoshiro256PlusPlus};
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -32,10 +35,6 @@ use std::time::{Duration, Instant};
 /// Replica-side knobs.
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
-    /// Locally compact the mirrored chain into a single base once it
-    /// exceeds this many segments (the fold cost of every later delta
-    /// is proportional to chain length).
-    pub max_chain_segments: usize,
     /// Backoff between reconnect attempts after a lost feed.
     pub retry: Duration,
 }
@@ -43,25 +42,21 @@ pub struct ReplicaConfig {
 impl Default for ReplicaConfig {
     fn default() -> Self {
         ReplicaConfig {
-            max_chain_segments: 16,
             retry: Duration::from_millis(200),
         }
     }
 }
 
-/// The mirrored chain plus the snapshot folded from it.
+/// What local reads see: the tip folded last and its snapshot.
 #[derive(Debug, Default)]
 struct Mirror {
-    segments: Vec<Vec<u8>>,
     tip: Option<CheckpointHeader>,
     snap: Option<Arc<EngineSnapshot<CounterFamily>>>,
-    /// The primary-side chain digest last folded and acknowledged —
-    /// what a reconnect handshake presents. Survives local compaction
-    /// (the compacted base has its own digest; resumption speaks the
-    /// primary's).
-    acked_chain: u64,
     folds: u64,
 }
+
+/// The feed thread's engine and the header of the segment folded last.
+type Resident = Option<(CounterEngine<CounterFamily>, CheckpointHeader)>;
 
 #[derive(Debug)]
 struct ReplicaInner {
@@ -142,7 +137,8 @@ impl ReplicaNode {
     /// the replica's state *is* the primary's checkpointed state.
     #[must_use]
     pub fn chain_digest(&self) -> u64 {
-        self.inner.mirror.read().expect("mirror").acked_chain
+        let mirror = self.inner.mirror.read().expect("mirror");
+        mirror.tip.map_or(0, |t| t.chain)
     }
 
     /// How many segments have been folded since connecting.
@@ -277,10 +273,11 @@ impl Drop for ReplicaNode {
 
 fn feed_loop(inner: &ReplicaInner, mut conn: FrameConn) {
     let stop = || inner.stop.load(Ordering::Acquire);
+    let mut resident: Resident = None;
     loop {
         match conn.recv_interruptible(&stop) {
             Ok(Frame::ReplSegment { bytes }) => {
-                let chain = match fold_segment(inner, bytes) {
+                let chain = match fold_segment(inner, &mut resident, &bytes) {
                     Ok(chain) => chain,
                     Err(e) => {
                         // A segment that does not fold is corruption or
@@ -313,44 +310,39 @@ fn feed_loop(inner: &ReplicaInner, mut conn: FrameConn) {
     }
 }
 
-/// Folds one segment into the mirror and returns the digest to ack.
-fn fold_segment(inner: &ReplicaInner, bytes: Vec<u8>) -> Result<u64, NetError> {
-    let header = read_header(&bytes).map_err(|e| NetError::Remote {
-        reason: format!("segment header: {e}"),
-    })?;
-    let mut mirror = inner.mirror.write().expect("mirror");
-    if header.kind == ac_engine::CheckpointKind::Full {
+/// Folds one segment into the resident engine, publishes the result to
+/// local reads, and returns the digest to ack. A refused segment leaves
+/// the engine and the published mirror as they were.
+fn fold_segment(
+    inner: &ReplicaInner,
+    resident: &mut Resident,
+    bytes: &[u8],
+) -> Result<u64, NetError> {
+    let refused = |e: ac_engine::CheckpointError| NetError::Remote {
+        reason: e.to_string(),
+    };
+    let header = read_header(bytes).map_err(refused)?;
+    let (engine, tip) = if header.kind == CheckpointKind::Full {
         // A full frame starts a fresh chain — the primary restarted the
         // stream (first contact, or compaction passed our ack).
-        mirror.segments.clear();
-        mirror.tip = None;
-    }
-    mirror.segments.push(bytes);
-    let refs: Vec<&[u8]> = mirror.segments.iter().map(Vec::as_slice).collect();
-    let mut engine =
-        restore_checkpoint_chain(&inner.template, &refs).map_err(|e| NetError::Remote {
-            reason: format!("chain fold: {e}"),
+        let engine = restore_checkpoint(&inner.template, bytes).map_err(refused)?;
+        let (engine, tip) = resident.insert((engine, header));
+        (engine, tip)
+    } else {
+        let (engine, tip) = resident.as_mut().ok_or(NetError::Malformed {
+            what: "delta segment before any base",
         })?;
+        *tip = fold_checkpoint_delta(engine, tip, bytes).map_err(refused)?;
+        (engine, tip)
+    };
     // Pin the folded snapshot to the primary's freeze epoch so merged
     // reads here agree with a primary reader pinned to the same epoch.
-    let snap = engine.snapshot().with_epoch(header.epoch);
-    mirror.snap = Some(Arc::new(snap));
-    mirror.tip = Some(header);
-    mirror.acked_chain = header.chain;
+    let snap = Arc::new(engine.snapshot().with_epoch(tip.epoch));
+    let mut mirror = inner.mirror.write().expect("mirror");
+    mirror.snap = Some(snap);
+    mirror.tip = Some(*tip);
     mirror.folds += 1;
-    if mirror.segments.len() > inner.config.max_chain_segments {
-        let refs: Vec<&[u8]> = mirror.segments.iter().map(Vec::as_slice).collect();
-        match compact_chain_workers(&inner.template, &refs, 0) {
-            Ok(base) => mirror.segments = vec![base.into_bytes()],
-            Err(e) => {
-                // The chain restored moments ago, so compaction cannot
-                // really fail — but never trade a working mirror for a
-                // tidy one.
-                let _ = e;
-            }
-        }
-    }
-    Ok(header.chain)
+    Ok(tip.chain)
 }
 
 fn fail(inner: &ReplicaInner, reason: &str) {
@@ -371,7 +363,8 @@ fn reconnect(inner: &ReplicaInner, conn: &mut FrameConn) -> bool {
         if inner.stop.load(Ordering::Acquire) {
             return false;
         }
-        let acked = inner.mirror.read().expect("mirror").acked_chain;
+        let acked = inner.mirror.read().expect("mirror").tip;
+        let acked = acked.map_or(0, |t| t.chain);
         if let Ok(mut fresh) = connect(
             inner.addr,
             &inner.identity,

@@ -24,8 +24,9 @@
 //!
 //! A cutter thread samples published snapshots and maintains one
 //! global chain of checkpoint segments — a full base, then deltas cut
-//! with [`checkpoint_delta`], compacted through [`compact_chain`] when
-//! the chain grows long. Replica connections stream the chain and
+//! with [`checkpoint_delta`] (see [`ServerConfig`] for the cadence),
+//! compacted through [`compact_snapshot`] from the tip's own snapshot
+//! when the chain grows long. Replica connections stream the chain and
 //! resume from the last chain digest the replica acknowledged; a
 //! digest that fell out of the chain (compaction) triggers a full
 //! resend, which the replica folds as a reset. Chain digests make
@@ -40,9 +41,9 @@ use crate::conn::FrameConn;
 use crate::error::{NetError, RefuseCode};
 use crate::wire::{Frame, Identity, Query, Reply, Role, NEW_PRODUCER, PROTO_VERSION};
 use ac_bitio::{BitVec, BitWriter};
-use ac_core::{CounterFamily, StateCodec};
+use ac_core::StateCodec;
 use ac_engine::{
-    checkpoint_delta, checkpoint_snapshot, compact_chain_workers, CheckpointHeader, Store,
+    checkpoint_delta, checkpoint_snapshot, compact_snapshot, Checkpoint, CheckpointHeader, Store,
     StoreReport, StoreWriter,
 };
 use std::collections::HashMap;
@@ -53,25 +54,28 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Tuning knobs for the server's replication source.
+///
+/// The cut cadence itself is not a knob: the cutter cuts a delta once
+/// the events past the chain tip reach the number of keys the previous
+/// cut encoded (so replication encodes at most one key per ingested
+/// event, amortized), and cuts whatever remains once the store has
+/// quiesced — it accepted no new events since the last poll and the
+/// published snapshot holds them all.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Cut a delta segment once at least this many new events are
-    /// visible past the chain tip. (A quiesced stream — events stopped
-    /// advancing between two polls — also cuts, so replicas converge
-    /// to the final state without waiting for a full threshold.)
-    pub delta_every_events: u64,
-    /// How often the cutter samples the published snapshot.
+    /// How often the cutter samples the published snapshot and the
+    /// store's ingest counter.
     pub cut_poll: Duration,
     /// Compact the chain into a single full base once it holds more
     /// than this many segments. Replicas whose acknowledged digest
-    /// falls out of the chain receive a full resend.
+    /// falls out of the chain receive a full resend, so this also
+    /// bounds how many segments a replica can trail by.
     pub max_chain_segments: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            delta_every_events: 4096,
             cut_poll: Duration::from_millis(2),
             max_chain_segments: 16,
         }
@@ -107,7 +111,6 @@ struct ServerInner {
     store: Store,
     identity: Identity,
     fingerprint: u64,
-    template: CounterFamily,
     tiered: bool,
     config: ServerConfig,
     /// Writer slots not currently attached to a connection, by
@@ -192,7 +195,6 @@ impl StoreServer {
             store,
             identity,
             fingerprint,
-            template,
             tiered,
             config,
             parked: Mutex::new(parked),
@@ -704,71 +706,147 @@ fn resume_cursor(chain: &ReplChain, acked: u64) -> usize {
         .map_or(0, |idx| idx + 1)
 }
 
+/// When the cutter cuts the next delta: see [`ServerConfig`].
+#[derive(Debug)]
+struct CutCadence {
+    /// Events the store held before its ingest counter started (a
+    /// reopened store's recovered state).
+    recovered: u64,
+    /// The store's ingest counter at the previous poll.
+    last_enqueued: Option<u64>,
+    /// Keys the previous cut encoded.
+    last_cut_keys: u64,
+}
+
+impl CutCadence {
+    fn new(recovered: u64) -> Self {
+        CutCadence {
+            recovered,
+            last_enqueued: None,
+            last_cut_keys: 0,
+        }
+    }
+
+    /// One poll: `enqueued` is the store's ingest counter, read before
+    /// the snapshot (`snap_epoch`, `snap_events`) was refreshed.
+    fn due(
+        &mut self,
+        enqueued: u64,
+        snap_epoch: u64,
+        snap_events: u64,
+        tip: &CheckpointHeader,
+    ) -> bool {
+        let quiesced =
+            self.last_enqueued == Some(enqueued) && snap_events >= self.recovered + enqueued;
+        self.last_enqueued = Some(enqueued);
+        let advanced = snap_events.saturating_sub(tip.events);
+        snap_epoch > tip.epoch && advanced > 0 && (quiesced || advanced >= self.last_cut_keys)
+    }
+
+    fn cut(&mut self, written: &Checkpoint) {
+        self.last_cut_keys = written.stats().keys;
+    }
+}
+
 fn cutter_loop(inner: &Arc<ServerInner>) {
     let mut reader = inner.store.reader();
-    let mut last_poll_events = u64::MAX;
+    let mut cadence = CutCadence::new(inner.store.recovery().map_or(0, |r| r.events));
     while !inner.stop.load(Ordering::SeqCst) {
         std::thread::sleep(inner.config.cut_poll);
+        let enqueued = inner.store.stats().ingest.enqueued_events;
         reader.refresh();
         let snap = reader.snapshot();
         let mut chain = inner.repl.chain.lock().expect("repl chain");
         if chain.failed.is_some() {
             return;
         }
-        match chain.tip {
-            None => {
-                let full = checkpoint_snapshot(snap);
-                chain.tip = Some(full.header());
-                chain.segments.push(Segment {
-                    chain: full.header().chain,
-                    bytes: Arc::new(full.into_bytes()),
-                });
-                inner.repl.grew.notify_all();
+        let cut = match chain.tip {
+            None => Ok(checkpoint_snapshot(snap)),
+            Some(tip) if cadence.due(enqueued, snap.epoch(), snap.total_events(), &tip) => {
+                checkpoint_delta(snap, &tip)
             }
-            Some(tip) => {
-                let events = snap.total_events();
-                let advanced = events.saturating_sub(tip.events);
-                let quiesced = events == last_poll_events;
-                if snap.epoch() > tip.epoch
-                    && advanced > 0
-                    && (advanced >= inner.config.delta_every_events || quiesced)
-                {
-                    match checkpoint_delta(snap, &tip) {
-                        Ok(delta) => {
-                            chain.tip = Some(delta.header());
-                            chain.segments.push(Segment {
-                                chain: delta.header().chain,
-                                bytes: Arc::new(delta.into_bytes()),
-                            });
-                            inner.repl.grew.notify_all();
-                        }
-                        Err(e) => {
-                            chain.failed = Some(format!("delta cut failed: {e}"));
-                            inner.repl.grew.notify_all();
-                            return;
-                        }
-                    }
-                }
+            Some(_) => continue,
+        };
+        // The tip was just cut from `snap`, so a long chain compacts
+        // from `snap` itself — one full encode, no chain restore.
+        let result = cut.and_then(|segment| {
+            cadence.cut(&segment);
+            push_segment(&mut chain, segment);
+            if chain.segments.len() <= inner.config.max_chain_segments {
+                return Ok(());
             }
+            let tip = chain.tip.expect("a segment was just cut");
+            let base = compact_snapshot(snap, &tip)?;
+            chain.segments.clear();
+            push_segment(&mut chain, base);
+            chain.generation += 1;
+            Ok(())
+        });
+        if let Err(e) = result {
+            chain.failed = Some(format!("replication cut failed: {e}"));
+            inner.repl.grew.notify_all();
+            return;
         }
-        if chain.segments.len() > inner.config.max_chain_segments {
-            let segments: Vec<&[u8]> = chain.segments.iter().map(|s| s.bytes.as_slice()).collect();
-            match compact_chain_workers(&inner.template, &segments, 0) {
-                Ok(base) => {
-                    chain.tip = Some(base.header());
-                    chain.segments = vec![Segment {
-                        chain: base.header().chain,
-                        bytes: Arc::new(base.into_bytes()),
-                    }];
-                    chain.generation += 1;
-                }
-                Err(e) => {
-                    chain.failed = Some(format!("chain compaction failed: {e}"));
-                    inner.repl.grew.notify_all();
-                    return;
-                }
-            }
+        inner.repl.grew.notify_all();
+    }
+}
+
+fn push_segment(chain: &mut ReplChain, segment: Checkpoint) {
+    let header = segment.header();
+    chain.tip = Some(header);
+    chain.segments.push(Segment {
+        chain: header.chain,
+        bytes: Arc::new(segment.into_bytes()),
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tip(epoch: u64, events: u64) -> CheckpointHeader {
+        CheckpointHeader {
+            version: ac_engine::CHECKPOINT_VERSION,
+            kind: ac_engine::CheckpointKind::Delta,
+            params_fingerprint: 0,
+            config: ac_engine::EngineConfig::new(),
+            epoch,
+            parent_chain: 0,
+            keys: 0,
+            events,
+            payload_bits: 0,
+            chain: 0,
         }
-        last_poll_events = snap.total_events();
+    }
+
+    #[test]
+    fn publish_gaps_under_a_steady_stream_do_not_cut() {
+        // The stream keeps arriving (enqueued grows every poll) while
+        // the published snapshot sits still between publishes: no cut
+        // until the events past the tip reach the previous cut's keys.
+        let mut c = CutCadence::new(0);
+        c.last_cut_keys = 1_000;
+        let t = tip(5, 10_000);
+        assert!(!c.due(10_500, 6, 10_400, &t));
+        assert!(
+            !c.due(10_600, 6, 10_400, &t),
+            "publish gap is not quiescence"
+        );
+        assert!(!c.due(10_900, 6, 10_400, &t));
+        assert!(!c.due(11_100, 7, 10_999, &t));
+        assert!(c.due(11_300, 8, 11_000, &t), "one key per event, amortized");
+    }
+
+    #[test]
+    fn quiescence_needs_an_idle_intake_and_a_caught_up_snapshot() {
+        let mut c = CutCadence::new(100);
+        c.last_cut_keys = 1_000_000;
+        let t = tip(5, 100);
+        assert!(!c.due(50, 6, 140, &t), "first poll has no history");
+        assert!(!c.due(50, 6, 140, &t), "snapshot behind the intake");
+        assert!(c.due(50, 7, 150, &t), "idle intake, snapshot holds it all");
+        assert!(!c.due(50, 5, 150, &t), "nothing newer than the tip");
+        let at_tip = tip(7, 150);
+        assert!(!c.due(50, 7, 150, &at_tip), "nothing past the tip");
     }
 }

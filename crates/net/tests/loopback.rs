@@ -3,7 +3,7 @@
 //! replication converging to the primary's chain digests.
 
 use ac_core::{ApproxCounter, CounterSpec};
-use ac_engine::{checkpoint_snapshot, IngestConfig, Store};
+use ac_engine::{checkpoint_snapshot, read_header, CheckpointKind, IngestConfig, Store};
 use ac_net::wire::NEW_PRODUCER;
 use ac_net::{
     Frame, FrameConn, Identity, NetError, RefuseCode, ReplicaNode, Role, ServerConfig, StoreClient,
@@ -33,7 +33,6 @@ fn start_server(spec: CounterSpec, seed: u64) -> StoreServer {
         store,
         "127.0.0.1:0",
         ServerConfig {
-            delta_every_events: 512,
             cut_poll: Duration::from_millis(2),
             max_chain_segments: 4,
         },
@@ -466,6 +465,9 @@ fn replica_survives_primary_side_compaction() {
             expected += 1 + (round * key) % 3;
         }
         writer.flush().expect("flush");
+        // A pause the cutter sees as quiescence: every round becomes a
+        // segment, so the chain outgrows its cap again and again.
+        std::thread::sleep(Duration::from_millis(6));
     }
     let late = ReplicaNode::connect(server.local_addr(), identity).expect("late replica");
     writer.close().expect("close");
@@ -488,7 +490,104 @@ fn replica_survives_primary_side_compaction() {
         early.merged_estimate().expect("merge"),
         late.merged_estimate().expect("merge")
     );
+
+    // Compaction really fired: a replica starting from scratch now is
+    // sent a compacted base, which names the tip it folded (an
+    // uncompacted chain starts with an ordinary full frame, parent 0).
+    let mut conn = dial(&server);
+    conn.send(&hello(&server.identity(), Role::Replica, NEW_PRODUCER))
+        .expect("send hello");
+    assert!(matches!(
+        conn.recv().expect("hello ok"),
+        Frame::HelloOk { .. }
+    ));
+    let Frame::ReplSegment { bytes } = conn.recv().expect("first segment") else {
+        panic!("expected a segment");
+    };
+    let base = read_header(&bytes).expect("segment header");
+    assert_eq!(base.kind, CheckpointKind::Full);
+    assert_ne!(
+        base.parent_chain, 0,
+        "the primary never compacted its chain"
+    );
+    conn.shutdown();
+
     drop(early);
     drop(late);
+    server.shutdown().expect("shutdown");
+}
+
+/// The cut cadence under a steady stream. Two writers keep the applier
+/// busy, so it publishes on its 1024-event cadence or when it drains
+/// dry, and the published snapshot can stand still for longer than the
+/// 1 ms poll while the stream keeps arriving. None of those gaps may
+/// cut: a mid-stream delta waits until the events past the tip reach
+/// the keys the previous cut encoded.
+#[test]
+fn steady_streams_cut_at_most_one_key_per_event() {
+    const KEYS: u64 = 4_096;
+    const ROUNDS: u64 = 32;
+    let store = Store::builder(CounterSpec::Exact)
+        .with_shards(4)
+        .with_seed(3)
+        .with_ingest(IngestConfig::new().with_batch_pairs(256))
+        .with_snapshot_every_events(1_024)
+        .start()
+        .expect("store starts");
+    let server = StoreServer::start_with(
+        store,
+        "127.0.0.1:0",
+        ServerConfig {
+            cut_poll: Duration::from_millis(1),
+            max_chain_segments: 1 << 20,
+        },
+    )
+    .expect("server starts");
+    let replica = ReplicaNode::connect(server.local_addr(), server.identity()).expect("replica");
+    let client = StoreClient::new(server.local_addr(), server.identity()).expect("client");
+    // Writer `w` owns the keys `k` with `k % 2 == w`, round-robin, so
+    // any window of KEYS events dirties every shard and a cut encodes
+    // all KEYS keys.
+    let write = |rounds: u64| {
+        std::thread::scope(|s| {
+            for w in 0..2u64 {
+                let client = client.clone();
+                s.spawn(move || {
+                    let mut writer = client.writer(WriterConfig::default()).expect("writer");
+                    for _ in 0..rounds {
+                        for key in (w..KEYS).step_by(2) {
+                            writer.record(key, 1);
+                        }
+                    }
+                    writer.close().expect("close");
+                });
+            }
+        });
+    };
+
+    // Warm-up: every key once, then let the chain settle on it.
+    write(1);
+    assert!(replica.wait_for_events(KEYS, Duration::from_secs(20)));
+    assert!(replica.wait_for_chain(server.tip_chain(), Duration::from_secs(20)));
+    let warm_folds = replica.folds();
+
+    write(ROUNDS);
+    let expected = KEYS * (ROUNDS + 1);
+    assert!(
+        replica.wait_for_events(expected, Duration::from_secs(30)),
+        "replica stalled: {:?}",
+        replica.failed()
+    );
+    assert!(replica.wait_for_chain(server.tip_chain(), Duration::from_secs(20)));
+
+    // Every mid-stream cut after the first is preceded by >= KEYS new
+    // events (the first may follow a smaller warm-up cut), so at most
+    // ROUNDS + 1 of them, plus the final quiescent cut.
+    let cuts = replica.folds() - warm_folds;
+    assert!(
+        cuts <= ROUNDS + 2,
+        "{cuts} segments for {ROUNDS} rounds of {KEYS} keys"
+    );
+    drop(replica);
     server.shutdown().expect("shutdown");
 }

@@ -66,7 +66,6 @@ fn start_server() -> StoreServer {
         store,
         "127.0.0.1:0",
         ServerConfig {
-            delta_every_events: 2_048,
             cut_poll: Duration::from_millis(2),
             max_chain_segments: 8,
         },
