@@ -79,6 +79,22 @@ pub trait Mergeable: Sized {
     /// Returns [`CoreError::MergeMismatch`] when the two counters'
     /// parameter schedules are incompatible.
     fn merge_from(&mut self, other: &Self, rng: &mut dyn RandomSource) -> Result<(), CoreError>;
+
+    /// `Some(n)` when `self` is *exactly* the state that `n` increments
+    /// from [`ApproxCounter::reset`] produce, with no random draw
+    /// involved in reaching it; `None` otherwise (the default).
+    ///
+    /// A counter with an exact count `n` merges into any counter of the
+    /// same family like `n` increments do, so a fold over many counters
+    /// may add up their exact counts and apply the sum once through
+    /// [`ApproxCounter::increment_by`] instead of merging each one: the
+    /// result has the distribution of the one-by-one fold, only the
+    /// grouping of random draws differs. An implementation must never
+    /// return `Some` for a state that some sequence of increments from
+    /// reset could not reach deterministically.
+    fn exact_count(&self) -> Option<u64> {
+        None
+    }
 }
 
 #[cfg(test)]

@@ -54,6 +54,11 @@ impl crate::Mergeable for ExactCounter {
         self.peak = self.peak.max(self.state_bits());
         Ok(())
     }
+
+    /// Every exact counter is its count.
+    fn exact_count(&self) -> Option<u64> {
+        Some(self.n)
+    }
 }
 
 impl ApproxCounter for ExactCounter {
@@ -62,12 +67,13 @@ impl ApproxCounter for ExactCounter {
     }
 
     fn increment(&mut self, _rng: &mut dyn RandomSource) {
-        self.n += 1;
+        self.n = self.n.saturating_add(1);
         self.peak = self.peak.max(self.state_bits());
     }
 
+    /// Saturates at `u64::MAX`, like [`crate::Mergeable::merge_from`].
     fn increment_by(&mut self, n: u64, _rng: &mut dyn RandomSource) {
-        self.n += n;
+        self.n = self.n.saturating_add(n);
         self.peak = self.peak.max(self.state_bits());
     }
 
@@ -119,6 +125,27 @@ mod tests {
         c.increment_by(1 << 20, &mut rng);
         assert_eq!(c.state_bits(), 21);
         assert_eq!(c.peak_state_bits(), 21);
+    }
+
+    #[test]
+    fn increments_saturate_at_u64_max() {
+        use crate::Mergeable;
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(5);
+        let mut c = ExactCounter::new();
+        c.increment_by(u64::MAX - 2, &mut rng);
+        c.increment_by(5, &mut rng);
+        assert_eq!(c.count(), u64::MAX, "increment_by saturates");
+        c.increment(&mut rng);
+        assert_eq!(c.count(), u64::MAX, "increment saturates");
+        assert_eq!(c.exact_count(), Some(u64::MAX));
+
+        // The same sum reached by merging agrees with the increments.
+        let mut a = ExactCounter::new();
+        a.increment_by(u64::MAX - 2, &mut rng);
+        let mut b = ExactCounter::new();
+        b.increment_by(5, &mut rng);
+        a.merge_from(&b, &mut rng).unwrap();
+        assert_eq!(a, c);
     }
 
     #[test]

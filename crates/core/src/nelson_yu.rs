@@ -259,19 +259,26 @@ impl NelsonYuCounter {
             prev
         };
 
-        let x0 = self.params.x0();
         // Replay full epochs x0..lo_x, then the partial current epoch.
         // Each epoch's survivors were accepted at rate 2^-t_i and are
         // re-absorbed with one binomial thinning draw per epoch crossed.
-        for level in x0..=lo_x {
-            let (survivors, t_i) = if level == lo_x {
-                let (y_start, _) = self.params.epoch_y_span(level);
-                (lo_y.saturating_sub(y_start), lo_t)
+        // The walk carries the running max exponent
+        // (`NyParams::monotone_exponent`) and the previous epoch's end,
+        // from which `NyParams::epoch_y_span` derives a level's span, so
+        // each level costs one schedule evaluation instead of
+        // O(level − X₀).
+        let params = self.params;
+        let (mut t_i, mut prev_end, mut prev_t) = (0u32, 0u64, 0u32);
+        for level in params.x0()..=lo_x {
+            t_i = t_i.max(params.alpha_exponent(level));
+            let y_end = params.threshold_for(level, t_i) + 1;
+            let y_start = (prev_end >> (t_i - prev_t)).min(y_end);
+            if level == lo_x {
+                self.absorb_survivors(lo_y.saturating_sub(y_start), lo_t, rng);
             } else {
-                let (y_start, y_end) = self.params.epoch_y_span(level);
-                (y_end - y_start, self.params.monotone_exponent(level))
-            };
-            self.absorb_survivors(survivors, t_i, rng);
+                self.absorb_survivors(y_end - y_start, t_i, rng);
+            }
+            (prev_end, prev_t) = (y_end, t_i);
         }
         self.peak = self.peak.max(self.state_bits());
         Ok(())
@@ -281,6 +288,12 @@ impl NelsonYuCounter {
 impl crate::Mergeable for NelsonYuCounter {
     fn merge_from(&mut self, other: &Self, rng: &mut dyn RandomSource) -> Result<(), CoreError> {
         NelsonYuCounter::merge_from(self, other, rng)
+    }
+
+    /// `Some(Y)` while the counter is still in its exact epoch at rate 1
+    /// (`X = X₀`, `t = 0`): every increment so far landed in `Y`.
+    fn exact_count(&self) -> Option<u64> {
+        (self.x == self.params.x0() && self.t == 0).then_some(self.y)
     }
 }
 
@@ -615,6 +628,91 @@ mod tests {
         c.increment_by(1_000_000, &mut rng);
         c.reset();
         assert_eq!(c, NelsonYuCounter::new(p));
+    }
+
+    /// The merge replay by definition: every level's span from
+    /// `NyParams::epoch_y_span` and its exponent from
+    /// `NyParams::monotone_exponent`, each recomputed from `X₀`.
+    fn reference_merge(
+        this: &mut NelsonYuCounter,
+        other: &NelsonYuCounter,
+        rng: &mut dyn RandomSource,
+    ) {
+        let (lo_x, lo_y, lo_t) = if this.x >= other.x {
+            (other.x, other.y, other.t)
+        } else {
+            let prev = (this.x, this.y, this.t);
+            this.x = other.x;
+            this.y = other.y;
+            this.t = other.t;
+            this.threshold = other.threshold;
+            prev
+        };
+        for level in this.params.x0()..=lo_x {
+            let (y_start, y_end) = this.params.epoch_y_span(level);
+            let (survivors, t_i) = if level == lo_x {
+                (lo_y.saturating_sub(y_start), lo_t)
+            } else {
+                (y_end - y_start, this.params.monotone_exponent(level))
+            };
+            this.absorb_survivors(survivors, t_i, rng);
+        }
+        this.peak = this.peak.max(this.state_bits());
+    }
+
+    proptest::proptest! {
+        /// The one-walk replay is bit-identical to the per-level
+        /// reference: same resulting state and the same random draws.
+        #[test]
+        fn merge_replay_matches_epoch_span_reference(
+            schedule in 0usize..4,
+            seed in proptest::prelude::any::<u64>(),
+            (k1, f1) in (0u32..26, 0.0f64..1.0),
+            (k2, f2) in (0u32..26, 0.0f64..1.0),
+        ) {
+            let p = [params(0.2, 8), params(0.1, 10), params(0.3, 6), params(0.45, 30)][schedule];
+            // Log-uniform counts reach the exact epoch and many levels.
+            let n1 = ((1u64 << k1) as f64 * (1.0 + f1)) as u64;
+            let n2 = ((1u64 << k2) as f64 * (1.0 + f2)) as u64;
+            let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+            let mut a = NelsonYuCounter::new(p);
+            a.increment_by(n1, &mut rng);
+            let mut b = NelsonYuCounter::new(p);
+            b.increment_by(n2, &mut rng);
+
+            let mut fast = a.clone();
+            let mut fast_rng = rng.clone();
+            fast.merge_from(&b, &mut fast_rng).unwrap();
+            let mut reference = a;
+            let mut ref_rng = rng;
+            reference_merge(&mut reference, &b, &mut ref_rng);
+
+            proptest::prop_assert_eq!(fast.state_parts(), reference.state_parts());
+            proptest::prop_assert_eq!(fast, reference);
+            proptest::prop_assert_eq!(fast_rng.next_u64(), ref_rng.next_u64());
+        }
+    }
+
+    #[test]
+    fn exact_count_holds_only_in_the_rate_one_exact_epoch() {
+        use crate::Mergeable;
+        let p = params(0.2, 8);
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(17);
+        let mut c = NelsonYuCounter::new(p);
+        assert_eq!(c.exact_count(), Some(0));
+        let t0 = c.current_threshold();
+        c.increment_by(t0, &mut rng);
+        assert_eq!(c.exact_count(), Some(t0), "last exact state");
+        c.increment(&mut rng);
+        assert_eq!(c.exact_count(), None, "left the exact epoch");
+
+        // X₀ with a sampling exponent above the schedule's is a valid
+        // restored state, but no increments from reset reach it.
+        let mut r = NelsonYuCounter::new(p);
+        r.try_restore_parts(p.x0(), 3, 2).unwrap();
+        assert_eq!(r.exact_count(), None);
+        r.try_restore_parts(p.x0(), 3, 0).unwrap();
+        assert_eq!(r.exact_count(), Some(3));
     }
 
     #[test]

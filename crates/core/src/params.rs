@@ -192,8 +192,10 @@ impl NyParams {
 
     /// Number of survivors (accepted `Y`-increments) a *completed* epoch
     /// at level `x` contributes, together with the epoch's starting `Y`
-    /// value. Used by the Remark 2.4 merge to reconstruct per-epoch
-    /// survivor counts, which are deterministic functions of the schedule.
+    /// value: the per-epoch survivor counts the Remark 2.4 merge replays
+    /// are deterministic functions of the schedule. The merge derives
+    /// them in one walk over the levels; this is the per-level
+    /// definition its tests compare against.
     ///
     /// Returns `(y_start, y_end)` where `y_end = threshold + 1` is the
     /// value that triggered the advance.
@@ -216,7 +218,9 @@ impl NyParams {
     ///
     /// For all sane parameters `alpha_exponent` is itself nondecreasing
     /// and this is the identity; the fold guarantees it even in corner
-    /// cases. O(x − X₀) — only used on merge paths, never per increment.
+    /// cases. O(x − X₀) schedule evaluations per call; the merge replay
+    /// carries the running max along its walk instead of calling this
+    /// per level.
     #[must_use]
     pub fn monotone_exponent(&self, x: u64) -> u32 {
         let mut t = 0;

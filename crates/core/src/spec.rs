@@ -432,6 +432,10 @@ impl Mergeable for CounterFamily {
             }),
         }
     }
+
+    fn exact_count(&self) -> Option<u64> {
+        dispatch!(self, c => c.exact_count())
+    }
 }
 
 impl StateCodec for CounterFamily {

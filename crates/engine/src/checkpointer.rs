@@ -272,7 +272,7 @@ struct Totals {
 fn totals_stats(t: &Totals) -> CheckpointerStats {
     CheckpointerStats {
         submitted: t.submitted.load(Ordering::Relaxed),
-        written: t.written.load(Ordering::Relaxed),
+        written: t.written.load(Ordering::Acquire),
         full_frames: t.full_frames.load(Ordering::Relaxed),
         delta_frames: t.delta_frames.load(Ordering::Relaxed),
         bytes_written: t.bytes_written.load(Ordering::Relaxed),
@@ -704,7 +704,6 @@ impl<C: StateCodec + Clone + Send + Sync + 'static> BackgroundCheckpointer<C> {
                         thread_totals.delta_frames.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                thread_totals.written.fetch_add(1, Ordering::Relaxed);
                 thread_totals
                     .bytes_written
                     .fetch_add(bytes_len, Ordering::Relaxed);
@@ -715,6 +714,10 @@ impl<C: StateCodec + Clone + Send + Sync + 'static> BackgroundCheckpointer<C> {
                     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
                     Ordering::Relaxed,
                 );
+                // Published last, pairing with the Acquire load in
+                // `totals_stats`: a reader that sees this frame counted
+                // also sees its bytes, events and write time.
+                thread_totals.written.fetch_add(1, Ordering::Release);
                 records.push(CheckpointRecord {
                     seq,
                     kind,

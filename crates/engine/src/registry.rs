@@ -221,6 +221,67 @@ impl EngineStats {
     }
 }
 
+/// A fold of counters into one under the family's merge law
+/// (Remark 2.4): the shared step of every `O(keys)` merged aggregate.
+///
+/// A counter with an exact count ([`Mergeable::exact_count`]) is only
+/// added to a running `u64` sum, which lands in one
+/// [`ApproxCounter::increment_by`] call at [`Fold::finish`]; only the
+/// other counters pay a `merge_from`. Merging `n` deterministic
+/// increments is `increment_by(n)`, and `increment_by(a)` then
+/// `increment_by(b)` is distributed like `increment_by(a + b)`, so the
+/// result has the distribution of merging every counter in turn. Only
+/// the grouping of random draws differs. Exact counts are summed without
+/// the parameter check `merge_from` makes: every caller folds clones of
+/// one template (per tier, in a tiered fold).
+#[derive(Debug, Clone)]
+pub(crate) struct Fold<C> {
+    acc: C,
+    pending: u64,
+}
+
+impl<C: ApproxCounter + Mergeable + Clone> Fold<C> {
+    /// A fold whose running aggregate starts at `start`.
+    pub(crate) fn onto(start: C) -> Self {
+        Self {
+            acc: start,
+            pending: 0,
+        }
+    }
+
+    /// Adds `c` to the fold.
+    pub(crate) fn add(&mut self, c: &C, rng: &mut dyn RandomSource) -> Result<(), CoreError> {
+        match c.exact_count() {
+            Some(n) => self.pending = self.pending.saturating_add(n),
+            None => self.acc.merge_from(c, rng)?,
+        }
+        Ok(())
+    }
+
+    /// Adds `c` to the fold in `slot`, or starts that fold at a clone of
+    /// `c` when the slot is empty (per-tier folds have no template).
+    pub(crate) fn add_to(
+        slot: &mut Option<Self>,
+        c: &C,
+        rng: &mut dyn RandomSource,
+    ) -> Result<(), CoreError> {
+        match slot {
+            None => *slot = Some(Self::onto(c.clone())),
+            Some(fold) => fold.add(c, rng)?,
+        }
+        Ok(())
+    }
+
+    /// The folded counter: the running aggregate with the summed exact
+    /// counts applied.
+    pub(crate) fn finish(mut self, rng: &mut dyn RandomSource) -> C {
+        if self.pending > 0 {
+            self.acc.increment_by(self.pending, rng);
+        }
+        self.acc
+    }
+}
+
 /// One cached per-shard fold: the shard's counters merged into a single
 /// counter, valid while the identifying triple still matches the shard.
 /// `(dirty_epoch, events, len)` is a sound validity key within one engine
@@ -618,6 +679,12 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
     /// (Remark 2.4), so it agrees with [`CounterEngine::total_events`]
     /// within the family's `(ε, δ)` guarantee.
     ///
+    /// An uncached `O(keys)` scan that merges only the counters without
+    /// an exact count ([`Mergeable::exact_count`]); the exact counts are
+    /// summed and applied once.
+    /// [`EngineSnapshot::merged_total`](crate::EngineSnapshot::merged_total)
+    /// runs the same fold per shard and caches it across freezes.
+    ///
     /// # Errors
     ///
     /// Propagates [`CoreError::MergeMismatch`] — unreachable when all
@@ -627,13 +694,11 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
     where
         C: Mergeable,
     {
-        let mut total = self.template.clone();
-        for shard in &self.shards {
-            for c in shard.counters() {
-                total.merge_from(c, rng)?;
-            }
+        let mut fold = Fold::onto(self.template.clone());
+        for c in self.shards.iter().flat_map(|s| s.counters()) {
+            fold.add(c, rng)?;
         }
-        Ok(total)
+        Ok(fold.finish(rng))
     }
 }
 

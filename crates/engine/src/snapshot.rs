@@ -19,16 +19,19 @@
 //!   [`crate::checkpoint_delta`]).
 //!
 //! The cross-shard merged aggregate (Remark 2.4) is *not* folded at
-//! freeze time any more — folding is `O(keys)` and would put the one
-//! expensive scan back on the freeze path. [`EngineSnapshot::merged_total`]
-//! computes it on demand, on whichever reader thread wants it.
+//! freeze time — folding is an `O(keys)` scan and would put it back on
+//! the freeze path. [`EngineSnapshot::merged_total`] computes it on
+//! demand, on whichever reader thread wants it. The scan merges only the
+//! counters without an exact count ([`Mergeable::exact_count`]); the
+//! exact counts, which are most keys under a skewed key distribution,
+//! are summed and applied to the aggregate in one `increment_by`.
 //!
 //! [`CounterEngine::snapshot_deep`] keeps the PR 3 stop-the-world
 //! `O(keys)` deep-clone freeze alive as a benchmark baseline and as the
 //! oracle for the CoW-equivalence property tests.
 
 use crate::registry::{
-    CounterEngine, EngineConfig, FoldCache, FoldEntry, TieredFoldCache, TieredFoldEntry,
+    CounterEngine, EngineConfig, Fold, FoldCache, FoldEntry, TieredFoldCache, TieredFoldEntry,
 };
 use crate::shard::{route, Shard};
 use ac_core::{ApproxCounter, CoreError, Mergeable};
@@ -133,6 +136,15 @@ impl<C: ApproxCounter + Clone> EngineSnapshot<C> {
     /// within the family's `(ε, δ)` guarantee. Run it on a reader
     /// thread; the freeze itself never pays this fold.
     ///
+    /// ## Cost
+    ///
+    /// An `O(keys)` scan that merges only the counters without an exact
+    /// count ([`Mergeable::exact_count`]). A counter with one (a
+    /// Nelson–Yu counter still in its exact epoch, any
+    /// [`ExactCounter`](ac_core::ExactCounter)) only adds to a running
+    /// sum, which lands in one `increment_by` per fold. The result has
+    /// the distribution of merging every counter in turn.
+    ///
     /// ## Per-shard caching
     ///
     /// The fold is computed in two stages — each shard's counters merge
@@ -156,8 +168,9 @@ impl<C: ApproxCounter + Clone> EngineSnapshot<C> {
         C: Mergeable,
     {
         let mut cache = self.fold_cache.lock().expect("fold cache lock");
-        let mut total = self.template.clone();
-        total.reset();
+        let mut reset = self.template.clone();
+        reset.reset();
+        let mut total = Fold::onto(reset.clone());
         for (slot, shard) in cache.iter_mut().zip(&self.shards) {
             let fresh = matches!(
                 slot,
@@ -166,22 +179,21 @@ impl<C: ApproxCounter + Clone> EngineSnapshot<C> {
                     && e.len == shard.len()
             );
             if !fresh {
-                let mut folded = self.template.clone();
-                folded.reset();
+                let mut folded = Fold::onto(reset.clone());
                 for c in shard.counters() {
-                    folded.merge_from(c, rng)?;
+                    folded.add(c, rng)?;
                 }
                 *slot = Some(FoldEntry {
                     dirty_epoch: shard.dirty_epoch(),
                     events: shard.events(),
                     len: shard.len(),
-                    folded,
+                    folded: folded.finish(rng),
                 });
             }
             let entry = slot.as_ref().expect("slot filled above");
-            total.merge_from(&entry.folded, rng)?;
+            total.add(&entry.folded, rng)?;
         }
-        Ok(total)
+        Ok(total.finish(rng))
     }
 
     /// Distinct keys at freeze time.
@@ -261,7 +273,9 @@ impl EngineSnapshot<ac_core::CounterFamily> {
     /// totals — and the per-shard stage is cached across freezes on the
     /// same `(dirty_epoch, events, len)` validity key (plus the ladder
     /// length). Between two freezes the cost is `O(dirty shards' keys +
-    /// shards × tiers)`, not `O(all keys)`. Tier migrations, which change
+    /// shards × tiers)`, not `O(all keys)`. Within a tier, counters with
+    /// an exact count are summed rather than merged, as in
+    /// `merged_total`. Tier migrations, which change
     /// counter state without moving the validity triple, evict their
     /// shards' slots explicitly
     /// (see [`CounterEngine::apply_migrations`]). As with `merged_total`,
@@ -279,7 +293,7 @@ impl EngineSnapshot<ac_core::CounterFamily> {
         rng: &mut dyn RandomSource,
     ) -> Result<f64, CoreError> {
         let mut cache = self.tiered_fold_cache.lock().expect("tiered fold cache");
-        let mut per_tier: Vec<Option<ac_core::CounterFamily>> = vec![None; tiers];
+        let mut per_tier: Vec<Option<Fold<ac_core::CounterFamily>>> = vec![None; tiers];
         for (slot, shard) in cache.iter_mut().zip(&self.shards) {
             let fresh = matches!(
                 slot,
@@ -289,36 +303,37 @@ impl EngineSnapshot<ac_core::CounterFamily> {
                     && e.folded.len() == tiers
             );
             if !fresh {
-                let mut folded: Vec<Option<ac_core::CounterFamily>> = vec![None; tiers];
+                let mut folds: Vec<Option<Fold<ac_core::CounterFamily>>> = vec![None; tiers];
                 for (_, counter, tier) in shard.entries_tagged() {
-                    let acc = folded
+                    let slot = folds
                         .get_mut(usize::from(tier))
                         .ok_or(CoreError::InvalidState {
                             what: "key carries a tier tag outside the ladder",
                         })?;
-                    match acc {
-                        None => *acc = Some(counter.clone()),
-                        Some(acc) => acc.merge_from(counter, rng)?,
-                    }
+                    Fold::add_to(slot, counter, rng)?;
                 }
                 *slot = Some(TieredFoldEntry {
                     dirty_epoch: shard.dirty_epoch(),
                     events: shard.events(),
                     len: shard.len(),
-                    folded,
+                    folded: folds
+                        .into_iter()
+                        .map(|f| f.map(|f| f.finish(rng)))
+                        .collect(),
                 });
             }
             let entry = slot.as_ref().expect("slot filled above");
             for (total, part) in per_tier.iter_mut().zip(&entry.folded) {
                 if let Some(p) = part {
-                    match total {
-                        None => *total = Some(p.clone()),
-                        Some(t) => t.merge_from(p, rng)?,
-                    }
+                    Fold::add_to(total, p, rng)?;
                 }
             }
         }
-        Ok(per_tier.into_iter().flatten().map(|c| c.estimate()).sum())
+        Ok(per_tier
+            .into_iter()
+            .flatten()
+            .map(|f| f.finish(rng).estimate())
+            .sum())
     }
 }
 
@@ -572,6 +587,118 @@ mod tests {
             .sum();
         assert_eq!(after, oracle, "fold must match an uncached recompute");
         assert_ne!(after, before, "coarse rung must move the estimate");
+    }
+
+    #[test]
+    fn exact_counter_folds_are_the_exact_total_and_draw_nothing() {
+        use ac_core::CounterSpec;
+        let batch: Vec<(u64, u64)> = (0..3_000u64).map(|k| (k, k % 23 + 1)).collect();
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(21);
+        let mut counting = CountingSource {
+            inner: &mut rng,
+            draws: 0,
+        };
+
+        let mut e = CounterEngine::new(ExactCounter::new(), cfg());
+        e.apply(&batch);
+        let n = e.total_events();
+        assert_eq!(e.merged_total(&mut counting).unwrap().count(), n);
+        assert_eq!(e.snapshot().merged_total(&mut counting).unwrap().count(), n);
+
+        let mut f = CounterEngine::new(CounterSpec::Exact.build().unwrap(), cfg());
+        f.apply(&batch);
+        let snap = f.snapshot();
+        assert_eq!(
+            snap.merged_total(&mut counting).unwrap().estimate(),
+            n as f64
+        );
+        assert_eq!(
+            snap.merged_estimate_tiered(1, &mut counting).unwrap(),
+            n as f64
+        );
+        assert_eq!(
+            counting.draws, 0,
+            "summing exact counts needs no randomness"
+        );
+    }
+
+    #[test]
+    fn all_sampled_folds_keep_the_pairwise_draws() {
+        // No key has an exact count, so the fold is the pairwise fold,
+        // draw for draw.
+        let p = NyParams::new(0.2, 8).unwrap();
+        let mut e = CounterEngine::new(NelsonYuCounter::new(p), cfg());
+        e.apply(&(0..50u64).map(|k| (k, 5_000 + 300 * k)).collect::<Vec<_>>());
+        let snap = e.snapshot();
+        let mut a = Xoshiro256PlusPlus::seed_from_u64(41);
+        let mut b = a.clone();
+        let mut reference = snap.template.clone();
+        reference.reset();
+        for shard in &snap.shards {
+            let mut part = snap.template.clone();
+            part.reset();
+            for c in shard.counters() {
+                part.merge_from(c, &mut b).unwrap();
+            }
+            reference.merge_from(&part, &mut b).unwrap();
+        }
+        assert_eq!(snap.merged_total(&mut a).unwrap(), reference);
+        assert_eq!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn tiered_fold_sums_an_exact_count_tier() {
+        use ac_core::{CounterSpec, TierMove};
+        let template = CounterSpec::Exact.build().unwrap();
+        let mut e = CounterEngine::new(template, cfg());
+        e.apply(&(0..400u64).map(|k| (k, k % 9 + 1)).collect::<Vec<_>>());
+        e.apply(&[(1_000, 50_000), (1_001, 70_000)]);
+        let ladder = [
+            CounterSpec::Exact,
+            CounterSpec::NelsonYu {
+                eps: 0.2,
+                delta_log2: 8,
+            },
+        ];
+        // Tier 1 holds exact-epoch Nelson–Yu keys and two sampled ones.
+        let moves: Vec<TierMove> = (0..40u64)
+            .chain([1_000, 1_001])
+            .map(|key| TierMove { key, tier: 1 })
+            .collect();
+        assert_eq!(e.apply_migrations(&ladder, &moves).unwrap(), 42);
+        let snap = e.snapshot();
+        let tagged = |tier: u8| {
+            snap.shards
+                .iter()
+                .flat_map(|s| s.entries_tagged())
+                .filter(move |&(_, _, t)| t == tier)
+                .map(|(_, c, _)| c)
+        };
+        let exact_tier: f64 = tagged(0).map(ApproxCounter::estimate).sum();
+        assert_eq!(tagged(1).filter(|c| c.exact_count().is_none()).count(), 2);
+
+        // The tiered fold, less the exact tier's sum, against the
+        // pairwise fold of the Nelson–Yu tier alone.
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(43);
+        let mut tiered = Vec::new();
+        let mut pairwise = Vec::new();
+        for _ in 0..400 {
+            // A clone starts a fresh lineage, so every fold is cold.
+            let est = e
+                .clone()
+                .snapshot()
+                .merged_estimate_tiered(2, &mut rng)
+                .unwrap();
+            tiered.push(est - exact_tier);
+            let mut ny = tagged(1);
+            let mut total = ny.next().unwrap().clone();
+            for c in ny {
+                total.merge_from(c, &mut rng).unwrap();
+            }
+            pairwise.push(total.estimate());
+        }
+        let ks = ac_stats::ks::ks_two_sample(&tiered, &pairwise);
+        assert!(ks.p_value > 0.001, "KS p={} D={}", ks.p_value, ks.statistic);
     }
 
     #[test]
