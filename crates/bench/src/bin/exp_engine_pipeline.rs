@@ -1,9 +1,8 @@
 //! **E13** — the four-layer engine pipeline end to end: a writer-API
-//! shoot-out (raw apply vs the retired mutex+condvar queue vs the
-//! lock-free per-producer rings vs producer-routed per-(producer, shard)
-//! lanes, gated on rings >= legacy and routed >= pooled, with a
-//! `burst_batches` sweep, a routed-vs-pooled checkpoint byte-identity
-//! check, and the hot-key `fold_runs` fast path); multi-producer
+//! shoot-out (raw apply vs the serial `drain_into` vs the threaded routed
+//! drain over per-(producer, shard) lanes, with a `burst_batches` sweep,
+//! gated on a routed-vs-serial checkpoint byte-identity check and on the
+//! routed drain staying within 2x of raw apply); multi-producer
 //! ingest throughput with coalescing and bounded backpressure; a
 //! mid-ingest freeze measured both ways (legacy `O(keys)` deep clone vs
 //! the copy-on-write `O(shards)` epoch freeze, acceptance ≥ 10×);
@@ -20,8 +19,6 @@
 
 use ac_bench::{header, json::JsonObject, section, sized, verdict, write_json_report};
 use ac_core::{ApproxCounter, NelsonYuCounter, NyParams, StateBits};
-#[allow(deprecated)]
-use ac_engine::LegacyIngestQueue;
 use ac_engine::{
     checkpoint_delta, checkpoint_snapshot, restore_checkpoint, restore_checkpoint_chain,
     BackgroundCheckpointer, CheckpointCadence, CheckpointKind, CheckpointerConfig, CounterEngine,
@@ -83,12 +80,17 @@ fn run_raw_apply(streams: &[Vec<(u64, u64)>], expected_events: u64) -> f64 {
     expected_events as f64 / elapsed
 }
 
-/// The retired design: one global mutex+condvar queue, every producer
-/// contending on the same lock, scoped thread-per-shard applier.
-#[allow(deprecated)]
-fn run_legacy_queue(streams: &[Vec<(u64, u64)>], expected_events: u64) -> f64 {
+/// Feeds `streams` through one producer thread each into a fresh queue
+/// and engine, emptied concurrently by `drain` on the calling thread;
+/// returns events/s.
+fn run_queue(
+    streams: &[Vec<(u64, u64)>],
+    expected_events: u64,
+    config: IngestConfig,
+    drain: impl FnOnce(&IngestQueue, &mut CounterEngine<NelsonYuCounter>) -> u64,
+) -> f64 {
     let mut engine = CounterEngine::new(template(), engine_config());
-    let queue = LegacyIngestQueue::new(IngestConfig::default());
+    let queue = IngestQueue::new(config, engine.router());
     let start = Instant::now();
     let applied = thread::scope(|s| {
         let handles: Vec<_> = streams
@@ -109,104 +111,49 @@ fn run_legacy_queue(streams: &[Vec<(u64, u64)>], expected_events: u64) -> f64 {
             }
             queue.close();
         });
-        queue.drain_parallel(&mut engine)
+        drain(&queue, &mut engine)
     });
     let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(applied, expected_events, "legacy queue lost events");
+    assert_eq!(applied, expected_events, "ingest lost events");
     expected_events as f64 / elapsed
 }
 
-/// The redesign: one lock-free SPSC ring per producer, doorbell parking,
-/// persistent thread-per-shard applier pool (optionally folding repeated
-/// keys within a drained burst into single `increment_by` calls).
-fn run_ring_queue(
-    streams: &[Vec<(u64, u64)>],
-    expected_events: u64,
-    fold_runs: bool,
-) -> (f64, u64) {
-    let mut engine = CounterEngine::new(template(), engine_config());
-    let queue = IngestQueue::new(IngestConfig::default().with_fold_runs(fold_runs));
-    let start = Instant::now();
-    let applied = thread::scope(|s| {
-        let handles: Vec<_> = streams
-            .iter()
-            .map(|stream| {
-                let q = queue.clone();
-                s.spawn(move || {
-                    let mut p = q.producer();
-                    for &(key, delta) in stream {
-                        p.record(key, delta);
-                    }
-                })
-            })
-            .collect();
-        s.spawn(|| {
-            for h in handles {
-                h.join().expect("producer thread");
-            }
-            queue.close();
-        });
-        queue.drain_pooled(&mut engine)
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(applied, expected_events, "ring queue lost events");
-    (expected_events as f64 / elapsed, queue.stats().folded_pairs)
+/// The serial reference: producers route into per-(producer, shard)
+/// lanes, and the calling thread applies each burst shard by shard.
+fn run_serial_queue(streams: &[Vec<(u64, u64)>], expected_events: u64) -> f64 {
+    run_queue(
+        streams,
+        expected_events,
+        IngestConfig::default(),
+        |q, engine| q.drain_into(engine),
+    )
 }
 
-/// The tentpole: producer-side shard routing. Producers Lemire-route
-/// every pair into per-(producer, shard) lanes at `send` time, each
-/// persistent shard worker drains its own lane set directly, and the
-/// dispatcher's re-hash-and-copy of every pair disappears — the drain
-/// thread shrinks to a burst coordinator.
+/// The threaded drain: producers Lemire-route every pair into
+/// per-(producer, shard) lanes at `send` time, each persistent shard
+/// worker drains its own lane set directly, and the drain thread is a
+/// burst coordinator.
 fn run_routed_queue(
     streams: &[Vec<(u64, u64)>],
     expected_events: u64,
     burst_batches: usize,
 ) -> f64 {
-    let mut engine = CounterEngine::new(template(), engine_config());
-    let queue = IngestQueue::new_routed(
+    run_queue(
+        streams,
+        expected_events,
         IngestConfig::default().with_burst_batches(burst_batches),
-        engine.router(),
-    );
-    let start = Instant::now();
-    let applied = thread::scope(|s| {
-        let handles: Vec<_> = streams
-            .iter()
-            .map(|stream| {
-                let q = queue.clone();
-                s.spawn(move || {
-                    let mut p = q.producer();
-                    for &(key, delta) in stream {
-                        p.record(key, delta);
-                    }
-                })
-            })
-            .collect();
-        s.spawn(|| {
-            for h in handles {
-                h.join().expect("producer thread");
-            }
-            queue.close();
-        });
-        queue.drain_routed(&mut engine)
-    });
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(applied, expected_events, "routed queue lost events");
-    expected_events as f64 / elapsed
+        |q, engine| q.drain_routed(engine, None, |_, _| {}),
+    )
 }
 
-/// The routed path's determinism gate, run inline on a single-producer
-/// stream: pooled and routed drains must serialize to identical
+/// The routed drain's determinism gate, run inline on a single-producer
+/// stream: the threaded and serial drains must serialize to identical
 /// checkpoint *bytes* (per-producer FIFO per shard + per-shard RNG
 /// streams make the two applications the same state machine).
-fn routed_checkpoint_matches_pooled(events: &[(u64, u64)]) -> bool {
+fn routed_checkpoint_matches_serial(events: &[(u64, u64)]) -> bool {
     let drain = |routed: bool| {
         let mut engine = CounterEngine::new(template(), engine_config());
-        let queue = if routed {
-            IngestQueue::new_routed(IngestConfig::default(), engine.router())
-        } else {
-            IngestQueue::new(IngestConfig::default())
-        };
+        let queue = IngestQueue::new(IngestConfig::default(), engine.router());
         let mut p = queue.producer();
         for &(key, delta) in events {
             p.record(key, delta);
@@ -214,9 +161,9 @@ fn routed_checkpoint_matches_pooled(events: &[(u64, u64)]) -> bool {
         drop(p);
         queue.close();
         if routed {
-            queue.drain_routed(&mut engine);
+            queue.drain_routed(&mut engine, None, |_, _| {});
         } else {
-            queue.drain_pooled(&mut engine);
+            queue.drain_into(&mut engine);
         }
         checkpoint_snapshot(&engine.snapshot()).bytes().to_vec()
     };
@@ -248,17 +195,16 @@ fn main() {
     let producers = 4u64;
 
     // ----- Part 0: the writer-API shoot-out -----------------------------
-    section("shoot-out: raw apply vs legacy queue vs pooled rings vs routed lanes");
+    section("shoot-out: raw apply vs serial drain vs routed lanes");
     let so_events = sized(4_000_000, 500_000) as u64;
     let so_keys = sized(200_000, 50_000) as u64;
     let so_streams = producer_streams(so_keys, so_events, producers);
     let raw_eps = run_raw_apply(&so_streams, so_events);
-    let legacy_eps = run_legacy_queue(&so_streams, so_events);
-    // The gated pooled-vs-routed comparison takes the best of three runs
-    // per leg: on a loaded (or single-core CI) host one descheduled
-    // burst can swing a single run by more than the true gap.
+    let serial_eps = run_serial_queue(&so_streams, so_events);
+    // The gated routed leg takes the best of three runs: on a loaded (or
+    // single-core CI) host one descheduled burst can swing a single run
+    // by more than the true gap.
     let best = |f: &dyn Fn() -> f64| (0..3).map(|_| f()).fold(0.0f64, f64::max);
-    let ring_eps = best(&|| run_ring_queue(&so_streams, so_events, false).0);
 
     // The routed lanes, with a burst_batches sweep around the default:
     // the knob trades burst-boundary hook latency (small bursts) against
@@ -266,24 +212,13 @@ fn main() {
     let routed_b16_eps = run_routed_queue(&so_streams, so_events, 16);
     let routed_eps = best(&|| run_routed_queue(&so_streams, so_events, 64));
     let routed_b256_eps = run_routed_queue(&so_streams, so_events, 256);
-    let routed_vs_pooled = routed_eps / ring_eps;
-    let routed_beats_pooled = routed_eps >= ring_eps;
+    let routed_vs_serial = routed_eps / serial_eps;
     let identity_stream = producer_streams(10_000, 100_000, 1);
-    let routed_bytes_identical = routed_checkpoint_matches_pooled(&identity_stream[0]);
+    let routed_bytes_identical = routed_checkpoint_matches_serial(&identity_stream[0]);
 
-    // The batch-level fast path: a handful of hot keys recur in every
-    // batch of a drained burst; `fold_runs` sorts each shard's burst and
-    // pays one `increment_by` per key-run instead of one per pair.
-    let hot_events = sized(2_000_000, 250_000) as u64;
-    let hot_streams = producer_streams(64, hot_events, producers);
-    let (hot_plain_eps, _) = run_ring_queue(&hot_streams, hot_events, false);
-    let (hot_fold_eps, folded_pairs) = run_ring_queue(&hot_streams, hot_events, true);
-
-    let ring_vs_legacy = ring_eps / legacy_eps;
-    let raw_vs_ring = raw_eps / ring_eps;
-    let within_2x = raw_vs_ring <= 2.0;
-    let shootout_ok =
-        ring_eps >= legacy_eps && folded_pairs > 0 && routed_beats_pooled && routed_bytes_identical;
+    let raw_vs_routed = raw_eps / routed_eps;
+    let within_2x = raw_vs_routed <= 2.0;
+    let shootout_ok = routed_bytes_identical && within_2x;
     let meps = |v: f64| format!("{:.2} M events/s", v / 1e6);
     let mut table = Table::new(vec!["ingest path", "throughput", "vs raw apply"]);
     table.row(vec![
@@ -292,17 +227,12 @@ fn main() {
         "1.00x".into(),
     ]);
     table.row(vec![
-        "legacy mutex+condvar queue (before)".into(),
-        meps(legacy_eps),
-        format!("{:.2}x", legacy_eps / raw_eps),
+        "routed lanes, serial drain_into".into(),
+        meps(serial_eps),
+        format!("{:.2}x", serial_eps / raw_eps),
     ]);
     table.row(vec![
-        "per-producer rings, pooled dispatch".into(),
-        meps(ring_eps),
-        format!("{:.2}x", ring_eps / raw_eps),
-    ]);
-    table.row(vec![
-        "producer-routed shard lanes (after)".into(),
+        "routed lanes, threaded drain".into(),
         meps(routed_eps),
         format!("{:.2}x", routed_eps / raw_eps),
     ]);
@@ -316,23 +246,12 @@ fn main() {
         meps(routed_b256_eps),
         "-".into(),
     ]);
-    table.row(vec![
-        "rings, hot keys, fold off".into(),
-        meps(hot_plain_eps),
-        "-".into(),
-    ]);
-    table.row(vec![
-        "rings, hot keys, fold_runs on".into(),
-        meps(hot_fold_eps),
-        "-".into(),
-    ]);
     print!("{}", table.to_markdown());
     println!(
-        "\n{so_events} events / {so_keys} keys / {producers} producers: rings are \
-         {ring_vs_legacy:.2}x the legacy queue; routed lanes are {routed_vs_pooled:.2}x the \
-         pooled dispatcher (dispatch copies per event: pooled 1, routed 0; checkpoint bytes \
-         identical: {routed_bytes_identical}); raw apply is {raw_vs_ring:.2}x the ring \
-         pipeline (target <=2x: {}). Hot-key fold elided {folded_pairs} pairs.",
+        "\n{so_events} events / {so_keys} keys / {producers} producers: the threaded routed \
+         drain is {routed_vs_serial:.2}x the serial drain (checkpoint bytes identical: \
+         {routed_bytes_identical}); raw apply is {raw_vs_routed:.2}x the routed pipeline \
+         (target <=2x: {}).",
         if within_2x { "met" } else { "missed" }
     );
 
@@ -353,7 +272,7 @@ fn main() {
     // applier can otherwise swallow the producers' whole backlog in one
     // burst.
     let mut engine = CounterEngine::new(template(), engine_config());
-    let ingest_cfg = IngestConfig::default().with_burst_events(cadence);
+    let ingest_cfg = IngestConfig::default();
     // Routed bursts are bounded in batches per producer, so convert the
     // event cadence through this workload's real batch weight: a full
     // coalesced batch carries batch_pairs distinct keys times the mean
@@ -362,7 +281,7 @@ fn main() {
     let cadence_batches = usize::try_from((cadence / (producers * events_per_batch)).max(1))
         .unwrap_or(usize::MAX)
         .min(ingest_cfg.burst_batches);
-    let queue = IngestQueue::new_routed(
+    let queue = IngestQueue::new(
         ingest_cfg.with_burst_batches(cadence_batches),
         engine.router(),
     );
@@ -396,7 +315,7 @@ fn main() {
             let mut deep_ns = 0u64;
             let mut cow_ns = 0u64;
             let mut ckpt_cadence = CheckpointCadence::new(cadence);
-            let applied = queue_ref.drain_routed_with(engine_ref, |engine, applied| {
+            let applied = queue_ref.drain_routed(engine_ref, None, |engine, applied| {
                 if !published && applied >= events / 2 {
                     // The freeze shoot-out, at full mid-ingest scale: the
                     // legacy deep clone copies every counter; the CoW
@@ -418,8 +337,8 @@ fn main() {
                 if ckpt_cadence.is_due(applied) {
                     // Snapshot-at-batch-boundary, handed to the writer
                     // thread: durability never blocks this applier (the
-                    // same cadence policy drain_parallel_checkpointed
-                    // uses, composed here with the mid-ingest publish).
+                    // same cadence policy the Store's applier uses,
+                    // composed here with the mid-ingest publish).
                     ckpt_ref.submit(engine.snapshot());
                 }
             });
@@ -795,23 +714,15 @@ fn main() {
                 .int("keys", so_keys)
                 .int("producers", producers)
                 .num("raw_apply_events_per_second", raw_eps)
-                .num("legacy_queue_events_per_second", legacy_eps)
-                .num("ring_events_per_second", ring_eps)
+                .num("serial_events_per_second", serial_eps)
                 .num("routed_events_per_second", routed_eps)
                 .num("routed_burst16_events_per_second", routed_b16_eps)
                 .num("routed_burst64_events_per_second", routed_eps)
                 .num("routed_burst256_events_per_second", routed_b256_eps)
-                .num("routed_vs_pooled", routed_vs_pooled)
-                .num("dispatch_copies_per_event_pooled", 1.0)
-                .num("dispatch_copies_per_event_routed", 0.0)
-                .bool("routed_beats_pooled", routed_beats_pooled)
+                .num("routed_vs_serial", routed_vs_serial)
                 .bool("routed_checkpoint_bytes_identical", routed_bytes_identical)
-                .num("ring_vs_legacy", ring_vs_legacy)
-                .num("raw_vs_ring", raw_vs_ring)
+                .num("raw_vs_routed", raw_vs_routed)
                 .bool("within_2x_of_raw", within_2x)
-                .num("hot_key_events_per_second", hot_plain_eps)
-                .num("hot_key_folded_events_per_second", hot_fold_eps)
-                .int("folded_pairs", folded_pairs)
                 .bool("ok", shootout_ok),
         )
         .obj(
@@ -910,12 +821,9 @@ fn main() {
 
     verdict(
         ok,
-        "the lock-free rings beat the retired mutex queue, the producer-routed \
-         shard lanes beat the pooled dispatcher with zero dispatch copies and \
-         bit-identical checkpoints (and the hot-key \
-         fold fires), multi-producer ingest is lossless and fast, the CoW \
-         freeze beats the \
-         deep clone >=10x, a mid-ingest snapshot serves queries without \
+        "the threaded routed drain checkpoints bit-identically to the serial \
+         drain and stays within 2x of raw apply, multi-producer ingest is \
+         lossless and fast, the CoW freeze beats the deep clone >=10x, a mid-ingest snapshot serves queries without \
          touching the writers, the background checkpointer cuts a base+delta \
          chain off-thread, the checkpoint restores bit-identically at \
          ~counter_state_bits on disk, and a <=1%-dirty delta costs <=10% of \

@@ -1,41 +1,21 @@
-//! The persistent shard-worker appliers: the pooled drain behind
-//! [`IngestQueue::drain_pooled`] and the routed drain behind
-//! [`IngestQueue::drain_routed`]. Both keep one worker thread per shard
-//! alive for the whole drain, fed in bursts, so thread spawn/join and
-//! coordination amortize across many batches.
+//! The two drains behind [`IngestQueue::drain_routed`] (one persistent
+//! worker thread per shard) and [`IngestQueue::drain_into`] (the same
+//! bursts, serially on the calling thread — the reference the threaded
+//! drain is held to).
 //!
 //! ## Why not scoped-spawn per batch
 //!
 //! [`CounterEngine::apply_parallel`](crate::CounterEngine::apply_parallel)
 //! spawns one scoped thread per touched shard *per batch* — fine for the
 //! occasional large batch, ruinous at pipeline rates where a batch is a
-//! few thousand pairs and spawn/join costs rival application. The pools
-//! here spawn their workers once per drain and ship work over channels.
+//! few thousand pairs and spawn/join costs rival application. The
+//! threaded drain spawns its workers once and ships work over channels.
 //!
-//! ## The era-per-burst protocol (pooled)
+//! ## The burst protocol
 //!
-//! The dispatcher (the drain thread, which owns `&mut CounterEngine`)
-//! repeatedly:
-//!
-//! 1. pops a burst of up to
-//!    [`IngestConfig::burst_batches`](crate::IngestConfig::burst_batches)
-//!    batches (one blocking pop, then nonblocking pops),
-//! 2. routes every pair to its shard bucket via the engine's Lemire
-//!    `shard_of`,
-//! 3. *moves* each touched shard's `Arc` out of the engine and ships it
-//!    to that shard's worker together with its bucket,
-//! 4. collects every reply, reinstalls the shards, records the applied
-//!    marks, and runs the burst hook.
-//!
-//! Step 2 is the pooled path's scaling cap: one thread re-hashes and
-//! copies every pair, no matter how many shards wait behind it.
-//!
-//! ## The routed burst protocol
-//!
-//! On a routed queue ([`IngestQueue::new_routed`](crate::IngestQueue::new_routed))
-//! producers already routed every pair into per-(producer, shard) lanes
-//! at send time, so the dispatch copy disappears and the drain thread
-//! shrinks to a burst *coordinator*. Per burst it:
+//! Producers already routed every pair into per-(producer, shard) lanes
+//! at send time, so the drain thread is only a burst *coordinator*. Per
+//! burst it:
 //!
 //! 1. snapshots the producer rings and fixes a **consistent cut** per
 //!    producer — `min(committed, applied + burst_batches)`, where
@@ -45,213 +25,153 @@
 //!    cuts (producer-id order) and applies only if it drew work — an
 //!    idle shard is never `make_mut` (which would copy-on-write-split a
 //!    slab snapshots still share) and never stamped into the burst era,
-//! 3. collects every reply, reinstalls the shards, merges the per-shard
-//!    tap collections (shard order) into the detector tap, advances the
-//!    applied marks to the cuts, and runs the burst hook.
+//! 3. collects every reply, reinstalls the shards, hands the per-shard
+//!    tap collections (shard order) to the tap, advances the applied
+//!    marks to the cuts, and runs the burst hook.
 //!
-//! Between bursts — on either path — the engine is whole and quiescent,
-//! so hooks can freeze snapshots exactly as they do on the per-batch
-//! drains. Workers perform the copy-on-write `Arc::make_mut` split
+//! The serial drain runs step 2 shard by shard on the calling thread.
+//! Between bursts the engine is whole and quiescent, so hooks can freeze
+//! snapshots. Workers perform the copy-on-write `Arc::make_mut` split
 //! themselves, in parallel.
 //!
-//! Determinism: both paths preserve each producer's batch order per
+//! Determinism: both drains preserve each producer's batch order per
 //! shard, and each shard consumes only its own RNG stream — so both are
-//! bit-identical to a sequential drain of the same arrival order, and to
-//! each other (single producer; with several producers the interleaving
-//! is scheduling-dependent in any mode). The opt-in key-run fold
-//! ([`IngestConfig::fold_runs`](crate::IngestConfig::fold_runs)) trades
-//! that bit-exactness (not correctness) for fewer counter transitions;
-//! see the ingest module docs.
+//! bit-identical to `engine.apply` on a single producer's stream, and to
+//! each other (with several producers the interleaving is
+//! scheduling-dependent in either).
 
-use crate::ingest::{Batch, IngestQueue, LaneBatch, ProducerRing};
+use crate::ingest::{IngestQueue, LaneBatch, PairTap, ProducerRing};
 use crate::registry::CounterEngine;
 use crate::shard::Shard;
 use ac_core::ApproxCounter;
 use std::sync::mpsc;
 use std::sync::Arc;
 
-/// One unit of work for a shard worker: the shard (moved out of the
-/// engine for the burst), the epoch to stamp, and the pairs routed to it.
-struct Job<C> {
-    slot: usize,
-    shard: Arc<Shard<C>>,
-    epoch: u64,
-    pairs: Vec<(u64, u64)>,
-    fold: bool,
-}
+/// One burst's consistent cut: each producer ring with the highest
+/// sequence number the burst drains from it.
+type Cuts = Arc<Vec<(Arc<ProducerRing>, u64)>>;
 
-/// A worker's reply: the shard back, plus how many pairs the fold elided.
-struct Done<C> {
-    slot: usize,
-    shard: Arc<Shard<C>>,
-    folded: u64,
-}
-
-fn worker<C: ApproxCounter + Clone>(
-    jobs: mpsc::Receiver<Job<C>>,
-    done: mpsc::Sender<Done<C>>,
-    template: C,
-) {
-    while let Ok(job) = jobs.recv() {
-        let Job {
-            slot,
-            mut shard,
-            epoch,
-            pairs,
-            fold,
-        } = job;
-        let s = Arc::make_mut(&mut shard);
-        s.touch(epoch);
-        let folded = if fold {
-            s.apply_folded(&template, pairs)
-        } else {
-            s.apply_pairs(&template, &pairs);
-            0
-        };
-        if done
-            .send(Done {
-                slot,
-                shard,
-                folded,
+/// A consistent cut per producer: only fully-published batches
+/// (committed is stored after every lane slice of the batch), at most
+/// `burst_batches` new ones.
+fn cut_burst(rings: &[Arc<ProducerRing>], burst_batches: u64) -> Cuts {
+    Arc::new(
+        rings
+            .iter()
+            .map(|ring| {
+                let cut = ring
+                    .committed()
+                    .min(ring.applied().saturating_add(burst_batches));
+                (Arc::clone(ring), cut)
             })
-            .is_err()
-        {
-            return;
+            .collect(),
+    )
+}
+
+/// Pops shard `slot`'s lanes up to the cuts (producer-id order) and
+/// applies them, returning the events applied and — when `collect` — the
+/// applied pairs for the tap.
+fn apply_lanes<C: ApproxCounter + Clone>(
+    queue: &IngestQueue,
+    shard: &mut Arc<Shard<C>>,
+    slot: usize,
+    epoch: u64,
+    cuts: &[(Arc<ProducerRing>, u64)],
+    template: &C,
+    collect: bool,
+) -> (u64, Vec<(u64, u64)>) {
+    let mut batches: Vec<LaneBatch> = Vec::new();
+    for (ring, cut) in cuts {
+        let lane = ring.lane(slot);
+        while let Some(batch) = lane.pop_if(|b| b.seq <= *cut) {
+            queue.notify_space();
+            batches.push(batch);
         }
     }
-}
-
-/// The drain loop behind [`IngestQueue::drain_pooled_with`].
-pub(crate) fn drain_pooled_with<C, F>(
-    queue: &IngestQueue,
-    engine: &mut CounterEngine<C>,
-    hook: F,
-) -> u64
-where
-    C: ApproxCounter + Clone + Send + Sync,
-    F: FnMut(&mut CounterEngine<C>, u64),
-{
-    drain_pooled_tap(queue, engine, |_| {}, hook)
-}
-
-/// The drain loop behind [`IngestQueue::drain_pooled_tap`]:
-/// [`drain_pooled_with`] plus a per-batch pair tap, run on the dispatcher
-/// thread before the burst is routed — so an observer (e.g. a hot-key
-/// detector steering tier migrations) sees exactly the applied stream,
-/// in arrival order, without the burst hook having to re-derive it.
-pub(crate) fn drain_pooled_tap<C, T, F>(
-    queue: &IngestQueue,
-    engine: &mut CounterEngine<C>,
-    mut tap: T,
-    mut hook: F,
-) -> u64
-where
-    C: ApproxCounter + Clone + Send + Sync,
-    T: FnMut(&[(u64, u64)]),
-    F: FnMut(&mut CounterEngine<C>, u64),
-{
-    let shards = engine.shards().len();
-    let fold = queue.config().fold_runs;
-    let burst_cap = queue.config().burst_events;
-    let burst_batches = queue.config().burst_batches;
-    let template = engine.template().clone();
-    let mut applied = 0u64;
-
-    std::thread::scope(|scope| {
-        let (done_tx, done_rx) = mpsc::channel::<Done<C>>();
-        let job_txs: Vec<mpsc::Sender<Job<C>>> = (0..shards)
-            .map(|_| {
-                let (tx, rx) = mpsc::channel::<Job<C>>();
-                let done = done_tx.clone();
-                let template = template.clone();
-                scope.spawn(move || worker(rx, done, template));
-                tx
-            })
-            .collect();
-        drop(done_tx);
-
-        let mut burst: Vec<Batch> = Vec::with_capacity(burst_batches);
-        let mut buckets: Vec<Vec<(u64, u64)>> = vec![Vec::new(); shards];
-        while let Some(first) = queue.next_batch() {
-            let mut burst_ev = first.events();
-            burst.push(first);
-            while burst.len() < burst_batches && burst_ev < burst_cap {
-                match queue.try_next_batch() {
-                    Some(batch) => {
-                        burst_ev += batch.events();
-                        burst.push(batch);
-                    }
-                    None => break,
-                }
+    let mut events = 0u64;
+    let mut tapped: Vec<(u64, u64)> = Vec::new();
+    if !batches.is_empty() {
+        // Only a shard that drew work joins the burst era: make_mut on an
+        // idle shard would copy-on-write-split slabs that live snapshots
+        // still share, and touch would mis-stamp its dirty epoch.
+        let s = Arc::make_mut(shard);
+        s.touch(epoch);
+        for batch in &mut batches {
+            events += batch.pairs.iter().map(|&(_, delta)| delta).sum::<u64>();
+            s.apply_pairs(template, &batch.pairs);
+            if collect {
+                tapped.append(&mut batch.pairs);
             }
-
-            for batch in &burst {
-                tap(&batch.pairs);
-                for &(key, delta) in &batch.pairs {
-                    buckets[engine.shard_of(key)].push((key, delta));
-                }
-            }
-
-            let epoch = engine.epoch();
-            let mut outstanding = 0usize;
-            for (slot, bucket) in buckets.iter_mut().enumerate() {
-                if bucket.is_empty() {
-                    continue;
-                }
-                let pairs = std::mem::take(bucket);
-                let shard = engine.take_shard(slot);
-                job_txs[slot]
-                    .send(Job {
-                        slot,
-                        shard,
-                        epoch,
-                        pairs,
-                        fold,
-                    })
-                    .expect("applier worker alive");
-                outstanding += 1;
-            }
-
-            let mut folded = 0u64;
-            for _ in 0..outstanding {
-                let done = done_rx.recv().expect("applier worker reply");
-                engine.put_shard(done.slot, done.shard);
-                folded += done.folded;
-            }
-            if folded > 0 {
-                queue.note_folded(folded);
-            }
-            for batch in burst.drain(..) {
-                applied += batch.events();
-                queue.note_applied(&batch);
-            }
-            hook(engine, applied);
         }
-        drop(job_txs);
-    });
+    }
+    (events, tapped)
+}
+
+/// Advances every producer's applied mark to its cut and counts the
+/// burst's events.
+fn finish_burst(queue: &IngestQueue, cuts: &[(Arc<ProducerRing>, u64)], events: u64) {
+    for (ring, cut) in cuts {
+        ring.note_applied_seq(*cut);
+    }
+    queue.note_applied_events(events);
+}
+
+fn assert_same_partition<C: ApproxCounter + Clone>(queue: &IngestQueue, engine: &CounterEngine<C>) {
+    assert_eq!(
+        queue.router(),
+        engine.router(),
+        "ingest queue and engine disagree on the key-to-shard partition"
+    );
+}
+
+/// The drain loop behind [`IngestQueue::drain_into`].
+pub(crate) fn drain_serial<C: ApproxCounter + Clone>(
+    queue: &IngestQueue,
+    engine: &mut CounterEngine<C>,
+) -> u64 {
+    assert_same_partition(queue, engine);
+    let burst_batches = queue.config().burst_batches as u64;
+    let mut applied = 0u64;
+    while let Some(rings) = queue.next_burst() {
+        let cuts = cut_burst(&rings, burst_batches);
+        let epoch = engine.epoch();
+        let mut burst_events = 0u64;
+        for slot in 0..engine.shards().len() {
+            let mut shard = engine.take_shard(slot);
+            let (events, _) = apply_lanes(
+                queue,
+                &mut shard,
+                slot,
+                epoch,
+                &cuts,
+                engine.template(),
+                false,
+            );
+            engine.put_shard(slot, shard);
+            burst_events += events;
+        }
+        finish_burst(queue, &cuts, burst_events);
+        applied += burst_events;
+    }
     applied
 }
 
-/// One routed-burst unit of work for a shard worker: the shard (moved
-/// out of the engine for the burst), the epoch to stamp, and the
-/// per-producer sequence cuts bounding the lane sweep.
+/// One burst's unit of work for a shard worker: the shard (moved out of
+/// the engine for the burst), the epoch to stamp, and the per-producer
+/// sequence cuts bounding the lane sweep.
 struct LaneJob<C> {
     slot: usize,
     shard: Arc<Shard<C>>,
     epoch: u64,
-    cuts: Arc<Vec<(Arc<ProducerRing>, u64)>>,
-    fold: bool,
-    collect: bool,
+    cuts: Cuts,
 }
 
 /// A lane worker's reply: the shard back, the events it applied this
-/// burst, how many pairs the fold elided, and (when collecting) the
-/// applied pairs for the coordinator's tap.
+/// burst, and (when collecting) the applied pairs for the tap.
 struct LaneDone<C> {
     slot: usize,
     shard: Arc<Shard<C>>,
     events: u64,
-    folded: u64,
     tapped: Vec<(u64, u64)>,
 }
 
@@ -260,60 +180,22 @@ fn lane_worker<C: ApproxCounter + Clone>(
     jobs: mpsc::Receiver<LaneJob<C>>,
     done: mpsc::Sender<LaneDone<C>>,
     template: C,
+    collect: bool,
 ) {
-    while let Ok(job) = jobs.recv() {
-        let LaneJob {
-            slot,
-            mut shard,
-            epoch,
-            cuts,
-            fold,
-            collect,
-        } = job;
-        let mut batches: Vec<LaneBatch> = Vec::new();
-        for (ring, cut) in cuts.iter() {
-            let lane = ring.lane(slot);
-            while let Some(batch) = lane.pop_if(|b| b.seq <= *cut) {
-                queue.notify_space();
-                batches.push(batch);
-            }
-        }
-        let mut events = 0u64;
-        let mut folded = 0u64;
-        let mut tapped: Vec<(u64, u64)> = Vec::new();
-        if !batches.is_empty() {
-            // Only a shard that drew work joins the burst era: make_mut
-            // on an idle shard would copy-on-write-split slabs that live
-            // snapshots still share, and touch would mis-stamp its dirty
-            // epoch.
-            let s = Arc::make_mut(&mut shard);
-            s.touch(epoch);
-            for batch in &batches {
-                events += batch.pairs.iter().map(|&(_, delta)| delta).sum::<u64>();
-            }
-            if fold {
-                let pairs: Vec<(u64, u64)> = batches
-                    .iter()
-                    .flat_map(|b| b.pairs.iter().copied())
-                    .collect();
-                folded = s.apply_folded(&template, pairs);
-            } else {
-                for batch in &batches {
-                    s.apply_pairs(&template, &batch.pairs);
-                }
-            }
-            if collect {
-                for batch in &mut batches {
-                    tapped.append(&mut batch.pairs);
-                }
-            }
-        }
+    while let Ok(LaneJob {
+        slot,
+        mut shard,
+        epoch,
+        cuts,
+    }) = jobs.recv()
+    {
+        let (events, tapped) =
+            apply_lanes(&queue, &mut shard, slot, epoch, &cuts, &template, collect);
         if done
             .send(LaneDone {
                 slot,
                 shard,
                 events,
-                folded,
                 tapped,
             })
             .is_err()
@@ -323,31 +205,22 @@ fn lane_worker<C: ApproxCounter + Clone>(
     }
 }
 
-/// The drain loop behind [`IngestQueue::drain_routed_with`] and
-/// [`IngestQueue::drain_routed_tap`]. See the module docs for the burst
-/// protocol; `collect` turns on per-shard pair collection for `tap`.
-pub(crate) fn drain_routed_inner<C, T, F>(
+/// The drain loop behind [`IngestQueue::drain_routed`]. See the module
+/// docs for the burst protocol; a `tap` turns on per-shard pair
+/// collection.
+pub(crate) fn drain_threaded<C, F>(
     queue: &IngestQueue,
     engine: &mut CounterEngine<C>,
-    collect: bool,
-    mut tap: T,
+    mut tap: Option<PairTap<'_>>,
     mut hook: F,
 ) -> u64
 where
     C: ApproxCounter + Clone + Send + Sync,
-    T: FnMut(&[(u64, u64)]),
     F: FnMut(&mut CounterEngine<C>, u64),
 {
-    let router = queue
-        .router()
-        .expect("drain_routed needs a queue built with IngestQueue::new_routed");
-    assert_eq!(
-        router,
-        engine.router(),
-        "routed queue and engine disagree on the key-to-shard partition"
-    );
+    assert_same_partition(queue, engine);
     let shards = engine.shards().len();
-    let fold = queue.config().fold_runs;
+    let collect = tap.is_some();
     let burst_batches = queue.config().burst_batches as u64;
     let template = engine.template().clone();
     let mut applied = 0u64;
@@ -360,21 +233,20 @@ where
                 let done = done_tx.clone();
                 let template = template.clone();
                 let queue = queue.clone();
-                scope.spawn(move || lane_worker(queue, rx, done, template));
+                scope.spawn(move || lane_worker(queue, rx, done, template, collect));
                 tx
             })
             .collect();
         drop(done_tx);
 
-        while let Some(rings) = queue.next_routed_burst() {
+        while let Some(rings) = queue.next_burst() {
             // Tiny-burst pacing: the coordinator does no per-pair work,
             // so left alone it outruns the producers and degenerates into
             // one full worker barrier per freshly-committed batch. Yield
             // scheduling slots to the producers while the backlog is
             // still growing toward a full burst; stop as soon as a yield
             // buys no new batches, so an idle or slow stream never stalls
-            // the burst hooks. (The pooled dispatcher self-paces for free
-            // through its bucket-copy work.)
+            // the burst hooks.
             let backlog = |rings: &[Arc<ProducerRing>]| -> u64 {
                 rings
                     .iter()
@@ -394,20 +266,7 @@ where
                 }
                 pending = now;
             }
-            // A consistent cut per producer: only fully-published batches
-            // (committed is stored after every lane slice of the batch),
-            // at most burst_batches new ones.
-            let cuts: Arc<Vec<(Arc<ProducerRing>, u64)>> = Arc::new(
-                rings
-                    .iter()
-                    .map(|ring| {
-                        let cut = ring
-                            .committed()
-                            .min(ring.applied().saturating_add(burst_batches));
-                        (Arc::clone(ring), cut)
-                    })
-                    .collect(),
-            );
+            let cuts = cut_burst(&rings, burst_batches);
             let epoch = engine.epoch();
             for (slot, tx) in job_txs.iter().enumerate() {
                 tx.send(LaneJob {
@@ -415,8 +274,6 @@ where
                     shard: engine.take_shard(slot),
                     epoch,
                     cuts: Arc::clone(&cuts),
-                    fold,
-                    collect,
                 })
                 .expect("lane worker alive");
             }
@@ -426,22 +283,16 @@ where
                 .collect();
             dones.sort_unstable_by_key(|d| d.slot);
             let mut burst_events = 0u64;
-            let mut folded = 0u64;
             for done in dones {
                 engine.put_shard(done.slot, done.shard);
                 burst_events += done.events;
-                folded += done.folded;
-                if collect && !done.tapped.is_empty() {
-                    tap(&done.tapped);
+                if let Some(tap) = tap.as_mut() {
+                    if !done.tapped.is_empty() {
+                        tap(&done.tapped);
+                    }
                 }
             }
-            if folded > 0 {
-                queue.note_folded(folded);
-            }
-            for (ring, cut) in cuts.iter() {
-                ring.note_applied_seq(*cut);
-            }
-            queue.note_applied_events(burst_events);
+            finish_burst(queue, &cuts, burst_events);
             applied += burst_events;
             hook(engine, applied);
         }

@@ -3,12 +3,13 @@
 //! chain, so the appliers' only durability cost is the `O(shards)` freeze
 //! itself.
 //!
-//! The applier loop (see
-//! [`IngestQueue::drain_parallel_checkpointed`](crate::IngestQueue::drain_parallel_checkpointed))
-//! cuts a copy-on-write snapshot at a batch boundary every
-//! [`CheckpointerConfig::every_events`] applied events and hands it over a
-//! channel — nanoseconds of work. This thread serializes it on its own
-//! time: the first snapshot (and every
+//! The applier loop (a
+//! [`IngestQueue::drain_routed`](crate::IngestQueue::drain_routed) burst
+//! hook on a [`CheckpointCadence`](crate::CheckpointCadence), as the
+//! [`Store`](crate::Store) runs it) cuts a copy-on-write snapshot at a
+//! burst boundary every [`CheckpointerConfig::every_events`] applied
+//! events and hands it over a channel — nanoseconds of work. This thread
+//! serializes it on its own time: the first snapshot (and every
 //! [`CheckpointerConfig::max_deltas_per_base`]-th thereafter) becomes a
 //! full checkpoint, the rest become deltas against the previous frame via
 //! [`checkpoint_delta`]. Because snapshots share unwritten slabs with the
@@ -74,9 +75,9 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct CheckpointerConfig {
-    /// Applied-event cadence between snapshot submissions (consumed by
-    /// [`IngestQueue::drain_parallel_checkpointed`](crate::IngestQueue::drain_parallel_checkpointed);
-    /// the checkpointer itself serializes whatever it is handed).
+    /// Applied-event cadence between snapshot submissions (read by the
+    /// applier's [`CheckpointCadence`](crate::CheckpointCadence) hook; the
+    /// checkpointer itself serializes whatever it is handed).
     pub every_events: u64,
     /// After this many deltas, the next frame is a fresh full checkpoint
     /// (bounds chain length, and therefore worst-case restore work and

@@ -1,4 +1,4 @@
-//! The ingest layer: per-producer lock-free SPSC rings behind a
+//! The ingest layer: per-(producer, shard) lock-free SPSC lanes behind a
 //! nonblocking writer API, so producers never contend on a global lock
 //! and never block on shard application.
 //!
@@ -8,46 +8,39 @@
 //! counter families' batched `increment_by` makes a coalesced delta as
 //! cheap as a single increment — the amortized view of the Aden-Ali–Han–
 //! Nelson–Yu follow-up, where the batch is the first-class operation).
-//! Full batches are published into the producer's *own* bounded
-//! single-producer/single-consumer ring
+//!
+//! A full batch is routed once, on the producer's thread while it is
+//! cache-hot: each pair goes to its shard through the engine's
+//! [`ShardRouter`] (the queue is built with
+//! [`CounterEngine::router`](crate::CounterEngine::router)), and each
+//! shard's slice is pushed into that shard's **lane** — a bounded
+//! single-producer/single-consumer ring owned by this producer
 //! ([`ring_batches`](IngestConfig::ring_batches) slots, power-of-two,
-//! atomic head/tail on separate cache lines); appliers round-robin the
-//! rings and drain batches into a [`CounterEngine`](crate::CounterEngine)
-//! sequentially, with one-thread-per-shard application, or through the
-//! persistent applier pool ([`IngestQueue::drain_pooled`]). There is no
-//! global queue lock: a producer's hot path is one uncontended slot write
-//! plus two atomic ring words, and parking/unparking rides eventcount
+//! atomic head/tail on separate cache lines). There is no global queue
+//! lock: a producer's hot path is uncontended slot writes plus two atomic
+//! words per touched lane, and parking/unparking rides eventcount
 //! doorbells (one atomic load per notify when nobody waits) instead of a
-//! shared `Condvar`.
+//! shared `Condvar`. Lane memory is `producers × shards` rings of
+//! `ring_batches` slots — see the sizing guidance in [`crate::ring`].
 //!
-//! ## Routed mode: producer-side shard routing
+//! A batch's lane slices become visible to consumers **atomically**: the
+//! producer publishes every slice first and only then advances its commit
+//! mark, and a drain burst takes each producer up to a *consistent cut*
+//! of committed sequence numbers (at most
+//! [`burst_batches`](IngestConfig::burst_batches) new ones). Two
+//! consumers drain the lanes into the engine:
 //!
-//! The pooled drain above still re-hashes and copies every pair on one
-//! dispatcher thread before the shard workers see it. *Routed* mode
-//! ([`IngestQueue::new_routed`]) moves that routing to the send side:
-//! each producer owns one ring **lane per shard**, `try_send`/`send`
-//! Lemire-route each pair exactly once — while the batch is cache-hot on
-//! the producer's core — and push each shard's slice into that shard's
-//! lane, and each persistent shard worker pops its own lanes directly
-//! ([`IngestQueue::drain_routed`]). The dispatcher's bucket-and-copy
-//! pass disappears; the drain thread shrinks to a burst coordinator
-//! (epoch stamping, sequence high-water marks, burst hooks, and the
-//! merged per-shard detector tap). A batch's lane slices become visible
-//! to the coordinator **atomically**: the producer publishes every slice
-//! first and only then advances its commit mark, and a burst drains each
-//! producer up to a *consistent cut* of committed sequence numbers — so
-//! per-producer FIFO holds per shard, [`BackpressurePolicy`] semantics
-//! (including `Fail`'s all-or-nothing refusal with exact sequence-mark
-//! rollback) carry over, and checkpoint bytes stay bit-identical to the
-//! pooled applier. A routed queue refuses the batch-granular consumer
-//! surface ([`IngestQueue::next_batch`] and the drains built on it);
-//! producers' writer API is identical in both modes. Lane memory is
-//! `producers × shards` rings of `ring_batches` slots — see the sizing
-//! guidance in [`crate::ring`].
+//! * [`IngestQueue::drain_routed`] — one persistent worker thread per
+//!   shard pops its own lanes; the calling thread coordinates bursts
+//!   (cuts, epoch stamping, sequence marks), feeds an optional pair tap,
+//!   and runs a burst hook with the engine quiescent. This is the drain
+//!   the [`Store`](crate::Store) runs.
+//! * [`IngestQueue::drain_into`] — the same bursts and cuts, applied
+//!   shard by shard on the calling thread: the serial reference.
 //!
 //! ## Backpressure
 //!
-//! Each ring is bounded. When a producer's ring fills,
+//! Each lane is bounded. When a batch's destination lane is full,
 //! [`IngestConfig::policy`] picks the behavior:
 //!
 //! * [`BackpressurePolicy::Block`] (default) — the producer parks on the
@@ -63,16 +56,19 @@
 //!   site that can retry ([`IngestProducer::resubmit`]), back off, or
 //!   shed load deliberately.
 //!
+//! A batch is accepted or refused whole: if any of its destination lanes
+//! is full, none of its slices is pushed.
+//!
 //! ## Provenance: producer ids and sequence numbers
 //!
 //! Every [`Batch`] is stamped with the id of the [`IngestProducer`] that
 //! flushed it and a per-producer sequence number (1, 2, 3, … over the
-//! *accepted* batches of that producer). The ring registry tracks two
+//! *accepted* batches of that producer). The registry tracks two
 //! high-water marks per producer — the last sequence accepted into the
-//! ring and the last sequence drained into an engine ([`ProducerMark`],
+//! lanes and the last sequence drained into an engine ([`ProducerMark`],
 //! surfaced through [`IngestStats::producers`]) — which is what makes
 //! exactly-once replay after a crash-restore possible: a checkpoint cut
-//! at a batch boundary records the applied marks, so on recovery each
+//! at a burst boundary records the applied marks, so on recovery each
 //! producer knows the first sequence number the store has *not* seen and
 //! replays from there, nothing dropped and nothing double-counted (the
 //! checkpoint preserves RNG streams, so replayed batches reproduce
@@ -80,29 +76,17 @@
 //!
 //! ## Determinism
 //!
-//! A single producer draining through a sequential applier reproduces
-//! `engine.apply` on the concatenated batches bit for bit — and so do
-//! [`drain_parallel`](IngestQueue::drain_parallel) and the pooled drain,
-//! per the engine's parallel-apply contract (per-shard arrival order is
-//! preserved and each shard consumes only its own RNG stream). With
-//! several producers the *arrival order* of batches depends on thread
+//! A single producer reproduces `engine.apply` on its concatenated
+//! batches bit for bit, through either drain and whatever the burst
+//! boundaries: each shard sees its pairs in the producer's batch order
+//! and consumes only its own RNG stream. With several producers the
+//! interleaving of their slices within a shard depends on thread
 //! scheduling — as in any streaming system — but every applied state is
 //! still one the deterministic engine produces for some arrival order.
-//!
-//! The one deliberate exception is the opt-in key-run fold
-//! ([`IngestConfig::fold_runs`]): the pooled applier then sorts each
-//! drained burst's pairs by key and applies one `increment_by` per
-//! key-run, amortizing counter transitions across the burst. Summing
-//! deltas before the draw consumes the RNG stream differently than
-//! summing after, so folded states are *distributionally* identical
-//! (Remark 2.4's merge view) but not bit-identical to the unfolded
-//! path — hence off by default and never used by the checkpointed
-//! drains' tests of bit-exactness.
 
-use crate::checkpointer::BackgroundCheckpointer;
 use crate::registry::{CounterEngine, ShardRouter};
 use crate::ring::{Doorbell, SpscRing};
-use ac_core::{ApproxCounter, StateCodec};
+use ac_core::ApproxCounter;
 use ac_randkit::BuildSplitMix64;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -220,56 +204,38 @@ impl std::error::Error for SendError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct IngestConfig {
-    /// Per-producer ring capacity, in batches (rounded up to a power of
-    /// two). The total buffering of the layer is `ring_batches ×
-    /// producers`; a deeper ring absorbs longer applier stalls before
-    /// backpressure engages.
+    /// Per-lane ring capacity, in batch slices (rounded up to a power of
+    /// two). Each producer owns one lane per shard; a deeper lane absorbs
+    /// longer applier stalls before backpressure engages.
     pub ring_batches: usize,
     /// Coalesced pairs per batch before a producer auto-flushes.
     pub batch_pairs: usize,
-    /// What a producer does when its ring is full; see
+    /// What a producer does when a lane is full; see
     /// [`BackpressurePolicy`].
     pub policy: BackpressurePolicy,
-    /// Opt-in batch-level fold for the pooled applier: sort each drained
-    /// burst by key and apply one `increment_by` per key-run. Fastest
-    /// for heavily skewed streams; distributionally identical but not
-    /// bit-identical to the unfolded path (see the module docs), so off
-    /// by default.
-    pub fold_runs: bool,
-    /// Soft cap on *events* per pooled-applier burst (`u64::MAX` =
-    /// unbounded). The pooled drain stops growing a burst once its
-    /// accumulated events reach this cap, so burst-boundary hooks
-    /// (snapshot publication, checkpoint cadence) get a chance to run at
-    /// least that often even when producers race far ahead of the
-    /// applier. A burst always takes at least one batch, so a single
-    /// oversized batch can still overshoot the cap.
-    pub burst_events: u64,
-    /// Cap on *batches* per drain burst. The pooled drain takes at most
-    /// this many batches (across all producers) per burst; the routed
-    /// drain advances each producer's consistent cut by at most this many
-    /// batches per burst. Larger bursts amortize burst-boundary
-    /// coordination; smaller ones run burst hooks (snapshot publication,
-    /// checkpoint cadence, tier rounds) more often.
+    /// Cap on *batches* per drain burst: each burst advances every
+    /// producer's consistent cut by at most this many batches. Larger
+    /// bursts amortize burst-boundary coordination; smaller ones run
+    /// burst hooks (snapshot publication, checkpoint cadence, tier
+    /// rounds) more often.
     pub burst_batches: usize,
 }
 
 impl IngestConfig {
-    /// The default configuration (rings of 64 batches of up to 4096
-    /// pairs, blocking backpressure, no fold, bursts of up to 64
-    /// batches), as a `const` starting point for the `with_*` builders.
+    /// The default configuration (lanes of 64 slots, batches of up to
+    /// 4096 pairs, blocking backpressure, bursts of up to 64 batches per
+    /// producer), as a `const` starting point for the `with_*` builders.
     #[must_use]
     pub const fn new() -> Self {
         Self {
             ring_batches: 64,
             batch_pairs: 4_096,
             policy: BackpressurePolicy::Block,
-            fold_runs: false,
-            burst_events: u64::MAX,
             burst_batches: 64,
         }
     }
 
-    /// Sets the per-producer ring capacity, in batches.
+    /// Sets the per-lane ring capacity, in batch slices.
     #[must_use]
     pub const fn with_ring_batches(mut self, ring_batches: usize) -> Self {
         self.ring_batches = ring_batches;
@@ -290,53 +256,11 @@ impl IngestConfig {
         self
     }
 
-    /// Enables or disables the pooled applier's key-run fold.
-    #[must_use]
-    pub const fn with_fold_runs(mut self, fold_runs: bool) -> Self {
-        self.fold_runs = fold_runs;
-        self
-    }
-
-    /// Caps the events drained per pooled-applier burst, bounding how
-    /// much state can change between burst-boundary hook calls.
-    #[must_use]
-    pub const fn with_burst_events(mut self, burst_events: u64) -> Self {
-        self.burst_events = burst_events;
-        self
-    }
-
-    /// Caps the batches taken per drain burst (per producer on the
-    /// routed path), trading burst-boundary hook frequency against
-    /// coordination amortization.
+    /// Caps the batches taken per producer per drain burst, trading
+    /// burst-boundary hook frequency against coordination amortization.
     #[must_use]
     pub const fn with_burst_batches(mut self, burst_batches: usize) -> Self {
         self.burst_batches = burst_batches;
-        self
-    }
-
-    /// Pre-ring name for the buffering knob.
-    #[deprecated(
-        since = "0.6.0",
-        note = "renamed to `with_ring_batches`: the bound is now per-producer ring slots"
-    )]
-    #[must_use]
-    pub const fn with_queue_batches(self, queue_batches: usize) -> Self {
-        self.with_ring_batches(queue_batches)
-    }
-
-    /// Pre-ring block-or-drop boolean, superseded by
-    /// [`BackpressurePolicy`] (which adds the nonblocking `Fail` mode).
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `with_policy(BackpressurePolicy::Block | DropNewest | Fail)`"
-    )]
-    #[must_use]
-    pub const fn with_block_when_full(mut self, block: bool) -> Self {
-        self.policy = if block {
-            BackpressurePolicy::Block
-        } else {
-            BackpressurePolicy::DropNewest
-        };
         self
     }
 }
@@ -355,22 +279,25 @@ struct Totals {
     applied_events: AtomicU64,
     dropped_batches: AtomicU64,
     dropped_events: AtomicU64,
-    folded_pairs: AtomicU64,
 }
 
 /// Per-producer sequence high-water marks (see the module docs on
 /// provenance). `enqueued_seq` is the last sequence accepted into the
-/// ring; `applied_seq` the last drained into an engine; 0 means "none
+/// lanes; `applied_seq` the last drained into an engine; 0 means "none
 /// yet". `applied_seq ≤ enqueued_seq` at every batch boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProducerMark {
     /// The producer id.
     pub producer: u64,
-    /// Highest sequence number accepted into the ring.
+    /// Highest sequence number accepted into the lanes.
     pub enqueued_seq: u64,
     /// Highest sequence number applied to an engine.
     pub applied_seq: u64,
 }
+
+/// A pair observer for [`IngestQueue::drain_routed`]: sees each burst's
+/// applied `(key, delta)` pairs, one shard at a time.
+pub(crate) type PairTap<'a> = &'a mut dyn FnMut(&[(u64, u64)]);
 
 /// One shard's slice of a routed batch: the `(key, delta)` pairs of
 /// batch `seq` that route to the lane's shard, in batch order.
@@ -385,77 +312,37 @@ pub(crate) struct LaneBatch {
     pub(crate) pairs: Vec<(u64, u64)>,
 }
 
-/// A producer's ring storage: one batch ring in pooled mode, one lane
-/// per shard in routed mode.
-#[derive(Debug)]
-enum Lanes {
-    Pooled(SpscRing<Batch>),
-    Routed(Vec<SpscRing<LaneBatch>>),
-}
-
-/// One producer's ring(s) plus its sequence high-water marks. Ring index
-/// in the registry == producer id.
+/// One producer's lanes (one per shard) plus its sequence high-water
+/// marks. Ring index in the registry == producer id.
 #[derive(Debug)]
 pub(crate) struct ProducerRing {
-    lanes: Lanes,
-    /// Routed mode only: the highest sequence number whose lane slices
-    /// are **all** published. Stored *after* the slice pushes (`SeqCst`),
-    /// so a coordinator cut at or below this mark never splits a batch.
+    lanes: Vec<SpscRing<LaneBatch>>,
+    /// The highest sequence number whose lane slices are **all**
+    /// published. Stored *after* the slice pushes (`SeqCst`), so a
+    /// consumer cut at or below this mark never splits a batch.
     committed_seq: AtomicU64,
     enqueued_seq: AtomicU64,
     applied_seq: AtomicU64,
 }
 
 impl ProducerRing {
-    /// The pooled-mode batch ring.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a routed producer — batch-granular consumption has no
-    /// meaning when batches are split across lanes.
-    fn pooled(&self) -> &SpscRing<Batch> {
-        match &self.lanes {
-            Lanes::Pooled(ring) => ring,
-            Lanes::Routed(_) => {
-                panic!("batch-granular consumer API on a routed queue; use drain_routed")
-            }
-        }
-    }
-
-    /// The routed-mode lane for `shard`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a pooled producer.
+    /// The lane for `shard`.
     pub(crate) fn lane(&self, shard: usize) -> &SpscRing<LaneBatch> {
-        match &self.lanes {
-            Lanes::Routed(lanes) => &lanes[shard],
-            Lanes::Pooled(_) => panic!("lane access on a pooled queue"),
-        }
+        &self.lanes[shard]
     }
 
     /// Batches admitted but not yet applied.
     fn depth(&self) -> usize {
-        match &self.lanes {
-            Lanes::Pooled(ring) => ring.len(),
-            Lanes::Routed(_) => {
-                let committed = self.committed_seq.load(Ordering::SeqCst);
-                let applied = self.applied_seq.load(Ordering::SeqCst);
-                committed.saturating_sub(applied) as usize
-            }
-        }
+        self.committed().saturating_sub(self.applied()) as usize
     }
 
     /// Conservative "a push right now could be refused" hint for
     /// `record`'s auto-flush guard under [`BackpressurePolicy::Fail`].
     fn full_hint(&self) -> bool {
-        match &self.lanes {
-            Lanes::Pooled(ring) => ring.is_full(),
-            Lanes::Routed(lanes) => lanes.iter().any(SpscRing::is_full),
-        }
+        self.lanes.iter().any(SpscRing::is_full)
     }
 
-    /// Routed mode: the commit high-water mark.
+    /// The commit high-water mark.
     pub(crate) fn committed(&self) -> u64 {
         self.committed_seq.load(Ordering::SeqCst)
     }
@@ -465,42 +352,33 @@ impl ProducerRing {
         self.applied_seq.load(Ordering::SeqCst)
     }
 
-    /// Routed mode: records that every batch up to `cut` is applied.
+    /// Records that every batch up to `cut` is applied.
     pub(crate) fn note_applied_seq(&self, cut: u64) {
         self.applied_seq.fetch_max(cut, Ordering::SeqCst);
     }
 }
 
-/// The consumer-side view of every ring. The mutex serializes consumers
-/// against each other and against producer *registration* — never
-/// against a producer's push, which touches only its own ring.
-#[derive(Debug, Default)]
-struct Registry {
-    rings: Vec<Arc<ProducerRing>>,
-    /// Round-robin scan start, so one chatty producer cannot starve the
-    /// others.
-    cursor: usize,
-}
-
 #[derive(Debug)]
 struct Inner {
     config: IngestConfig,
-    /// `Some` puts the queue in routed mode: producers route pairs into
-    /// per-shard lanes at send time; `None` is the pooled batch-ring
-    /// mode.
-    router: Option<ShardRouter>,
-    registry: Mutex<Registry>,
+    /// The key-to-shard partition producers route pairs by at send time.
+    router: ShardRouter,
+    /// Every producer's lanes, indexed by producer id. The mutex
+    /// serializes snapshots of the list against producer *registration*
+    /// — never against a producer's push, which touches only its own
+    /// lanes.
+    registry: Mutex<Vec<Arc<ProducerRing>>>,
     closed: AtomicBool,
-    /// Producers currently inside an `offer` (between the closed check
-    /// and the ring publish). A closing consumer waits for this to reach
+    /// Producers currently inside `submit_pairs` (between the closed
+    /// check and the commit). A closing consumer waits for this to reach
     /// zero before its final sweep, so a push racing `close` is either
     /// refused or drained — never lost.
     pushers: AtomicU64,
-    /// Rung by producers after a push (and by `close`); appliers park on
-    /// it when every ring is empty.
+    /// Rung by producers after a commit (and by `close`); appliers park
+    /// on it when nothing is committed but unapplied.
     ready: Doorbell,
     /// Rung by consumers after a pop (and by `close`); blocked producers
-    /// park on it when their ring is full.
+    /// park on it when a lane is full.
     space: Doorbell,
     totals: Totals,
 }
@@ -509,63 +387,44 @@ struct Inner {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct IngestStats {
-    /// Batches currently buffered across all producer rings, not yet
+    /// Batches currently buffered across all producer lanes, not yet
     /// applied.
     pub queue_depth: usize,
-    /// Batches accepted into rings so far.
+    /// Batches accepted into lanes so far.
     pub enqueued_batches: u64,
-    /// Events (sum of deltas) accepted into rings so far.
+    /// Events (sum of deltas) accepted into lanes so far.
     pub enqueued_events: u64,
     /// Events drained into an engine so far.
     pub applied_events: u64,
-    /// Batches refused because a ring was full or the queue closed
+    /// Batches refused because a lane was full or the queue closed
     /// (drop policy, or blocked flushes cut off by `close`).
     pub dropped_batches: u64,
     /// Events lost with those batches.
     pub dropped_events: u64,
-    /// Pairs elided by the pooled applier's key-run fold
-    /// ([`IngestConfig::fold_runs`]); 0 when the fold is off.
-    pub folded_pairs: u64,
     /// Per-producer sequence high-water marks, in producer-id order.
     pub producers: Vec<ProducerMark>,
 }
 
-/// The multi-producer ingest front door: one lock-free SPSC ring per
-/// producer, round-robin drained. Cheap to clone (all clones share the
-/// same rings).
+/// The multi-producer ingest front door: one lock-free SPSC lane per
+/// (producer, shard), drained in bursts. Cheap to clone (all clones share
+/// the same lanes).
 #[derive(Debug, Clone)]
 pub struct IngestQueue {
     inner: Arc<Inner>,
 }
 
 impl IngestQueue {
-    /// Creates the queue in pooled mode: one batch ring per producer,
-    /// shard routing deferred to the drain side.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any capacity is zero.
-    #[must_use]
-    pub fn new(config: IngestConfig) -> Self {
-        Self::build(config, None)
-    }
-
-    /// Creates the queue in **routed** mode: one ring lane per
-    /// (producer, shard), producers routing each pair through `router` at
-    /// send time. Drain with [`IngestQueue::drain_routed`] against an
+    /// Creates the queue: one lane per (producer, shard), producers
+    /// routing each pair through `router` at send time. Drain it into an
     /// engine whose [`CounterEngine::router`](crate::CounterEngine::router)
-    /// equals `router` — the drain asserts the match, because a partition
-    /// mismatch would silently scatter keys to wrong shards.
+    /// equals `router` — both drains assert the match, because a
+    /// partition mismatch would silently scatter keys to wrong shards.
     ///
     /// # Panics
     ///
     /// Panics if any capacity is zero.
     #[must_use]
-    pub fn new_routed(config: IngestConfig, router: ShardRouter) -> Self {
-        Self::build(config, Some(router))
-    }
-
-    fn build(config: IngestConfig, router: Option<ShardRouter>) -> Self {
+    pub fn new(config: IngestConfig, router: ShardRouter) -> Self {
         assert!(config.ring_batches > 0, "queue capacity must be positive");
         assert!(config.batch_pairs > 0, "batch size must be positive");
         assert!(config.burst_batches > 0, "burst batches must be positive");
@@ -573,7 +432,7 @@ impl IngestQueue {
             inner: Arc::new(Inner {
                 config,
                 router,
-                registry: Mutex::new(Registry::default()),
+                registry: Mutex::new(Vec::new()),
                 closed: AtomicBool::new(false),
                 pushers: AtomicU64::new(0),
                 ready: Doorbell::new(),
@@ -589,20 +448,14 @@ impl IngestQueue {
         self.inner.config
     }
 
-    /// True when the queue was built with [`IngestQueue::new_routed`].
-    #[must_use]
-    pub fn is_routed(&self) -> bool {
-        self.inner.router.is_some()
-    }
-
-    /// The routed-mode partition, if any.
-    pub(crate) fn router(&self) -> Option<ShardRouter> {
+    /// The key-to-shard partition producers route by.
+    pub(crate) fn router(&self) -> ShardRouter {
         self.inner.router
     }
 
     /// Creates a producer handle with a fresh producer id and its own
-    /// ring. Any number may exist concurrently; each coalesces into its
-    /// own batch buffer and publishes into its own ring, so producers
+    /// lanes. Any number may exist concurrently; each coalesces into its
+    /// own batch buffer and publishes into its own lanes, so producers
     /// never contend with each other.
     #[must_use]
     pub fn producer(&self) -> IngestProducer {
@@ -625,23 +478,17 @@ impl IngestQueue {
     #[must_use]
     pub fn producer_resuming(&self, start_seq: u64) -> IngestProducer {
         let ring_batches = self.inner.config.ring_batches;
-        let lanes = match self.inner.router {
-            None => Lanes::Pooled(SpscRing::new(ring_batches)),
-            Some(router) => Lanes::Routed(
-                (0..router.shards())
-                    .map(|_| SpscRing::new(ring_batches))
-                    .collect(),
-            ),
-        };
         let ring = Arc::new(ProducerRing {
-            lanes,
+            lanes: (0..self.inner.router.shards())
+                .map(|_| SpscRing::new(ring_batches))
+                .collect(),
             committed_seq: AtomicU64::new(start_seq),
             enqueued_seq: AtomicU64::new(start_seq),
             applied_seq: AtomicU64::new(start_seq),
         });
         let mut registry = self.inner.registry.lock().expect("ingest registry lock");
-        let id = registry.rings.len() as u64;
-        registry.rings.push(Arc::clone(&ring));
+        let id = registry.len() as u64;
+        registry.push(Arc::clone(&ring));
         drop(registry);
         IngestProducer {
             inner: Arc::clone(&self.inner),
@@ -670,110 +517,44 @@ impl IngestQueue {
         self.inner.closed.load(Ordering::SeqCst)
     }
 
-    /// Pops one batch via a round-robin scan of the rings. The registry
-    /// lock serializes consumers, upholding each ring's SPSC discipline.
-    fn pop_any(&self) -> Option<Batch> {
-        let mut registry = self.inner.registry.lock().expect("ingest registry lock");
-        let n = registry.rings.len();
-        for k in 0..n {
-            let i = (registry.cursor + k) % n;
-            if let Some(batch) = registry.rings[i].pooled().pop() {
-                registry.cursor = (i + 1) % n;
-                drop(registry);
-                self.inner.space.notify();
-                return Some(batch);
-            }
-        }
-        None
+    /// A moment-in-time snapshot of every producer's lanes (the `Arc`s
+    /// keep them alive across a burst without holding the registry
+    /// lock).
+    fn rings(&self) -> Vec<Arc<ProducerRing>> {
+        self.inner
+            .registry
+            .lock()
+            .expect("ingest registry lock")
+            .clone()
     }
 
-    /// True when some ring has a batch ready (moment-in-time).
+    /// True when some producer has committed batches not yet applied.
     fn has_ready(&self) -> bool {
         let registry = self.inner.registry.lock().expect("ingest registry lock");
-        registry.rings.iter().any(|r| !r.pooled().is_empty())
+        registry.iter().any(|r| r.committed() > r.applied())
     }
 
-    /// Pops the next batch, blocking while every ring is empty and the
-    /// queue is open. Returns `None` once the queue is closed *and*
-    /// drained.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a routed queue — batches there are split across lanes
-    /// and only [`IngestQueue::drain_routed`] can consume them.
-    #[must_use]
-    pub fn next_batch(&self) -> Option<Batch> {
+    /// The drains' burst gate: blocks until some producer has
+    /// committed-but-unapplied batches, returning the ring snapshot to cut
+    /// the burst over. Returns `None` once the queue is closed *and*
+    /// fully applied.
+    pub(crate) fn next_burst(&self) -> Option<Vec<Arc<ProducerRing>>> {
         loop {
-            if let Some(batch) = self.pop_any() {
-                return Some(batch);
+            let rings = self.rings();
+            if rings.iter().any(|r| r.committed() > r.applied()) {
+                return Some(rings);
             }
             if self.inner.closed.load(Ordering::SeqCst) {
                 // A producer that saw `closed == false` had already
                 // registered in `pushers` (SeqCst total order), so once
-                // the count reaches zero every racing push has either
-                // landed in a ring or been refused — the final sweep
-                // misses nothing.
+                // the count reaches zero every racing push has committed
+                // or been refused — the final re-check misses nothing.
                 // Yield, don't spin: the racing producer may need this
                 // very core to finish its push (single-core hosts).
                 while self.inner.pushers.load(Ordering::SeqCst) != 0 {
                     std::thread::yield_now();
                 }
-                return self.pop_any();
-            }
-            self.inner
-                .ready
-                .wait(|| self.has_ready() || self.inner.closed.load(Ordering::SeqCst));
-        }
-    }
-
-    /// Pops the next batch if one is buffered; never blocks. `None` means
-    /// "nothing available right now" — check [`IngestQueue::is_closed`]
-    /// to distinguish end-of-stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a routed queue (see [`IngestQueue::next_batch`]).
-    #[must_use]
-    pub fn try_next_batch(&self) -> Option<Batch> {
-        self.pop_any()
-    }
-
-    /// A moment-in-time snapshot of every producer ring, for the routed
-    /// coordinator (the `Arc`s keep rings alive across the burst without
-    /// holding the registry lock).
-    pub(crate) fn routed_rings(&self) -> Vec<Arc<ProducerRing>> {
-        self.inner
-            .registry
-            .lock()
-            .expect("ingest registry lock")
-            .rings
-            .clone()
-    }
-
-    /// True when some producer has committed batches not yet applied.
-    fn routed_has_ready(&self) -> bool {
-        let registry = self.inner.registry.lock().expect("ingest registry lock");
-        registry.rings.iter().any(|r| r.committed() > r.applied())
-    }
-
-    /// The routed coordinator's burst gate: blocks until some producer
-    /// has committed-but-unapplied batches, returning the ring snapshot
-    /// to cut the burst over. Returns `None` once the queue is closed
-    /// *and* fully applied.
-    pub(crate) fn next_routed_burst(&self) -> Option<Vec<Arc<ProducerRing>>> {
-        loop {
-            let rings = self.routed_rings();
-            if rings.iter().any(|r| r.committed() > r.applied()) {
-                return Some(rings);
-            }
-            if self.inner.closed.load(Ordering::SeqCst) {
-                // Same pushers-guard reasoning as `next_batch`: once the
-                // count reaches zero every racing push has committed or
-                // been refused, so the final re-check misses nothing.
-                while self.inner.pushers.load(Ordering::SeqCst) != 0 {
-                    std::thread::yield_now();
-                }
-                let rings = self.routed_rings();
+                let rings = self.rings();
                 if rings.iter().any(|r| r.committed() > r.applied()) {
                     return Some(rings);
                 }
@@ -781,18 +562,18 @@ impl IngestQueue {
             }
             self.inner
                 .ready
-                .wait(|| self.routed_has_ready() || self.inner.closed.load(Ordering::SeqCst));
+                .wait(|| self.has_ready() || self.inner.closed.load(Ordering::SeqCst));
         }
     }
 
-    /// Wakes producers parked on lane space (rung by lane workers after
+    /// Wakes producers parked on lane space (rung by the drains after
     /// pops; one atomic load when nobody waits).
     pub(crate) fn notify_space(&self) {
         self.inner.space.notify();
     }
 
-    /// Records events applied by a routed burst (the per-producer marks
-    /// advance separately, via [`ProducerRing::note_applied_seq`]).
+    /// Records events applied by a burst (the per-producer marks advance
+    /// separately, via [`ProducerRing::note_applied_seq`]).
     pub(crate) fn note_applied_events(&self, events: u64) {
         self.inner
             .totals
@@ -800,231 +581,70 @@ impl IngestQueue {
             .fetch_add(events, Ordering::Relaxed);
     }
 
-    /// Drains every remaining batch into `engine` with sequential
-    /// application, blocking until the queue closes. Returns the events
-    /// applied by this call.
-    pub fn drain_into<C: ApproxCounter + Clone>(&self, engine: &mut CounterEngine<C>) -> u64 {
-        let mut applied = 0u64;
-        while let Some(batch) = self.next_batch() {
-            applied += batch.events();
-            engine.apply(&batch.pairs);
-            self.note_applied(&batch);
-        }
-        applied
-    }
-
-    /// Like [`IngestQueue::drain_into`], but each batch fans out with one
-    /// thread per touched shard — bit-identical states, per the engine's
-    /// parallel-apply contract.
-    pub fn drain_parallel<C: ApproxCounter + Clone + Send + Sync>(
-        &self,
-        engine: &mut CounterEngine<C>,
-    ) -> u64 {
-        self.drain_parallel_with(engine, |_, _| {})
-    }
-
-    /// [`IngestQueue::drain_parallel`] with an applier hook: after every
-    /// applied batch, `hook(engine, applied_events_so_far)` runs on the
-    /// applier thread, at a batch boundary — the engine is quiescent, so
-    /// the hook may freeze snapshots, publish replicas, or read stats
-    /// (the applied sequence marks visible through
-    /// [`IngestQueue::applied_marks`] are exact here). This is the
-    /// integration point the background checkpointer — and the `Store`
-    /// service facade — ride (see
-    /// [`IngestQueue::drain_parallel_checkpointed`]).
-    pub fn drain_parallel_with<C, F>(&self, engine: &mut CounterEngine<C>, mut hook: F) -> u64
-    where
-        C: ApproxCounter + Clone + Send + Sync,
-        F: FnMut(&mut CounterEngine<C>, u64),
-    {
-        let mut applied = 0u64;
-        while let Some(batch) = self.next_batch() {
-            applied += batch.events();
-            engine.apply_parallel(&batch.pairs);
-            self.note_applied(&batch);
-            hook(engine, applied);
-        }
-        applied
-    }
-
-    /// Drains through the persistent thread-per-shard applier pool — the
-    /// ring path's high-throughput applier. See
-    /// [`IngestQueue::drain_pooled_with`].
-    pub fn drain_pooled<C: ApproxCounter + Clone + Send + Sync>(
-        &self,
-        engine: &mut CounterEngine<C>,
-    ) -> u64 {
-        self.drain_pooled_with(engine, |_, _| {})
-    }
-
-    /// [`IngestQueue::drain_pooled`] with an applier hook.
+    /// Drains every remaining batch into `engine` on the calling thread,
+    /// blocking until the queue closes. Returns the events applied by
+    /// this call.
     ///
-    /// Unlike [`IngestQueue::drain_parallel_with`] — which spawns one
-    /// scoped thread per touched shard *per batch* — this drain keeps one
-    /// worker thread per shard alive for its whole duration and feeds
-    /// them bursts of up to 64 batches at a time, so thread spawn/join
-    /// and routing overhead amortize across the burst. Counter states are
-    /// bit-identical to a sequential drain of the same batch arrival
-    /// order (per-shard order is preserved; each shard owns its RNG)
-    /// unless [`IngestConfig::fold_runs`] is on.
-    ///
-    /// `hook(engine, applied_events_so_far)` runs once per *burst* (not
-    /// per batch), again with the engine quiescent. Cadence-driven hooks
-    /// ([`CheckpointCadence`]) handle the coarser boundary unchanged;
-    /// hooks that must see every batch belong on
-    /// [`IngestQueue::drain_parallel_with`].
-    pub fn drain_pooled_with<C, F>(&self, engine: &mut CounterEngine<C>, hook: F) -> u64
-    where
-        C: ApproxCounter + Clone + Send + Sync,
-        F: FnMut(&mut CounterEngine<C>, u64),
-    {
-        crate::applier::drain_pooled_with(self, engine, hook)
-    }
-
-    /// [`IngestQueue::drain_pooled_with`] plus a per-batch pair tap:
-    /// `tap(&pairs)` runs on the drain thread for every batch, in arrival
-    /// order, *before* the batch is routed to the shard workers. This is
-    /// the observation point for stream consumers that must see the
-    /// applied `(key, delta)` traffic itself — e.g. a hot-key detector
-    /// feeding tier migration decisions — which the burst hook (whose
-    /// burst has already been consumed) cannot recover.
-    pub fn drain_pooled_tap<C, T, F>(&self, engine: &mut CounterEngine<C>, tap: T, hook: F) -> u64
-    where
-        C: ApproxCounter + Clone + Send + Sync,
-        T: FnMut(&[(u64, u64)]),
-        F: FnMut(&mut CounterEngine<C>, u64),
-    {
-        crate::applier::drain_pooled_tap(self, engine, tap, hook)
-    }
-
-    /// Drains a **routed** queue ([`IngestQueue::new_routed`]): each
-    /// persistent shard worker pops its own lane set directly — no
-    /// dispatcher re-hash, no bucket copy — while this thread coordinates
-    /// bursts (consistent cuts, epoch stamping, sequence marks). Blocks
-    /// until the queue closes; returns the events applied by this call.
-    /// See [`IngestQueue::drain_routed_with`].
-    pub fn drain_routed<C: ApproxCounter + Clone + Send + Sync>(
-        &self,
-        engine: &mut CounterEngine<C>,
-    ) -> u64 {
-        self.drain_routed_with(engine, |_, _| {})
-    }
-
-    /// [`IngestQueue::drain_routed`] with a burst hook:
-    /// `hook(engine, applied_events_so_far)` runs once per burst with the
-    /// engine quiescent, exactly like the pooled drain's hook — cadence
-    /// hooks ([`CheckpointCadence`]), snapshot publication, and tier
-    /// rounds carry over unchanged. A burst drains each producer up to a
-    /// consistent cut of fully-committed sequence numbers (at most
-    /// [`IngestConfig::burst_batches`] per producer), so per-producer
-    /// FIFO holds per shard and counter states are bit-identical to the
-    /// pooled applier on the same arrival order (unless
-    /// [`IngestConfig::fold_runs`] is on).
+    /// Bursts and cuts are those of [`IngestQueue::drain_routed`], but
+    /// each burst is applied shard by shard (each shard's lanes in
+    /// producer-id order) with no worker threads: the serial reference
+    /// the threaded drain is held to.
     ///
     /// # Panics
     ///
-    /// Panics if the queue is pooled, or if its router does not match
-    /// `engine`'s partition.
-    pub fn drain_routed_with<C, F>(&self, engine: &mut CounterEngine<C>, hook: F) -> u64
+    /// Panics if the queue's router does not match `engine`'s partition.
+    pub fn drain_into<C: ApproxCounter + Clone>(&self, engine: &mut CounterEngine<C>) -> u64 {
+        crate::applier::drain_serial(self, engine)
+    }
+
+    /// Drains through one persistent worker thread per shard, each popping
+    /// its own lanes, while this thread coordinates bursts (consistent
+    /// cuts, epoch stamping, sequence marks). Blocks until the queue
+    /// closes; returns the events applied by this call.
+    ///
+    /// A burst drains each producer up to a consistent cut of
+    /// fully-committed sequence numbers (at most
+    /// [`IngestConfig::burst_batches`] per producer), so per-producer FIFO
+    /// holds per shard and counter states are bit-identical to
+    /// [`IngestQueue::drain_into`] on the same arrival order.
+    ///
+    /// `tap`, when given, sees exactly the applied `(key, delta)` traffic
+    /// — the observation point for stream consumers such as a hot-key
+    /// detector feeding tier migrations. Each shard worker keeps the
+    /// pairs it applied, and at the burst boundary they reach `tap` one
+    /// shard at a time, in shard order: grouped by shard rather than by
+    /// arrival, which frequency estimation does not mind. Without a tap
+    /// the workers collect nothing.
+    ///
+    /// `hook(engine, applied_events_so_far)` then runs once per burst on
+    /// this thread with the engine quiescent, so it may freeze snapshots,
+    /// publish replicas, run tier rounds, or cut checkpoints on a
+    /// [`CheckpointCadence`] (the applied sequence marks visible through
+    /// [`IngestQueue::applied_marks`] are exact there).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queue's router does not match `engine`'s partition.
+    pub fn drain_routed<C, F>(
+        &self,
+        engine: &mut CounterEngine<C>,
+        tap: Option<PairTap<'_>>,
+        hook: F,
+    ) -> u64
     where
         C: ApproxCounter + Clone + Send + Sync,
         F: FnMut(&mut CounterEngine<C>, u64),
     {
-        crate::applier::drain_routed_inner(self, engine, false, |_| {}, hook)
-    }
-
-    /// [`IngestQueue::drain_routed_with`] plus a pair tap — the routed
-    /// home of the hot-key detector feed. Each shard worker keeps the
-    /// pairs it applied; at the burst boundary the coordinator hands them
-    /// to `tap(&pairs)` one shard at a time, in shard order, before the
-    /// burst hook runs. The tap sees exactly the applied traffic (totals
-    /// match the pooled tap), grouped by shard rather than by arrival —
-    /// fine for frequency estimation, which is order-insensitive. Without
-    /// a tap ([`IngestQueue::drain_routed_with`]) the workers skip the
-    /// collection entirely.
-    pub fn drain_routed_tap<C, T, F>(&self, engine: &mut CounterEngine<C>, tap: T, hook: F) -> u64
-    where
-        C: ApproxCounter + Clone + Send + Sync,
-        T: FnMut(&[(u64, u64)]),
-        F: FnMut(&mut CounterEngine<C>, u64),
-    {
-        crate::applier::drain_routed_inner(self, engine, true, tap, hook)
-    }
-
-    /// Drains with durability riding along: every
-    /// [`CheckpointerConfig::every_events`](crate::CheckpointerConfig::every_events)
-    /// applied events, the applier cuts an `O(shards)` copy-on-write
-    /// snapshot at the batch boundary and hands it — together with the
-    /// applied sequence marks, for exactly-once replay after a restore —
-    /// to `checkpointer`'s writer thread. Serialization and disk I/O
-    /// never run on this thread, so ingest throughput is insulated from
-    /// checkpoint size.
-    pub fn drain_parallel_checkpointed<C>(
-        &self,
-        engine: &mut CounterEngine<C>,
-        checkpointer: &BackgroundCheckpointer<C>,
-    ) -> u64
-    where
-        C: StateCodec + Clone + Send + Sync + 'static,
-    {
-        let mut cadence = CheckpointCadence::new(checkpointer.config().every_events);
-        self.drain_parallel_with(engine, |engine, applied| {
-            if cadence.is_due(applied) {
-                checkpointer.submit_with_marks(engine.snapshot(), self.applied_marks());
-            }
-        })
-    }
-
-    /// [`IngestQueue::drain_parallel_checkpointed`] over the pooled
-    /// applier: checkpoints are cut at burst boundaries (the cadence
-    /// catches up across a burst without double-firing).
-    pub fn drain_pooled_checkpointed<C>(
-        &self,
-        engine: &mut CounterEngine<C>,
-        checkpointer: &BackgroundCheckpointer<C>,
-    ) -> u64
-    where
-        C: StateCodec + Clone + Send + Sync + 'static,
-    {
-        let mut cadence = CheckpointCadence::new(checkpointer.config().every_events);
-        self.drain_pooled_with(engine, |engine, applied| {
-            if cadence.is_due(applied) {
-                checkpointer.submit_with_marks(engine.snapshot(), self.applied_marks());
-            }
-        })
-    }
-
-    /// Records that `batch` was applied to an engine (applied-events
-    /// total and the producer's applied high-water mark).
-    pub(crate) fn note_applied(&self, batch: &Batch) {
-        self.inner
-            .totals
-            .applied_events
-            .fetch_add(batch.events(), Ordering::Relaxed);
-        let registry = self.inner.registry.lock().expect("ingest registry lock");
-        if let Some(ring) = registry.rings.get(batch.producer as usize) {
-            // Batches from one producer are FIFO through its ring, but a
-            // second applier could race; the mark is a high-water mark.
-            ring.applied_seq.fetch_max(batch.seq, Ordering::SeqCst);
-        }
-    }
-
-    /// Records pairs elided by the pooled applier's key-run fold.
-    pub(crate) fn note_folded(&self, pairs: u64) {
-        self.inner
-            .totals
-            .folded_pairs
-            .fetch_add(pairs, Ordering::Relaxed);
+        crate::applier::drain_threaded(self, engine, tap, hook)
     }
 
     /// The per-producer sequence high-water marks, in producer-id order.
-    /// Read from an applier hook (batch boundary) these are exact; read
-    /// from elsewhere they are a moment-in-time snapshot.
+    /// Read from a drain hook (burst boundary) these are exact; read from
+    /// elsewhere they are a moment-in-time snapshot.
     #[must_use]
     pub fn applied_marks(&self) -> Vec<ProducerMark> {
         let registry = self.inner.registry.lock().expect("ingest registry lock");
         registry
-            .rings
             .iter()
             .enumerate()
             .map(|(i, ring)| ProducerMark {
@@ -1035,7 +655,7 @@ impl IngestQueue {
             .collect()
     }
 
-    /// Events accepted into rings but not yet applied — `0` means the
+    /// Events accepted into lanes but not yet applied — `0` means the
     /// pipeline is momentarily drained dry. A two-atomic probe (no
     /// registry lock, no allocation), cheap enough for every burst
     /// boundary: the applier uses it to publish a read replica when a
@@ -1058,7 +678,7 @@ impl IngestQueue {
     pub fn stats(&self) -> IngestStats {
         let depth = {
             let registry = self.inner.registry.lock().expect("ingest registry lock");
-            registry.rings.iter().map(|r| r.depth()).sum()
+            registry.iter().map(|r| r.depth()).sum()
         };
         let t = &self.inner.totals;
         IngestStats {
@@ -1068,17 +688,15 @@ impl IngestQueue {
             applied_events: t.applied_events.load(Ordering::Relaxed),
             dropped_batches: t.dropped_batches.load(Ordering::Relaxed),
             dropped_events: t.dropped_events.load(Ordering::Relaxed),
-            folded_pairs: t.folded_pairs.load(Ordering::Relaxed),
             producers: self.applied_marks(),
         }
     }
 }
 
-/// The event-count cadence policy behind
-/// [`IngestQueue::drain_parallel_checkpointed`], reusable from custom
-/// [`IngestQueue::drain_parallel_with`] hooks: fires once per crossing of
-/// an `every_events` boundary, catching up (without firing repeatedly)
-/// when one batch jumps several boundaries at once.
+/// An event-count cadence for [`IngestQueue::drain_routed`] burst hooks
+/// (checkpoint cuts, snapshot publication): fires once per crossing of an
+/// `every_events` boundary, catching up (without firing repeatedly) when
+/// one burst jumps several boundaries at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointCadence {
     every: u64,
@@ -1114,16 +732,16 @@ impl CheckpointCadence {
 }
 
 /// A producer handle: coalesces per-key increments locally, publishing
-/// full batches into its own lock-free ring. Dropping the handle flushes
+/// full batches into its own lock-free lanes. Dropping the handle flushes
 /// any partial batch (per the backpressure policy). Each handle owns a
 /// unique producer id; its accepted batches are numbered 1, 2, 3, … (see
 /// the module docs on provenance).
 #[derive(Debug)]
 pub struct IngestProducer {
     inner: Arc<Inner>,
-    /// This producer's ring (`inner.registry.rings[id]`).
+    /// This producer's lanes (`inner.registry[id]`).
     ring: Arc<ProducerRing>,
-    /// This producer's id (its ring index).
+    /// This producer's id (its registry index).
     id: u64,
     /// Sequence number the next *accepted* batch will carry.
     next_seq: u64,
@@ -1151,7 +769,7 @@ impl IngestProducer {
     }
 
     /// The sequence number of the last batch this producer had accepted
-    /// into its ring (0 before the first).
+    /// into its lanes (0 before the first).
     #[must_use]
     pub fn last_seq(&self) -> u64 {
         self.next_seq - 1
@@ -1160,7 +778,7 @@ impl IngestProducer {
     /// Records `delta` increments to `key`. Repeat keys within the current
     /// batch coalesce into one pair; a full batch flushes automatically
     /// per the backpressure policy (under [`BackpressurePolicy::Fail`]
-    /// with a full ring, the buffer is retained and keeps growing until
+    /// with a full lane, the buffer is retained and keeps growing until
     /// a [`IngestProducer::try_send`] / [`IngestProducer::send`] call
     /// can surface the refusal).
     pub fn record(&mut self, key: u64, delta: u64) {
@@ -1208,12 +826,12 @@ impl IngestProducer {
         std::mem::take(&mut self.refused_events)
     }
 
-    /// Publishes the current batch (if any) into the ring without ever
+    /// Publishes the current batch (if any) into the lanes without ever
     /// blocking.
     ///
     /// # Errors
     ///
-    /// [`SendError::Full`] when the ring has no free slot and
+    /// [`SendError::Full`] when a destination lane has no free slot and
     /// [`SendError::Closed`] after [`IngestQueue::close`] — both carry
     /// the batch, so nothing is lost: hold it and
     /// [`resubmit`](IngestProducer::resubmit) later, or shed it
@@ -1223,7 +841,8 @@ impl IngestProducer {
     }
 
     /// Publishes the current batch (if any), parking on the space
-    /// doorbell while the ring is full — the lossless blocking path.
+    /// doorbell while a destination lane is full — the lossless blocking
+    /// path.
     ///
     /// # Errors
     ///
@@ -1258,13 +877,13 @@ impl IngestProducer {
     }
 
     /// Publishes one *prepared* batch — exactly these pairs, exactly one
-    /// sequence number — parking while the ring is full, and returns the
+    /// sequence number — parking while a lane is full, and returns the
     /// sequence number the batch was accepted under. Any pairs buffered
     /// by [`IngestProducer::record`] are flushed first so they cannot
     /// interleave mid-batch.
     ///
     /// This is the wire-ingest path: a network server replaying a
-    /// client's batch stream maps each wire batch to exactly one ring
+    /// client's batch stream maps each wire batch to exactly one ingest
     /// batch, which keeps the client's numbering and the durable
     /// [`ProducerMark`]s interchangeable.
     ///
@@ -1295,22 +914,11 @@ impl IngestProducer {
         self.submit_pairs(pairs, events, true).map(|()| seq)
     }
 
-    /// Pushes the current batch (if any), honoring
-    /// [`IngestConfig::policy`]. Returns `true` if the batch was accepted
-    /// (vacuously for an empty buffer), `false` if it was refused.
-    /// Sequence numbers advance only over accepted batches, so a refused
-    /// batch never leaves a hole in the applied sequence.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `try_send` (nonblocking, returns the rejected batch) or `send` (parks)"
-    )]
-    pub fn flush(&mut self) -> bool {
-        self.flush_policy()
-    }
-
     /// The policy-directed flush behind `record`'s auto-flush, `Drop`,
-    /// the deprecated `flush` shim, and the store writer's lossy-path
-    /// reporter.
+    /// and the store writer's lossy-path reporter. Returns `true` if the
+    /// batch was accepted (vacuously for an empty buffer), `false` if it
+    /// was refused. Sequence numbers advance only over accepted batches,
+    /// so a refused batch never leaves a hole in the applied sequence.
     pub(crate) fn flush_policy(&mut self) -> bool {
         match self.inner.config.policy {
             BackpressurePolicy::Block => match self.send() {
@@ -1381,105 +989,39 @@ impl IngestProducer {
         self.submit_pairs(pairs, events, park)
     }
 
-    /// The one publish path: stamps the next sequence number, offers the
-    /// batch to this producer's ring(s), and keeps the sequence/mark
-    /// bookkeeping exact on every outcome.
+    /// The one publish path: stamps the next sequence number, routes
+    /// each pair once (cache-hot, on this thread), pushes each shard's
+    /// slice into its lane **all-or-nothing**, then advances the commit
+    /// mark so consumers see the batch atomically. The sequence/mark
+    /// bookkeeping stays exact on every outcome.
+    ///
+    /// The all-or-nothing space check is sound without locking: this
+    /// producer is its lanes' only pusher, and consumers only free slots,
+    /// so space observed before the pushes cannot shrink under us.
+    /// Refusal keeps `pairs` in original first-touch order, so
+    /// [`SendError`] carries the batch exactly as it was recorded.
     fn submit_pairs(
         &mut self,
         pairs: Vec<(u64, u64)>,
         events: u64,
         park: bool,
     ) -> Result<(), SendError> {
-        match self.inner.router {
-            None => self.submit_pooled(pairs, events, park),
-            Some(router) => self.submit_routed(router, pairs, events, park),
-        }
-    }
-
-    /// Pooled-mode publish: the whole batch into this producer's one
-    /// ring.
-    fn submit_pooled(
-        &mut self,
-        pairs: Vec<(u64, u64)>,
-        events: u64,
-        park: bool,
-    ) -> Result<(), SendError> {
+        let router = self.inner.router;
         let seq = self.next_seq;
-        // Speculative enqueued mark *before* the batch becomes poppable,
-        // so an applier can never observe applied_seq > enqueued_seq.
+        // Speculative enqueued mark *before* the batch becomes drainable,
+        // so a consumer can never observe applied_seq > enqueued_seq.
         // Rolled back below on refusal (this thread is the mark's only
         // writer, so the rollback is exact).
-        self.ring.enqueued_seq.store(seq, Ordering::SeqCst);
-        let mut batch = Batch {
-            producer: self.id,
-            seq,
-            pairs,
-        };
-        loop {
-            // The pushers guard makes "push racing close" lossless: we
-            // register before checking `closed`, so a closing consumer
-            // that finds `pushers > 0` waits out this window before its
-            // final sweep (see `next_batch`).
-            self.inner.pushers.fetch_add(1, Ordering::SeqCst);
-            if self.inner.closed.load(Ordering::SeqCst) {
-                self.inner.pushers.fetch_sub(1, Ordering::SeqCst);
-                self.ring.enqueued_seq.store(seq - 1, Ordering::SeqCst);
-                return Err(SendError::Closed(batch));
-            }
-            match self.ring.pooled().push(batch) {
-                Ok(()) => {
-                    self.inner.pushers.fetch_sub(1, Ordering::SeqCst);
-                    self.next_seq = seq + 1;
-                    let t = &self.inner.totals;
-                    t.enqueued_batches.fetch_add(1, Ordering::Relaxed);
-                    t.enqueued_events.fetch_add(events, Ordering::Relaxed);
-                    self.inner.ready.notify();
-                    return Ok(());
-                }
-                Err(refused) => {
-                    self.inner.pushers.fetch_sub(1, Ordering::SeqCst);
-                    if park {
-                        batch = refused;
-                        self.inner.space.wait(|| {
-                            !self.ring.pooled().is_full()
-                                || self.inner.closed.load(Ordering::SeqCst)
-                        });
-                        continue;
-                    }
-                    self.ring.enqueued_seq.store(seq - 1, Ordering::SeqCst);
-                    return Err(SendError::Full(refused));
-                }
-            }
-        }
-    }
-
-    /// Routed-mode publish: route each pair once (cache-hot, on this
-    /// thread), push each shard's slice into its lane **all-or-nothing**,
-    /// then advance the commit mark so the coordinator sees the batch
-    /// atomically.
-    ///
-    /// The all-or-nothing space check is sound without locking: this
-    /// producer is its lanes' only pusher, and consumers only free slots,
-    /// so space observed before the pushes cannot shrink under us.
-    /// Refusal keeps `pairs` in original first-touch order, so
-    /// [`SendError`] carries the batch exactly as the pooled path would.
-    fn submit_routed(
-        &mut self,
-        router: ShardRouter,
-        pairs: Vec<(u64, u64)>,
-        events: u64,
-        park: bool,
-    ) -> Result<(), SendError> {
-        let seq = self.next_seq;
-        // Same speculative enqueued mark + exact rollback as the pooled
-        // path.
         self.ring.enqueued_seq.store(seq, Ordering::SeqCst);
         let mut buckets: Vec<Vec<(u64, u64)>> = vec![Vec::new(); router.shards()];
         for &(key, delta) in &pairs {
             buckets[router.shard_of(key)].push((key, delta));
         }
         loop {
-            // Pushers guard: same push-racing-close protocol as pooled.
+            // The pushers guard makes "push racing close" lossless: we
+            // register before checking `closed`, so a closing consumer
+            // that finds `pushers > 0` waits out this window before its
+            // final sweep (see `next_burst`).
             self.inner.pushers.fetch_add(1, Ordering::SeqCst);
             if self.inner.closed.load(Ordering::SeqCst) {
                 self.inner.pushers.fetch_sub(1, Ordering::SeqCst);
@@ -1525,7 +1067,7 @@ impl IngestProducer {
                 );
             }
             // Commit *after* every slice is published (SeqCst): a
-            // coordinator cut at or below this mark never splits a batch.
+            // consumer cut at or below this mark never splits a batch.
             self.ring.committed_seq.store(seq, Ordering::SeqCst);
             self.inner.pushers.fetch_sub(1, Ordering::SeqCst);
             self.next_seq = seq + 1;
@@ -1558,9 +1100,42 @@ mod tests {
             .with_policy(policy)
     }
 
+    /// The engine config behind [`one_lane`]'s partition.
+    fn one_shard() -> EngineConfig {
+        EngineConfig::new().with_shards(1)
+    }
+
+    /// A 1-shard queue: every accepted batch lands whole, pairs in
+    /// first-touch order, as one slice on its producer's lane 0 — the
+    /// batch-granular view the tests below inspect through [`pop`].
+    fn one_lane(
+        ring_batches: usize,
+        batch_pairs: usize,
+        policy: BackpressurePolicy,
+    ) -> IngestQueue {
+        IngestQueue::new(
+            small(ring_batches, batch_pairs, policy),
+            ShardRouter::new(one_shard()),
+        )
+    }
+
+    /// Pops the next lane-0 slice of a [`one_lane`] queue (lowest
+    /// producer id first) as the batch it carries, freeing its slot.
+    fn pop(q: &IngestQueue) -> Option<Batch> {
+        q.rings().iter().enumerate().find_map(|(id, ring)| {
+            let slice = ring.lane(0).pop()?;
+            q.notify_space();
+            Some(Batch {
+                producer: id as u64,
+                seq: slice.seq,
+                pairs: slice.pairs,
+            })
+        })
+    }
+
     #[test]
     fn coalesces_repeat_keys_within_a_batch() {
-        let q = IngestQueue::new(small(4, 100, BackpressurePolicy::Block));
+        let q = one_lane(4, 100, BackpressurePolicy::Block);
         let mut p = q.producer();
         for _ in 0..10 {
             p.record(7, 3);
@@ -1568,7 +1143,7 @@ mod tests {
         p.record(8, 1);
         assert_eq!(p.pending_pairs(), 2, "10 hits on key 7 coalesce to one");
         assert!(p.try_send().is_ok());
-        let batch = q.try_next_batch().unwrap();
+        let batch = pop(&q).unwrap();
         assert_eq!(batch.pairs, vec![(7, 30), (8, 1)]);
         assert_eq!(batch.producer, p.id());
         assert_eq!(batch.seq, 1, "first accepted batch");
@@ -1576,26 +1151,26 @@ mod tests {
 
     #[test]
     fn resuming_producer_continues_the_durable_numbering() {
-        let q = IngestQueue::new(small(8, 4, BackpressurePolicy::Block));
+        let q = one_lane(8, 4, BackpressurePolicy::Block);
         let mut p = q.producer_resuming(41);
         assert_eq!(p.last_seq(), 41, "resume mark is the last *accepted* seq");
         p.record(3, 5);
         assert!(p.try_send().is_ok());
-        let batch = q.try_next_batch().unwrap();
+        let batch = pop(&q).unwrap();
         assert_eq!(batch.seq, 42, "first batch after resume follows the mark");
         assert_eq!(p.last_seq(), 42);
     }
 
     #[test]
     fn submit_batch_numbers_one_wire_batch_per_ring_batch() {
-        let q = IngestQueue::new(small(8, 4, BackpressurePolicy::Block));
+        let q = one_lane(8, 4, BackpressurePolicy::Block);
         let mut p = q.producer();
         p.record(9, 1); // buffered pairs flush first, under their own seq
         let seq = p.submit_batch(vec![(1, 2), (2, 0), (3, 4)]).unwrap();
         assert_eq!(seq, 2, "buffered flush took seq 1");
-        let first = q.try_next_batch().unwrap();
+        let first = pop(&q).unwrap();
         assert_eq!((first.seq, first.pairs.clone()), (1, vec![(9, 1)]));
-        let wire = q.try_next_batch().unwrap();
+        let wire = pop(&q).unwrap();
         assert_eq!(wire.seq, 2);
         assert_eq!(wire.pairs, vec![(1, 2), (3, 4)], "zero deltas shed");
         assert_eq!(p.last_seq(), 2);
@@ -1604,14 +1179,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one event")]
     fn submit_batch_refuses_eventless_batches() {
-        let q = IngestQueue::new(small(8, 4, BackpressurePolicy::Block));
+        let q = one_lane(8, 4, BackpressurePolicy::Block);
         let mut p = q.producer();
         let _ = p.submit_batch(vec![(1, 0), (2, 0)]);
     }
 
     #[test]
     fn full_batches_auto_flush() {
-        let q = IngestQueue::new(small(8, 3, BackpressurePolicy::Block));
+        let q = one_lane(8, 3, BackpressurePolicy::Block);
         let mut p = q.producer();
         for key in 0..7u64 {
             p.record(key, 1);
@@ -1624,10 +1199,10 @@ mod tests {
 
     #[test]
     fn drop_policy_counts_refused_batches() {
-        let q = IngestQueue::new(small(1, 1, BackpressurePolicy::DropNewest));
+        let q = one_lane(1, 1, BackpressurePolicy::DropNewest);
         let mut p = q.producer();
-        p.record(1, 5); // fills the ring
-        p.record(2, 7); // refused: ring full, drop policy
+        p.record(1, 5); // fills the lane
+        p.record(2, 7); // refused: lane full, drop policy
         p.record(3, 9); // still refused
         let s = q.stats();
         assert_eq!(s.enqueued_batches, 1);
@@ -1641,13 +1216,13 @@ mod tests {
 
     #[test]
     fn fail_policy_surfaces_refusal_and_never_drops() {
-        let q = IngestQueue::new(small(1, 1, BackpressurePolicy::Fail));
+        let q = one_lane(1, 1, BackpressurePolicy::Fail);
         let mut p = q.producer();
-        p.record(1, 5); // auto-flush fills the ring
-        p.record(2, 7); // ring full: buffer retained, nothing dropped
+        p.record(1, 5); // auto-flush fills the lane
+        p.record(2, 7); // lane full: buffer retained, nothing dropped
         p.record(3, 9); // buffer keeps growing past batch_pairs
         assert_eq!(p.pending_pairs(), 2, "Fail retains instead of dropping");
-        let err = p.try_send().expect_err("ring is full");
+        let err = p.try_send().expect_err("lane is full");
         assert!(err.is_full());
         let batch = err.into_batch();
         assert_eq!(batch.pairs, vec![(2, 7), (3, 9)]);
@@ -1658,17 +1233,17 @@ mod tests {
         assert_eq!(s.dropped_events, 0);
         assert_eq!(p.take_refused_events(), 0);
         // Drain one batch, resubmit the refused one: gapless sequence.
-        let first = q.try_next_batch().unwrap();
+        let first = pop(&q).unwrap();
         assert_eq!(first.seq, 1);
         assert!(p.resubmit(batch).is_ok());
-        let second = q.try_next_batch().unwrap();
+        let second = pop(&q).unwrap();
         assert_eq!(second.seq, 2, "refusal rolled the sequence back");
         assert_eq!(second.pairs, vec![(2, 7), (3, 9)]);
     }
 
     #[test]
     fn send_parks_until_the_applier_frees_a_slot() {
-        let q = IngestQueue::new(small(1, 4, BackpressurePolicy::Block));
+        let q = one_lane(1, 4, BackpressurePolicy::Block);
         let mut p = q.producer();
         p.record(1, 1);
         assert!(p.send().is_ok(), "slot available: no park");
@@ -1678,7 +1253,7 @@ mod tests {
             let popper = s.spawn(move || {
                 // Give the sender time to park, then free the slot.
                 thread::sleep(std::time::Duration::from_millis(20));
-                q2.try_next_batch()
+                pop(&q2)
             });
             assert!(p.send().is_ok(), "send must resume after the pop");
             popper.join().expect("popper thread")
@@ -1689,26 +1264,28 @@ mod tests {
 
     #[test]
     fn close_refuses_late_flushes() {
-        let q = IngestQueue::new(small(4, 10, BackpressurePolicy::Block));
+        let q = one_lane(4, 10, BackpressurePolicy::Block);
         let mut p = q.producer();
         p.record(1, 1);
         q.close();
         let err = p.send().expect_err("send after close must fail, not hang");
         assert!(!err.is_full());
         assert_eq!(err.batch().events(), 1, "the data comes back");
-        assert_eq!(q.next_batch(), None);
-        // The deprecated bool shim counts the refusal instead.
+        let mut engine = CounterEngine::new(ExactCounter::new(), one_shard());
+        assert_eq!(q.drain_into(&mut engine), 0, "closed and empty");
+        // Dropping the handle flushes its partial batch by policy; after
+        // close the refusal is counted instead.
         p.record(2, 1);
-        #[allow(deprecated)]
-        let accepted = p.flush();
-        assert!(!accepted);
-        assert_eq!(q.stats().dropped_batches, 1);
+        drop(p);
+        let s = q.stats();
+        assert_eq!(s.dropped_batches, 1);
+        assert_eq!(s.dropped_events, 1);
     }
 
     #[test]
     fn sequence_marks_track_enqueue_and_apply() {
-        let q = IngestQueue::new(small(16, 2, BackpressurePolicy::Block));
         let mut engine = CounterEngine::new(ExactCounter::new(), EngineConfig::default());
+        let q = IngestQueue::new(small(16, 2, BackpressurePolicy::Block), engine.router());
         let mut p = q.producer();
         for key in 0..6u64 {
             p.record(key, 1); // 3 auto-flushed batches of 2 pairs
@@ -1729,7 +1306,7 @@ mod tests {
 
     #[test]
     fn producers_get_distinct_ids_and_independent_sequences() {
-        let q = IngestQueue::new(small(16, 1, BackpressurePolicy::Block));
+        let q = one_lane(16, 1, BackpressurePolicy::Block);
         let mut a = q.producer();
         let mut b = q.producer();
         assert_ne!(a.id(), b.id());
@@ -1745,7 +1322,7 @@ mod tests {
 
     #[test]
     fn drain_matches_direct_apply_bit_for_bit() {
-        // Single producer + sequential drain == engine.apply on the same
+        // Single producer + serial drain == engine.apply on the same
         // stream: the lossless determinism contract.
         let p = NyParams::new(0.25, 8).unwrap();
         let cfg = EngineConfig::new().with_shards(4).with_seed(7);
@@ -1754,7 +1331,7 @@ mod tests {
 
         // Capacity must hold every batch: this single-threaded test only
         // drains after close, so a tight bound would park the producer.
-        let q = IngestQueue::new(small(64, 5, BackpressurePolicy::Block));
+        let q = IngestQueue::new(small(64, 5, BackpressurePolicy::Block), piped.router());
         let mut prod = q.producer();
         let mut reference: Vec<(u64, u64)> = Vec::new();
         let mut pending: Vec<(u64, u64)> = Vec::new();
@@ -1785,11 +1362,11 @@ mod tests {
 
     #[test]
     fn multi_producer_totals_are_conserved() {
-        // 4 producer threads, one applier thread, tiny rings: nothing
-        // lost under the blocking policy, and the engine's exact event
-        // count equals the producers' submissions.
-        let q = IngestQueue::new(small(2, 8, BackpressurePolicy::Block));
+        // 4 producer threads, one serial drain thread, tiny lanes:
+        // nothing lost under the blocking policy, and the engine's exact
+        // event count equals the producers' submissions.
         let mut engine = CounterEngine::new(ExactCounter::new(), EngineConfig::default());
+        let q = IngestQueue::new(small(2, 8, BackpressurePolicy::Block), engine.router());
         let per_producer = 5_000u64;
         let producers = 4u64;
 
@@ -1805,7 +1382,7 @@ mod tests {
                     })
                 })
                 .collect();
-            // Applier runs concurrently with the producers and returns
+            // The drain runs concurrently with the producers and returns
             // once the queue is closed and drained.
             let drain = s.spawn(|| q.drain_into(&mut engine));
             for h in handles {
@@ -1829,69 +1406,15 @@ mod tests {
     }
 
     #[test]
-    fn pooled_drain_matches_parallel_drain_bit_for_bit() {
-        let p = NyParams::new(0.2, 8).unwrap();
-        let cfg = EngineConfig::new().with_shards(4).with_seed(11);
-        let mut pooled = CounterEngine::new(NelsonYuCounter::new(p), cfg);
-        let mut parallel = CounterEngine::new(NelsonYuCounter::new(p), cfg);
-
-        let feed = |q: &IngestQueue| {
-            let mut prod = q.producer();
-            for i in 0..2_000u64 {
-                prod.record(i % 97, 1 + i % 13);
-            }
-            drop(prod);
-            q.close();
-        };
-
-        let qa = IngestQueue::new(small(512, 16, BackpressurePolicy::Block));
-        feed(&qa);
-        let a = qa.drain_pooled(&mut pooled);
-
-        let qb = IngestQueue::new(small(512, 16, BackpressurePolicy::Block));
-        feed(&qb);
-        let b = qb.drain_parallel(&mut parallel);
-
-        assert_eq!(a, b);
-        for key in 0..97u64 {
-            assert_eq!(pooled.counter(key), parallel.counter(key), "key {key}");
-        }
-        let marks = qa.applied_marks();
-        assert_eq!(marks[0].applied_seq, marks[0].enqueued_seq);
-    }
-
-    #[test]
-    fn folded_pooled_drain_conserves_totals_and_counts_folds() {
-        // Five hot keys, batches of four pairs: every flush repeats keys
-        // from earlier batches in the same burst, so the fold elides runs.
-        let q = IngestQueue::new(small(512, 4, BackpressurePolicy::Block).with_fold_runs(true));
-        let mut engine = CounterEngine::new(ExactCounter::new(), EngineConfig::default());
-        let mut prod = q.producer();
-        for i in 0..1_000u64 {
-            // Alternate keys so coalescing can't pre-merge everything.
-            prod.record(i % 2, 1);
-            prod.record(7 + i % 3, 2);
-        }
-        drop(prod);
-        q.close();
-        let applied = q.drain_pooled(&mut engine);
-        assert_eq!(applied, 3_000);
-        assert_eq!(engine.total_events(), 3_000, "fold conserves events");
-        assert_eq!(engine.estimate(0), Some(500.0));
-        assert_eq!(engine.estimate(1), Some(500.0));
-        assert!(q.stats().folded_pairs > 0, "hot keys must fold");
-    }
-
-    #[test]
     fn stats_fold_into_engine_stats() {
-        let q = IngestQueue::new(small(4, 2, BackpressurePolicy::DropNewest));
+        let q = one_lane(4, 2, BackpressurePolicy::DropNewest);
         let mut p = q.producer();
         for key in 0..20u64 {
             p.record(key, 1);
         }
         let engine = CounterEngine::new(ExactCounter::new(), EngineConfig::default());
         let stats = engine.stats().with_ingest(&q.stats());
-        assert_eq!(stats.queue_depth, 4, "bounded at ring capacity");
+        assert_eq!(stats.queue_depth, 4, "bounded at lane capacity");
         assert_eq!(stats.dropped_batches, q.stats().dropped_batches);
         assert_eq!(stats.dropped_events, q.stats().dropped_events);
         assert!(stats.dropped_batches > 0, "overflow must be visible");
@@ -1901,7 +1424,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn rejects_zero_capacity() {
-        let _ = IngestQueue::new(small(0, 1, BackpressurePolicy::Block));
+        let _ = one_lane(0, 1, BackpressurePolicy::Block);
     }
 
     #[test]
@@ -1926,7 +1449,6 @@ mod tests {
     fn checkpointed_drain_cuts_a_restorable_chain_on_cadence() {
         use crate::checkpoint::restore_checkpoint_chain;
         use crate::checkpointer::{BackgroundCheckpointer, CheckpointerConfig};
-        use ac_core::{NelsonYuCounter, NyParams};
 
         let template = NelsonYuCounter::new(NyParams::new(0.2, 8).unwrap());
         let mut engine = CounterEngine::new(
@@ -1934,8 +1456,13 @@ mod tests {
             EngineConfig::new().with_shards(4).with_seed(3),
         );
         // Capacity must hold every batch: this test drains only after
-        // close, so a tight bound would park the single producer.
-        let q = IngestQueue::new(small(512, 16, BackpressurePolicy::Block));
+        // close, so a tight bound would park the single producer. Bursts
+        // of 16 batches (~1k events) let the 2k cadence fire several
+        // times over the ~16k-event stream.
+        let q = IngestQueue::new(
+            small(512, 16, BackpressurePolicy::Block).with_burst_batches(16),
+            engine.router(),
+        );
         let mut p = q.producer();
         for i in 0..4_000u64 {
             p.record(i % 300, 1 + i % 7);
@@ -1949,7 +1476,12 @@ mod tests {
                 .with_max_deltas_per_base(8)
                 .with_retain_bytes(true),
         );
-        let applied = q.drain_parallel_checkpointed(&mut engine, &ckpt);
+        let mut cadence = CheckpointCadence::new(ckpt.config().every_events);
+        let applied = q.drain_routed(&mut engine, None, |engine, applied| {
+            if cadence.is_due(applied) {
+                ckpt.submit_with_marks(engine.snapshot(), q.applied_marks());
+            }
+        });
         assert_eq!(applied, engine.total_events());
         // Durability lag is observable through the stats fold.
         let lag = engine

@@ -11,12 +11,12 @@
 //!               (queue)       (write path)      (serve)      (durable)
 //! ```
 //!
-//! 1. **Ingest** ([`IngestQueue`] / [`IngestProducer`]) — one lock-free
-//!    SPSC ring per producer (sized by [`IngestConfig::ring_batches`],
-//!    rounded to a power of two), coalescing per-key increments into
-//!    batches so producers never block on shard application — and never
-//!    contend with each other: a flush is one uncontended slot write plus
-//!    two atomic ring words, with parking/unparking on eventcount
+//! 1. **Ingest** ([`IngestQueue`] / [`IngestProducer`]) — coalesces
+//!    per-key increments into batches so producers never block on shard
+//!    application — and never contend with each other: each producer
+//!    routes a flushed batch once, at send time, into its own lock-free
+//!    SPSC lane per shard (sized by [`IngestConfig::ring_batches`],
+//!    rounded to a power of two), with parking/unparking on eventcount
 //!    doorbells instead of a shared `Condvar`. Batched updates are the
 //!    first-class operation (after the amortized-complexity view of
 //!    Aden-Ali, Han, Nelson, Yu 2022): a coalesced `(key, delta)` costs
@@ -26,18 +26,15 @@
 //!    `Fail` makes refusal a value — [`IngestProducer::try_send`] /
 //!    [`StoreWriter::try_send`] return [`SendError::Full`] *carrying the
 //!    rejected batch*, so silent loss is impossible. Diagnostics surface
-//!    through [`EngineStats::with_ingest`]. On the **routed** path
-//!    ([`IngestQueue::new_routed`]) producers shard-route each pair at
-//!    send time into per-(producer, shard) lanes, so the drain thread is
-//!    just a burst coordinator and each persistent shard worker drains
-//!    its own lanes with zero dispatch copies
-//!    ([`IngestQueue::drain_routed_with`]). The applier loop takes hooks
-//!    at batch boundaries ([`IngestQueue::drain_parallel_with`]) or at
-//!    burst boundaries on the pooled and routed paths
-//!    ([`IngestQueue::drain_pooled_with`] /
-//!    [`IngestQueue::drain_routed_with`], one persistent worker per
-//!    shard), which is where the background checkpointer rides
-//!    ([`IngestQueue::drain_parallel_checkpointed`]).
+//!    through [`EngineStats::with_ingest`]. The queue is built with the
+//!    engine's partition ([`IngestQueue::new`] takes
+//!    [`CounterEngine::router`]), so the drain thread is just a burst
+//!    coordinator and each persistent shard worker drains its own lanes
+//!    with zero dispatch copies ([`IngestQueue::drain_routed`]). Its
+//!    burst hook runs with the engine quiescent, which is where snapshot
+//!    publication and the background checkpointer ride (on a
+//!    [`CheckpointCadence`]); [`IngestQueue::drain_into`] applies the
+//!    same bursts serially on the calling thread, as the reference.
 //! 2. **Write** ([`CounterEngine`]) — slab ownership and batched apply:
 //!    key→shard routing (SplitMix64 finalizer + Lemire range reduction),
 //!    dense per-shard slabs behind **copy-on-write `Arc`s with epoch
@@ -102,8 +99,9 @@
 //! let template = NelsonYuCounter::new(NyParams::new(0.2, 8).unwrap());
 //! let mut engine = CounterEngine::new(template.clone(), EngineConfig::default());
 //!
-//! // Ingest: coalesce and batch; drain applies to the write layer.
-//! let queue = IngestQueue::new(IngestConfig::default());
+//! // Ingest: coalesce, batch, and route to the engine's shards; the
+//! // drain applies to the write layer.
+//! let queue = IngestQueue::new(IngestConfig::default(), engine.router());
 //! let mut producer = queue.producer();
 //! producer.record(1, 50_000);
 //! producer.record(2, 10_000);
@@ -138,7 +136,6 @@ mod checkpoint;
 mod checkpointer;
 mod error;
 mod ingest;
-mod legacy;
 mod manifest;
 mod pool;
 mod registry;
@@ -166,8 +163,6 @@ pub use ingest::{
     BackpressurePolicy, Batch, CheckpointCadence, IngestConfig, IngestProducer, IngestQueue,
     IngestStats, ProducerMark, SendError,
 };
-#[allow(deprecated)]
-pub use legacy::{LegacyIngestProducer, LegacyIngestQueue};
 pub use manifest::{Manifest, ManifestFrame, ManifestInfo, ManifestTiering, MANIFEST_FILE};
 pub use registry::{CounterEngine, EngineConfig, EngineStats, ShardRouter};
 pub use snapshot::EngineSnapshot;

@@ -81,9 +81,9 @@ impl Default for EngineConfig {
 /// finalizer + Lemire range reduction as [`CounterEngine::shard_of`].
 ///
 /// This is what lets *producers* route pairs at send time — the
-/// routed-ingest mode ([`IngestQueue::new_routed`](crate::IngestQueue::new_routed))
-/// hashes each key once, where the data is cache-hot, instead of paying a
-/// second pass on the drain thread. Two routers are interchangeable iff
+/// ingest layer ([`IngestQueue::new`](crate::IngestQueue::new)) hashes
+/// each key once, where the data is cache-hot, instead of paying a second
+/// pass on the drain thread. Two routers are interchangeable iff
 /// they compare equal; [`CounterEngine::router`] is the canonical way to
 /// obtain the router matching an engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -453,7 +453,7 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
     }
 
     /// The engine's key→shard partition as a standalone copyable value,
-    /// for producer-side routing ([`crate::IngestQueue::new_routed`]).
+    /// for producer-side routing ([`crate::IngestQueue::new`]).
     #[must_use]
     pub fn router(&self) -> ShardRouter {
         ShardRouter::from_parts(self.salt, self.shards.len())
@@ -469,10 +469,10 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
         &self.shards
     }
 
-    /// Moves a shard out of the engine for the pooled applier, leaving a
-    /// placeholder. The engine is *not* a consistent view until the
-    /// matching [`CounterEngine::put_shard`] — the applier only exposes
-    /// it (to burst hooks) after every shard is back.
+    /// Moves a shard out of the engine for an ingest drain burst, leaving
+    /// a placeholder. The engine is *not* a consistent view until the
+    /// matching [`CounterEngine::put_shard`] — the drain only exposes it
+    /// (to burst hooks) after every shard is back.
     pub(crate) fn take_shard(&mut self, index: usize) -> Arc<Shard<C>> {
         std::mem::replace(&mut self.shards[index], Arc::new(Shard::new(0)))
     }

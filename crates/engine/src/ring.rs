@@ -8,15 +8,11 @@
 //!
 //! ## How the ingest layer arranges rings
 //!
-//! *Pooled* mode gives each producer one ring of whole
-//! [`Batch`](crate::Batch)es; a dispatcher pops them, re-hashes every
-//! pair, and copies it into per-shard buckets. *Routed* mode
-//! ([`IngestQueue::new_routed`](crate::IngestQueue::new_routed)) replaces
-//! that single ring with one **lane** per (producer, shard): the producer
-//! routes each pair once at send time, pushes each shard's slice into
-//! that shard's lane, and the shard worker pops its own lanes directly —
-//! no dispatcher copy. The SPSC discipline holds per lane: the producer
-//! handle is the only pusher, and within a burst exactly one shard worker
+//! Each producer owns one **lane** per shard: the producer routes each
+//! pair once at send time, pushes each shard's slice into that shard's
+//! lane, and the shard's drain worker pops its own lanes directly — no
+//! dispatcher copy. The SPSC discipline holds per lane: the producer
+//! handle is the only pusher, and within a burst exactly one consumer
 //! pops a given lane ([`SpscRing::pop_if`] bounds it to a consistent
 //! cut of fully-published sequence numbers). Memory footprint is
 //! `producers × shards` rings of `ring_batches` slots each — size
@@ -56,9 +52,9 @@ pub(crate) struct CachePadded<T>(pub(crate) T);
 ///
 /// The *discipline* is the caller's: at most one thread may call
 /// [`SpscRing::push`] concurrently, and at most one thread may call
-/// [`SpscRing::pop`] concurrently (the ingest layer serializes consumers
-/// behind its registry lock, and each producer handle owns its ring's
-/// push side exclusively). Violating the discipline cannot corrupt
+/// [`SpscRing::pop`] concurrently (the ingest drains give each lane one
+/// consumer per burst, and each producer handle owns its lanes' push
+/// side exclusively). Violating the discipline cannot corrupt
 /// memory — the slots are mutexes — but can stall a push or pop.
 #[derive(Debug)]
 pub(crate) struct SpscRing<T> {
@@ -97,6 +93,7 @@ impl<T> SpscRing<T> {
     }
 
     /// True when nothing is queued at this instant.
+    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -128,24 +125,14 @@ impl<T> SpscRing<T> {
 
     /// Consumer side: removes the oldest value, or `None` when the ring
     /// is empty at this instant. Never blocks.
+    #[cfg(test)]
     pub(crate) fn pop(&self) -> Option<T> {
-        let head = self.head.0.load(SeqCst);
-        let tail = self.tail.0.load(SeqCst);
-        if head == tail {
-            return None;
-        }
-        let slot = &self.slots[(head & self.mask) as usize];
-        let value = slot.lock().expect("ring slot lock").take();
-        debug_assert!(value.is_some(), "published slot was empty");
-        // Freeing the slot *after* taking the value: the producer only
-        // reuses it once head has advanced past it.
-        self.head.0.store(head.wrapping_add(1), SeqCst);
-        value
+        self.pop_if(|_| true)
     }
 
     /// Consumer side: removes the oldest value only when `eligible`
     /// accepts it; returns `None` (leaving the value queued) otherwise.
-    /// The routed drain uses this to stop a lane sweep at its burst's
+    /// The ingest drains use this to stop a lane sweep at their burst's
     /// consistent cut — published-but-uncommitted batches stay put.
     pub(crate) fn pop_if(&self, eligible: impl FnOnce(&T) -> bool) -> Option<T> {
         let head = self.head.0.load(SeqCst);

@@ -147,39 +147,12 @@ impl<C: ApproxCounter + Clone> Shard<C> {
         self.events += delta;
     }
 
-    /// Applies a routed bucket of pairs in order — the pooled applier's
-    /// per-worker inner loop.
+    /// Applies a routed lane slice of pairs in order — the drains'
+    /// per-shard inner loop.
     pub(crate) fn apply_pairs(&mut self, template: &C, pairs: &[(u64, u64)]) {
         for &(key, delta) in pairs {
             self.apply_one(template, key, delta);
         }
-    }
-
-    /// Applies a routed bucket with the key-run fold: sorts by key, sums
-    /// each run's deltas, and applies one `increment_by` per run —
-    /// amortizing counter state transitions (and RNG draws) across every
-    /// repeat of a hot key in the burst. Returns the pairs elided
-    /// (`pairs.len() - runs`). Distributionally identical to
-    /// [`Shard::apply_pairs`] but consumes the RNG stream differently,
-    /// so callers needing bit-exact replay must not fold.
-    pub(crate) fn apply_folded(&mut self, template: &C, mut pairs: Vec<(u64, u64)>) -> u64 {
-        let before = pairs.len() as u64;
-        pairs.sort_unstable_by_key(|&(key, _)| key);
-        let mut runs = 0u64;
-        let mut i = 0;
-        while i < pairs.len() {
-            let key = pairs[i].0;
-            let mut delta = pairs[i].1;
-            let mut j = i + 1;
-            while j < pairs.len() && pairs[j].0 == key {
-                delta = delta.saturating_add(pairs[j].1);
-                j += 1;
-            }
-            self.apply_one(template, key, delta);
-            runs += 1;
-            i = j;
-        }
-        before - runs
     }
 
     /// Marks the shard dirty as of freeze epoch `epoch`.

@@ -52,8 +52,8 @@ use crate::error::EngineError;
 #[cfg(test)]
 use crate::ingest::BackpressurePolicy;
 use crate::ingest::{
-    CheckpointCadence, IngestConfig, IngestProducer, IngestQueue, IngestStats, ProducerMark,
-    SendError,
+    CheckpointCadence, IngestConfig, IngestProducer, IngestQueue, IngestStats, PairTap,
+    ProducerMark, SendError,
 };
 use crate::manifest::{Manifest, ManifestInfo, ManifestTiering};
 use crate::registry::{CounterEngine, EngineConfig, EngineStats};
@@ -741,8 +741,8 @@ impl Store {
         // burst-boundary hook can actually fire that often — otherwise a
         // backlog (producers racing far ahead of the applier) would be
         // swallowed in one burst and cross every cadence point with a
-        // single frame. The routed drain bounds bursts in *batches*, so
-        // the event cadence converts at the batch capacity (a full batch
+        // single frame. The drain bounds bursts in *batches*, so the
+        // event cadence converts at the batch capacity (a full batch
         // carries at least batch_pairs events).
         let burst_cap = opts.snapshot_every_events.min(if durability.is_some() {
             opts.checkpoint_every_events
@@ -755,9 +755,8 @@ impl Store {
         .unwrap_or(usize::MAX);
         let ingest = opts
             .ingest
-            .with_burst_events(opts.ingest.burst_events.min(burst_cap))
             .with_burst_batches(opts.ingest.burst_batches.min(batches_for_cap));
-        let queue = IngestQueue::new_routed(ingest, engine.router());
+        let queue = IngestQueue::new(ingest, engine.router());
         let checkpointer: Option<BackgroundCheckpointer<CounterFamily>> =
             durability.as_ref().map(|(dir, session)| {
                 // A tiered store's checkpointer serializes against the
@@ -808,47 +807,45 @@ impl Store {
                     .map(|c| CheckpointCadence::new(c.config().every_events));
                 // The tap and the burst hook both run on this thread,
                 // never reentrantly; the RefCell lets them share the
-                // tiering state across the two closures.
+                // tiering state across the two closures. Only a tiered
+                // store taps: without one the lane workers collect no
+                // pairs at all.
+                let tiered = tiering.is_some();
                 let tiering = std::cell::RefCell::new(tiering);
+                let mut observe = |pairs: &[(u64, u64)]| {
+                    if let Some(t) = tiering.borrow_mut().as_mut() {
+                        t.observe(pairs);
+                    }
+                };
+                let tap: Option<PairTap<'_>> = if tiered { Some(&mut observe) } else { None };
                 // The routed drain: producers already routed every pair
                 // into per-(producer, shard) lanes, each persistent
                 // shard worker drains its own lane set, and hooks run at
                 // burst boundaries (the cadences catch up across a burst
                 // without double-firing).
-                thread_queue.drain_routed_tap(
-                    &mut engine,
-                    |pairs| {
+                thread_queue.drain_routed(&mut engine, tap, |engine, applied| {
+                    // Publish on cadence, or on quiesce: when the
+                    // burst drained the lanes dry, the stream tail
+                    // below the cadence boundary would otherwise
+                    // stay invisible to readers (and to replication
+                    // cutters) until close.
+                    let due = snap_due.is_due(applied);
+                    if due || (applied > published_at && thread_queue.pending_events() == 0) {
+                        // Migrate before publishing (and before any
+                        // checkpoint below) so the replica and the
+                        // frame both see this round's tier moves.
                         if let Some(t) = tiering.borrow_mut().as_mut() {
-                            t.observe(pairs);
+                            t.round(engine);
                         }
-                    },
-                    |engine, applied| {
-                        // Publish on cadence, or on quiesce: when the
-                        // burst drained the rings dry, the stream tail
-                        // below the cadence boundary would otherwise
-                        // stay invisible to readers (and to replication
-                        // cutters) until close.
-                        let due = snap_due.is_due(applied);
-                        if due || (applied > published_at && thread_queue.pending_events() == 0) {
-                            // Migrate before publishing (and before any
-                            // checkpoint below) so the replica and the
-                            // frame both see this round's tier moves.
-                            if let Some(t) = tiering.borrow_mut().as_mut() {
-                                t.round(engine);
-                            }
-                            publish(&thread_shared, engine, &thread_queue, thread_probe.as_ref());
-                            published_at = applied;
+                        publish(&thread_shared, engine, &thread_queue, thread_probe.as_ref());
+                        published_at = applied;
+                    }
+                    if let (Some(due), Some(ck)) = (ckpt_due.as_mut(), checkpointer.as_ref()) {
+                        if due.is_due(applied) {
+                            ck.submit_with_marks(engine.snapshot(), thread_queue.applied_marks());
                         }
-                        if let (Some(due), Some(ck)) = (ckpt_due.as_mut(), checkpointer.as_ref()) {
-                            if due.is_due(applied) {
-                                ck.submit_with_marks(
-                                    engine.snapshot(),
-                                    thread_queue.applied_marks(),
-                                );
-                            }
-                        }
-                    },
-                );
+                    }
+                });
                 // Queue closed and drained: cut the final durable frame
                 // (unless this is a simulated crash), publish the final
                 // replica, and drain the writer thread.
@@ -1448,13 +1445,13 @@ mod tests {
         let mut w = store.writer();
         w.record(1, 5);
         w.flush().unwrap();
-        // Wait for the applier to publish the new replica.
+        // Wait for the applier to publish the new replica: a wall-clock
+        // deadline, not a yield count, so a loaded host cannot starve
+        // the applier past the wait.
         let mut fresh = store.reader();
-        for _ in 0..10_000 {
-            if fresh.total_events() == 5 {
-                break;
-            }
-            std::thread::yield_now();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while fresh.total_events() != 5 && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(1));
             fresh.refresh();
         }
         assert_eq!(fresh.total_events(), 5);

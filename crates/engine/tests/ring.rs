@@ -1,21 +1,23 @@
-//! Ring-ingest guarantees, proven under real concurrency:
+//! Ingest guarantees, proven under real concurrency:
 //!
-//! * **per-producer FIFO, gapless, exactly-once** — a consumer watching
-//!   the batch stream sees every producer's sequence numbers arrive in
-//!   order with no gap and no repeat, and each batch's payload is the
-//!   one that sequence number was stamped on;
-//! * **no loss under stress** — many producers hammering tiny rings
+//! * **per-producer FIFO, gapless, exactly-once** — a tap watching the
+//!   applied stream of a 1-shard queue sees every producer's batches
+//!   arrive in sequence order with no gap and no repeat, and each
+//!   burst's applied marks match the last payload it delivered;
+//! * **no loss under stress** — many producers hammering tiny lanes
 //!   through the lossless `Block` policy conserve every event into the
-//!   engine, for all five counter families built via [`CounterSpec`];
-//! * **bit-identical durability** — ring-based ingest produces
-//!   checkpoint *bytes* identical to the retired mutex+condvar queue fed
-//!   the same stream (property test).
+//!   engine, through both drains, for all five counter families built
+//!   via [`CounterSpec`];
+//! * **bit-identical durability** — the threaded routed drain, the serial
+//!   `drain_into`, and `CounterEngine::apply` on the flattened stream
+//!   produce identical checkpoint *bytes* (property test).
 
 use ac_core::CounterSpec;
 use ac_engine::{
     checkpoint_snapshot, BackpressurePolicy, CounterEngine, EngineConfig, IngestConfig, IngestQueue,
 };
 use proptest::prelude::*;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::thread;
 
@@ -35,24 +37,37 @@ fn all_specs() -> [CounterSpec; 5] {
     ]
 }
 
-/// A consumer that watches the raw batch stream proves the ordering
-/// contract directly: for every producer, sequence numbers arrive
-/// strictly `1, 2, 3, …` (FIFO and gapless — a reorder, loss, or
-/// duplicate anywhere in the ring path would break the chain), and each
-/// batch carries exactly the payload its sequence number was stamped on.
+/// A tap on a 1-shard queue sees every applied batch's pairs, in lane
+/// order, which proves the ordering contract directly: each batch carries
+/// one pair derived from `(producer, seq)`, so for every producer the
+/// payloads must arrive strictly `1, 2, 3, …` (FIFO and gapless — a
+/// reorder, loss, or duplicate anywhere in the lane path would break the
+/// chain), and at every burst boundary the producer's applied mark must
+/// equal the last sequence number its payloads delivered. Violations are
+/// recorded and asserted after the drain, so a broken stream fails the
+/// test instead of leaving producers parked on full lanes.
 #[test]
 fn per_producer_streams_arrive_fifo_gapless_exactly_once() {
     const PRODUCERS: u64 = 3;
     const BATCHES: u64 = 400;
 
-    // Tiny rings force constant wraparound and producer parking.
+    let mut engine = CounterEngine::new(
+        CounterSpec::Exact.build().expect("valid spec"),
+        EngineConfig::new().with_shards(1),
+    );
+    // Tiny lanes force constant wraparound and producer parking.
     let queue = IngestQueue::new(
         IngestConfig::new()
             .with_ring_batches(4)
             .with_batch_pairs(1_024)
             .with_policy(BackpressurePolicy::Block),
+        engine.router(),
     );
 
+    // producer -> payload sequence numbers, in arrival order.
+    let arrivals: RefCell<HashMap<u64, Vec<u64>>> = RefCell::new(HashMap::new());
+    let mut mangled = 0u64;
+    let mut mark_mismatches: Vec<(u64, u64, u64)> = Vec::new();
     thread::scope(|s| {
         let mut handles = Vec::new();
         for _ in 0..PRODUCERS {
@@ -61,8 +76,8 @@ fn per_producer_streams_arrive_fifo_gapless_exactly_once() {
                 let id = prod.id();
                 for seq in 1..=BATCHES {
                     // One pair per batch, derived from (id, seq): the
-                    // consumer can verify the payload belongs to the
-                    // sequence number, not just the stamp.
+                    // tap can verify the payload belongs to the sequence
+                    // number, not just its position.
                     prod.record(id * 1_000_000 + seq, seq);
                     prod.send().expect("queue open");
                 }
@@ -75,36 +90,48 @@ fn per_producer_streams_arrive_fifo_gapless_exactly_once() {
             queue.close();
         });
 
-        let mut last_seq: HashMap<u64, u64> = HashMap::new();
-        let mut seen = 0u64;
-        while let Some(batch) = queue.next_batch() {
-            let last = last_seq.entry(batch.producer).or_insert(0);
-            assert_eq!(
-                batch.seq,
-                *last + 1,
-                "producer {} stream has a gap, repeat, or reorder",
-                batch.producer
-            );
-            *last = batch.seq;
-            assert_eq!(
-                batch.pairs,
-                vec![(batch.producer * 1_000_000 + batch.seq, batch.seq)],
-                "payload does not match its sequence stamp"
-            );
-            seen += 1;
-        }
-        assert_eq!(
-            seen,
-            PRODUCERS * BATCHES,
-            "every batch arrives exactly once"
-        );
-        for (&producer, &last) in &last_seq {
-            assert_eq!(last, BATCHES, "producer {producer} truncated");
-        }
+        let mut tap = |pairs: &[(u64, u64)]| {
+            let mut arrivals = arrivals.borrow_mut();
+            for &(key, seq) in pairs {
+                let producer = key / 1_000_000;
+                if key != producer * 1_000_000 + seq {
+                    mangled += 1;
+                }
+                arrivals.entry(producer).or_default().push(seq);
+            }
+        };
+        queue.drain_routed(&mut engine, Some(&mut tap), |_, _| {
+            let arrivals = arrivals.borrow();
+            for mark in queue.applied_marks() {
+                let delivered = arrivals
+                    .get(&mark.producer)
+                    .and_then(|seqs| seqs.last().copied())
+                    .unwrap_or(0);
+                if mark.applied_seq != delivered {
+                    mark_mismatches.push((mark.producer, mark.applied_seq, delivered));
+                }
+            }
+        });
     });
+
+    assert_eq!(mangled, 0, "payload does not match its sequence stamp");
+    assert!(
+        mark_mismatches.is_empty(),
+        "applied marks disagree with delivered payloads (producer, mark, delivered): \
+         {mark_mismatches:?}"
+    );
+    let arrivals = arrivals.into_inner();
+    assert_eq!(arrivals.len() as u64, PRODUCERS, "a producer never arrived");
+    let expected: Vec<u64> = (1..=BATCHES).collect();
+    for (producer, seqs) in &arrivals {
+        assert_eq!(
+            seqs, &expected,
+            "producer {producer} stream has a gap, repeat, reorder, or truncation"
+        );
+    }
 }
 
-/// Concurrent multi-producer stress through the pooled applier, one run
+/// Concurrent multi-producer stress through the serial drain, one run
 /// per counter family: under `Block` nothing may be lost, whatever
 /// family the shards hold — `total_events` counts applied deltas
 /// exactly even when the counters themselves are approximate.
@@ -118,222 +145,6 @@ fn lossless_stress_conserves_events_for_all_five_families() {
         let mut engine =
             CounterEngine::new(family, EngineConfig::new().with_shards(4).with_seed(9));
         let queue = IngestQueue::new(
-            IngestConfig::new()
-                .with_ring_batches(2)
-                .with_batch_pairs(8)
-                .with_policy(BackpressurePolicy::Block),
-        );
-
-        let mut expected = 0u64;
-        for p in 0..PRODUCERS {
-            for i in 0..RECORDS {
-                expected += 1 + (p + i) % 7;
-            }
-        }
-
-        let applied = thread::scope(|s| {
-            let mut handles = Vec::new();
-            for p in 0..PRODUCERS {
-                let mut prod = queue.producer();
-                handles.push(s.spawn(move || {
-                    for i in 0..RECORDS {
-                        prod.record(i % 61, 1 + (p + i) % 7);
-                    }
-                    prod.send().expect("queue open");
-                }));
-            }
-            s.spawn(|| {
-                for h in handles {
-                    h.join().expect("producer");
-                }
-                queue.close();
-            });
-            queue.drain_pooled(&mut engine)
-        });
-
-        assert_eq!(applied, expected, "{spec:?}: drain undercounted");
-        assert_eq!(
-            engine.total_events(),
-            expected,
-            "{spec:?}: events lost in the ring path"
-        );
-        let stats = queue.stats();
-        assert_eq!(stats.dropped_events, 0, "{spec:?}: Block must be lossless");
-        for mark in &stats.producers {
-            assert_eq!(
-                mark.applied_seq, mark.enqueued_seq,
-                "{spec:?}: producer {} not fully applied",
-                mark.producer
-            );
-        }
-    }
-}
-
-fn drain_via_ring(
-    spec: CounterSpec,
-    seed: u64,
-    events: &[(u64, u64)],
-) -> CounterEngine<ac_core::CounterFamily> {
-    let mut engine = CounterEngine::new(
-        spec.build().expect("valid spec"),
-        EngineConfig::new().with_shards(4).with_seed(seed),
-    );
-    let queue = IngestQueue::new(
-        IngestConfig::new()
-            .with_ring_batches(256)
-            .with_batch_pairs(16),
-    );
-    let mut prod = queue.producer();
-    for &(key, delta) in events {
-        prod.record(key, delta);
-    }
-    drop(prod);
-    queue.close();
-    queue.drain_parallel(&mut engine);
-    engine
-}
-
-#[allow(deprecated)]
-fn drain_via_legacy_queue(
-    spec: CounterSpec,
-    seed: u64,
-    events: &[(u64, u64)],
-) -> CounterEngine<ac_core::CounterFamily> {
-    let mut engine = CounterEngine::new(
-        spec.build().expect("valid spec"),
-        EngineConfig::new().with_shards(4).with_seed(seed),
-    );
-    let queue = ac_engine::LegacyIngestQueue::new(
-        IngestConfig::new()
-            .with_ring_batches(256)
-            .with_batch_pairs(16),
-    );
-    let mut prod = queue.producer();
-    for &(key, delta) in events {
-        prod.record(key, delta);
-    }
-    drop(prod);
-    queue.close();
-    queue.drain_parallel(&mut engine);
-    engine
-}
-
-proptest! {
-    /// The redesign's durability contract: swap the whole ingest layer
-    /// out from under the engine and the checkpoint *bytes* do not move.
-    /// Same stream through the lock-free rings and through the retired
-    /// mutex+condvar queue, one engine each, same seed — the serialized
-    /// frames must be identical down to the last bit, for every family.
-    #[test]
-    fn ring_ingest_checkpoints_bit_identical_to_legacy_queue(
-        seed in 0u64..1_000,
-        spec_idx in 0usize..5,
-        events in proptest::collection::vec((0u64..200u64, 1u64..50u64), 1..300),
-    ) {
-        let spec = all_specs()[spec_idx];
-        let mut ring = drain_via_ring(spec, seed, &events);
-        let mut legacy = drain_via_legacy_queue(spec, seed, &events);
-
-        prop_assert_eq!(ring.total_events(), legacy.total_events());
-        let a = checkpoint_snapshot(&ring.snapshot());
-        let b = checkpoint_snapshot(&legacy.snapshot());
-        prop_assert_eq!(
-            a.bytes(),
-            b.bytes(),
-            "checkpoint bytes diverged for {:?}",
-            spec
-        );
-    }
-
-    /// The tentpole's durability contract: moving the shard routing from
-    /// the drain side (pooled dispatcher copy) to the send side (routed
-    /// per-(producer, shard) lanes) must not move the checkpoint *bytes*.
-    /// Same single-producer stream through both drains, one engine each,
-    /// same seed — identical frames, for every family.
-    #[test]
-    fn routed_ingest_checkpoints_bit_identical_to_pooled(
-        seed in 0u64..1_000,
-        spec_idx in 0usize..5,
-        events in proptest::collection::vec((0u64..200u64, 1u64..50u64), 1..300),
-    ) {
-        let spec = all_specs()[spec_idx];
-        let mut pooled = drain_via_pooled(spec, seed, &events);
-        let mut routed = drain_via_routed(spec, seed, &events);
-
-        prop_assert_eq!(pooled.total_events(), routed.total_events());
-        let a = checkpoint_snapshot(&pooled.snapshot());
-        let b = checkpoint_snapshot(&routed.snapshot());
-        prop_assert_eq!(
-            a.bytes(),
-            b.bytes(),
-            "routed checkpoint bytes diverged from pooled for {:?}",
-            spec
-        );
-    }
-}
-
-fn drain_via_pooled(
-    spec: CounterSpec,
-    seed: u64,
-    events: &[(u64, u64)],
-) -> CounterEngine<ac_core::CounterFamily> {
-    let mut engine = CounterEngine::new(
-        spec.build().expect("valid spec"),
-        EngineConfig::new().with_shards(4).with_seed(seed),
-    );
-    let queue = IngestQueue::new(
-        IngestConfig::new()
-            .with_ring_batches(256)
-            .with_batch_pairs(16),
-    );
-    let mut prod = queue.producer();
-    for &(key, delta) in events {
-        prod.record(key, delta);
-    }
-    drop(prod);
-    queue.close();
-    queue.drain_pooled(&mut engine);
-    engine
-}
-
-fn drain_via_routed(
-    spec: CounterSpec,
-    seed: u64,
-    events: &[(u64, u64)],
-) -> CounterEngine<ac_core::CounterFamily> {
-    let mut engine = CounterEngine::new(
-        spec.build().expect("valid spec"),
-        EngineConfig::new().with_shards(4).with_seed(seed),
-    );
-    let queue = IngestQueue::new_routed(
-        IngestConfig::new()
-            .with_ring_batches(256)
-            .with_batch_pairs(16),
-        engine.router(),
-    );
-    let mut prod = queue.producer();
-    for &(key, delta) in events {
-        prod.record(key, delta);
-    }
-    drop(prod);
-    queue.close();
-    queue.drain_routed(&mut engine);
-    engine
-}
-
-/// The routed twin of the pooled stress test: many producers hammering
-/// tiny per-shard lanes through `Block` must still conserve every event,
-/// for all five families, with every producer's applied mark caught up.
-#[test]
-fn routed_lossless_stress_conserves_events_for_all_five_families() {
-    const PRODUCERS: u64 = 4;
-    const RECORDS: u64 = 2_000;
-
-    for spec in all_specs() {
-        let family = spec.build().expect("valid spec");
-        let mut engine =
-            CounterEngine::new(family, EngineConfig::new().with_shards(4).with_seed(9));
-        let queue = IngestQueue::new_routed(
             IngestConfig::new()
                 .with_ring_batches(2)
                 .with_batch_pairs(8)
@@ -365,7 +176,192 @@ fn routed_lossless_stress_conserves_events_for_all_five_families() {
                 }
                 queue.close();
             });
-            queue.drain_routed(&mut engine)
+            queue.drain_into(&mut engine)
+        });
+
+        assert_eq!(applied, expected, "{spec:?}: drain undercounted");
+        assert_eq!(
+            engine.total_events(),
+            expected,
+            "{spec:?}: events lost in the lane path"
+        );
+        let stats = queue.stats();
+        assert_eq!(stats.dropped_events, 0, "{spec:?}: Block must be lossless");
+        for mark in &stats.producers {
+            assert_eq!(
+                mark.applied_seq, mark.enqueued_seq,
+                "{spec:?}: producer {} not fully applied",
+                mark.producer
+            );
+        }
+    }
+}
+
+/// The stream `IngestProducer::record` hands the lanes, flattened:
+/// repeat keys coalesce within a batch in first-touch order, and a batch
+/// closes once it holds `batch_pairs` distinct keys.
+fn coalesce(events: &[(u64, u64)], batch_pairs: usize) -> Vec<(u64, u64)> {
+    let mut flat = Vec::new();
+    let mut batch: Vec<(u64, u64)> = Vec::new();
+    for &(key, delta) in events {
+        match batch.iter_mut().find(|pair| pair.0 == key) {
+            Some(pair) => pair.1 += delta,
+            None => batch.push((key, delta)),
+        }
+        if batch.len() == batch_pairs {
+            flat.append(&mut batch);
+        }
+    }
+    flat.append(&mut batch);
+    flat
+}
+
+/// One engine fed `events` by a single producer through a fresh queue
+/// with `burst_batches`, emptied by `drain` after close.
+fn drain_with(
+    spec: CounterSpec,
+    seed: u64,
+    events: &[(u64, u64)],
+    burst_batches: usize,
+    drain: impl FnOnce(&IngestQueue, &mut CounterEngine<ac_core::CounterFamily>),
+) -> CounterEngine<ac_core::CounterFamily> {
+    let mut engine = CounterEngine::new(
+        spec.build().expect("valid spec"),
+        EngineConfig::new().with_shards(4).with_seed(seed),
+    );
+    let queue = IngestQueue::new(
+        IngestConfig::new()
+            .with_ring_batches(256)
+            .with_batch_pairs(16)
+            .with_burst_batches(burst_batches),
+        engine.router(),
+    );
+    let mut prod = queue.producer();
+    for &(key, delta) in events {
+        prod.record(key, delta);
+    }
+    drop(prod);
+    queue.close();
+    drain(&queue, &mut engine);
+    engine
+}
+
+proptest! {
+    /// The ingest layer's durability contract against the legacy-queue
+    /// baseline: a single FIFO of coalesced batches applied in arrival
+    /// order, which is `apply` on the flattened coalesced stream. The
+    /// lanes emptied by the serial `drain_into` must give the same
+    /// checkpoint *bytes*. Same single-producer stream, one engine each,
+    /// same seed — identical frames, for every family.
+    #[test]
+    fn ring_ingest_checkpoints_bit_identical_to_legacy_queue(
+        seed in 0u64..1_000,
+        spec_idx in 0usize..5,
+        events in proptest::collection::vec((0u64..200u64, 1u64..50u64), 1..300),
+    ) {
+        let spec = all_specs()[spec_idx];
+        let mut serial = drain_with(spec, seed, &events, 64, |q, engine| {
+            q.drain_into(engine);
+        });
+        let mut legacy = CounterEngine::new(
+            spec.build().expect("valid spec"),
+            EngineConfig::new().with_shards(4).with_seed(seed),
+        );
+        legacy.apply(&coalesce(&events, 16));
+
+        let expected: u64 = events.iter().map(|&(_, d)| d).sum();
+        prop_assert_eq!(serial.total_events(), expected);
+        prop_assert_eq!(legacy.total_events(), expected);
+        let a = checkpoint_snapshot(&legacy.snapshot());
+        let b = checkpoint_snapshot(&serial.snapshot());
+        prop_assert_eq!(
+            a.bytes(),
+            b.bytes(),
+            "serial drain checkpoint bytes diverged from in-order apply for {:?}",
+            spec
+        );
+    }
+
+    /// Routing on the send side (per-(producer, shard) lanes emptied by
+    /// the threaded routed drain, in bursts of any size) must not move the
+    /// checkpoint *bytes* against the single-threaded baseline that drains
+    /// the same lanes one batch at a time (`drain_into`, the pooled
+    /// drain's stand-in). Same single-producer stream, one engine each,
+    /// same seed — identical frames, for every family.
+    #[test]
+    fn routed_ingest_checkpoints_bit_identical_to_pooled(
+        seed in 0u64..1_000,
+        spec_idx in 0usize..5,
+        burst in 1usize..8,
+        events in proptest::collection::vec((0u64..200u64, 1u64..50u64), 1..300),
+    ) {
+        let spec = all_specs()[spec_idx];
+        let mut routed = drain_with(spec, seed, &events, burst, |q, engine| {
+            q.drain_routed(engine, None, |_, _| {});
+        });
+        let mut serial = drain_with(spec, seed, &events, 64, |q, engine| {
+            q.drain_into(engine);
+        });
+
+        let expected: u64 = events.iter().map(|&(_, d)| d).sum();
+        prop_assert_eq!(routed.total_events(), expected);
+        prop_assert_eq!(serial.total_events(), expected);
+        let a = checkpoint_snapshot(&serial.snapshot());
+        let b = checkpoint_snapshot(&routed.snapshot());
+        prop_assert_eq!(
+            a.bytes(),
+            b.bytes(),
+            "routed drain checkpoint bytes diverged from serial for {:?}",
+            spec
+        );
+    }
+}
+
+/// The threaded twin of the serial stress test: many producers hammering
+/// tiny per-shard lanes through `Block` must still conserve every event,
+/// for all five families, with every producer's applied mark caught up.
+#[test]
+fn routed_lossless_stress_conserves_events_for_all_five_families() {
+    const PRODUCERS: u64 = 4;
+    const RECORDS: u64 = 2_000;
+
+    for spec in all_specs() {
+        let family = spec.build().expect("valid spec");
+        let mut engine =
+            CounterEngine::new(family, EngineConfig::new().with_shards(4).with_seed(9));
+        let queue = IngestQueue::new(
+            IngestConfig::new()
+                .with_ring_batches(2)
+                .with_batch_pairs(8)
+                .with_policy(BackpressurePolicy::Block),
+            engine.router(),
+        );
+
+        let mut expected = 0u64;
+        for p in 0..PRODUCERS {
+            for i in 0..RECORDS {
+                expected += 1 + (p + i) % 7;
+            }
+        }
+
+        let applied = thread::scope(|s| {
+            let mut handles = Vec::new();
+            for p in 0..PRODUCERS {
+                let mut prod = queue.producer();
+                handles.push(s.spawn(move || {
+                    for i in 0..RECORDS {
+                        prod.record(i % 61, 1 + (p + i) % 7);
+                    }
+                    prod.send().expect("queue open");
+                }));
+            }
+            s.spawn(|| {
+                for h in handles {
+                    h.join().expect("producer");
+                }
+                queue.close();
+            });
+            queue.drain_routed(&mut engine, None, |_, _| {})
         });
 
         assert_eq!(applied, expected, "{spec:?}: routed drain undercounted");
@@ -409,7 +405,7 @@ fn routed_fail_policy_rolls_back_and_conserves_under_lane_backpressure() {
         .find(|&k| router.shard_of(k) != router.shard_of(0))
         .expect("4 shards hold more than one lane");
 
-    let queue = IngestQueue::new_routed(
+    let queue = IngestQueue::new(
         IngestConfig::new()
             .with_ring_batches(1) // one-slot lanes
             .with_batch_pairs(4)
@@ -460,7 +456,7 @@ fn routed_fail_policy_rolls_back_and_conserves_under_lane_backpressure() {
             assert_eq!(prod.last_seq(), 2, "resubmit reused the rolled-back seq");
             queue.close();
         });
-        queue.drain_routed(&mut engine);
+        queue.drain_routed(&mut engine, None, |_, _| {});
     });
 
     assert_eq!(
