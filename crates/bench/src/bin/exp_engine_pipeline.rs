@@ -368,7 +368,7 @@ fn main() {
             }
             let elapsed_s = start.elapsed().as_secs_f64();
             // The merged aggregate folds here, on the reader's time —
-            // the freeze path never pays this O(keys) scan.
+            // the freeze path never pays for it.
             let mut rng = Xoshiro256PlusPlus::seed_from_u64(0xE135A9);
             let merged_estimate = snap.merged_total(&mut rng).unwrap().estimate();
             QueryReport {

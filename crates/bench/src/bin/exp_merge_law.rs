@@ -10,17 +10,28 @@
 //! way: thousands of keys still in the exact epoch plus a few sampled
 //! ones, folded by `EngineSnapshot::merged_total` (which sums exact
 //! counts and merges only the rest), against one counter fed the same
-//! total and against the counter-by-counter fold.
+//! total and against the counter-by-counter fold. The population grows
+//! over several batches, so the heavy keys leave the exact epoch
+//! mid-life, and is then restored through a checkpoint, so the fold
+//! runs on the books a restore rebuilds. The report counts the counters
+//! one fold merges (`merged_counters`), which must equal the sampled
+//! keys: the exact ones only add to a sum.
 //!
 //! Emits `BENCH_merge_law.json` via `--json` (gated by CI).
 
 use ac_bench::{header, json::JsonObject, section, sized, verdict, write_json_report};
-use ac_core::{ApproxCounter, Mergeable, MorrisCounter, NelsonYuCounter, NyParams};
-use ac_engine::{CounterEngine, EngineConfig};
-use ac_randkit::{trial_seed, Xoshiro256PlusPlus};
+use ac_bitio::{BitReader, BitWriter, MemoryAudit, StateBits};
+use ac_core::{
+    ApproxCounter, CoreError, Mergeable, MorrisCounter, NelsonYuCounter, NyParams, StateCodec,
+};
+use ac_engine::{
+    checkpoint_snapshot, restore_checkpoint, CounterEngine, EngineConfig, EngineSnapshot,
+};
+use ac_randkit::{trial_seed, RandomSource, Xoshiro256PlusPlus};
 use ac_sim::report::{sig, Table};
 use ac_stats::ks::{ks_two_sample, KsResult};
 use ac_stats::Summary;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Keys per many-counter population still in the exact epoch (counts
 /// 1..=50, far below NelsonYu(0.25, 2⁻⁸)'s exact-epoch length).
@@ -28,21 +39,113 @@ const EXACT_KEYS: u64 = 5_000;
 /// The population's sampled keys: a Zipf-like head.
 const SAMPLED_COUNTS: [u64; 4] = [6_000, 20_000, 60_000, 150_000];
 
-/// One many-counter population, sharded and seeded by `seed`.
-fn population(p: NyParams, seed: u64) -> CounterEngine<NelsonYuCounter> {
+/// Batches each key's count is split over.
+const BATCHES: u64 = 4;
+
+/// `merge_from` calls made by [`Counted`] counters.
+static MERGES: AtomicU64 = AtomicU64::new(0);
+
+/// A Nelson–Yu counter that counts its merges, so the report can show
+/// how many counters one engine fold merges. Everything else delegates.
+#[derive(Debug, Clone, PartialEq)]
+struct Counted(NelsonYuCounter);
+
+impl StateBits for Counted {
+    fn state_bits(&self) -> u64 {
+        self.0.state_bits()
+    }
+
+    fn memory_audit(&self) -> MemoryAudit {
+        self.0.memory_audit()
+    }
+}
+
+impl ApproxCounter for Counted {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn increment(&mut self, rng: &mut dyn RandomSource) {
+        self.0.increment(rng);
+    }
+
+    fn increment_by(&mut self, n: u64, rng: &mut dyn RandomSource) {
+        self.0.increment_by(n, rng);
+    }
+
+    fn estimate(&self) -> f64 {
+        self.0.estimate()
+    }
+
+    fn peak_state_bits(&self) -> u64 {
+        self.0.peak_state_bits()
+    }
+
+    fn reset(&mut self) {
+        self.0.reset();
+    }
+
+    fn exact_count(&self) -> Option<u64> {
+        self.0.exact_count()
+    }
+}
+
+impl Mergeable for Counted {
+    fn merge_from(&mut self, other: &Self, rng: &mut dyn RandomSource) -> Result<(), CoreError> {
+        MERGES.fetch_add(1, Ordering::Relaxed);
+        self.0.merge_from(&other.0, rng)
+    }
+}
+
+impl StateCodec for Counted {
+    fn params_fingerprint(&self) -> u64 {
+        self.0.params_fingerprint()
+    }
+
+    fn encode_state(&self, w: &mut BitWriter<'_>) {
+        self.0.encode_state(w);
+    }
+
+    fn decode_state(&self, r: &mut BitReader<'_>) -> Result<Self, CoreError> {
+        self.0.decode_state(r).map(Counted)
+    }
+
+    fn encoded_state_bits(&self) -> u64 {
+        self.0.encoded_state_bits()
+    }
+}
+
+/// One many-counter population, sharded and seeded by `seed`: every
+/// key's count arrives split over [`BATCHES`] batches, so the sampled
+/// keys leave the exact epoch part-way through, and the frozen engine
+/// is then restored from a checkpoint.
+fn population(p: NyParams, seed: u64) -> EngineSnapshot<Counted> {
+    let template = Counted(NelsonYuCounter::new(p));
     let mut engine = CounterEngine::new(
-        NelsonYuCounter::new(p),
+        template.clone(),
         EngineConfig::new().with_shards(16).with_seed(seed),
     );
-    let mut batch: Vec<(u64, u64)> = (0..EXACT_KEYS).map(|k| (k, k % 50 + 1)).collect();
-    batch.extend(
-        SAMPLED_COUNTS
+    let counts: Vec<(u64, u64)> = (0..EXACT_KEYS)
+        .map(|k| (k, k % 50 + 1))
+        .chain(
+            SAMPLED_COUNTS
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| (EXACT_KEYS + i as u64, n)),
+        )
+        .collect();
+    for b in 0..BATCHES {
+        let batch: Vec<(u64, u64)> = counts
             .iter()
-            .enumerate()
-            .map(|(i, &n)| (EXACT_KEYS + i as u64, n)),
-    );
-    engine.apply(&batch);
-    engine
+            .map(|&(key, n)| (key, n / BATCHES + u64::from(b < n % BATCHES)))
+            .filter(|&(_, delta)| delta > 0)
+            .collect();
+        engine.apply(&batch);
+    }
+    let frame = checkpoint_snapshot(&engine.snapshot());
+    restore_checkpoint(&template, frame.bytes())
+        .expect("the population restores")
+        .snapshot()
 }
 
 /// A counter's level plus the filled share of its current epoch: at
@@ -166,16 +269,24 @@ fn main() {
 
     section("Many counters: the engine's merged aggregate (KS tests on X + Y/(threshold+1))");
     let pop_trials = sized(2_000, 300);
-    let probe = population(p, 0).snapshot();
+    let probe = population(p, 0);
     let keys = probe.len() as u64;
     let total = probe.total_events();
     let exact_keys = probe
         .iter()
         .filter(|(_, c)| c.exact_count().is_some())
         .count() as u64;
+    let sampled_keys = keys - exact_keys;
+    MERGES.store(0, Ordering::Relaxed);
+    probe
+        .merged_total(&mut Xoshiro256PlusPlus::seed_from_u64(0xE5_C1))
+        .unwrap();
+    let merged_counters = MERGES.load(Ordering::Relaxed);
     println!(
-        "{keys} keys ({exact_keys} with an exact count), N = {total}, {pop_trials} trials per side"
+        "{keys} keys ({exact_keys} with an exact count), N = {total}, grown over {BATCHES} \
+         batches and restored from a checkpoint, {pop_trials} trials per side"
     );
+    println!("one fold merges {merged_counters} counters ({sampled_keys} sampled keys)");
     let mut folded = Vec::with_capacity(pop_trials);
     let mut single = Vec::with_capacity(pop_trials);
     let mut pairwise = Vec::with_capacity(pop_trials);
@@ -183,10 +294,7 @@ fn main() {
     for i in 0..pop_trials {
         let i = i as u64;
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(trial_seed(0xE5_C0, i));
-        let merged = population(p, 3 * i)
-            .snapshot()
-            .merged_total(&mut rng)
-            .unwrap();
+        let merged = population(p, 3 * i).merged_total(&mut rng).unwrap().0;
         folded.push(progress(&merged));
         folded_ratio.push(merged.estimate() / total as f64);
 
@@ -195,8 +303,8 @@ fn main() {
         single.push(progress(&c));
 
         let mut reference = NelsonYuCounter::new(p);
-        for (_, c) in population(p, 3 * i + 1).snapshot().iter() {
-            reference.merge_from(c, &mut rng).unwrap();
+        for (_, c) in population(p, 3 * i + 1).iter() {
+            reference.merge_from(&c.0, &mut rng).unwrap();
         }
         pairwise.push(progress(&reference));
     }
@@ -232,6 +340,9 @@ fn main() {
                 .int("trials", pop_trials as u64)
                 .int("keys", keys)
                 .int("exact_count_keys", exact_keys)
+                .int("sampled_keys", sampled_keys)
+                .int("batches", BATCHES)
+                .int("merged_counters", merged_counters)
                 .int("total_events", total)
                 .num("mean_estimate_ratio", folded_ratio.mean())
                 .rows("ks", many),

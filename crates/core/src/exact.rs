@@ -54,11 +54,6 @@ impl crate::Mergeable for ExactCounter {
         self.peak = self.peak.max(self.state_bits());
         Ok(())
     }
-
-    /// Every exact counter is its count.
-    fn exact_count(&self) -> Option<u64> {
-        Some(self.n)
-    }
 }
 
 impl ApproxCounter for ExactCounter {
@@ -87,6 +82,11 @@ impl ApproxCounter for ExactCounter {
 
     fn reset(&mut self) {
         *self = Self::default();
+    }
+
+    /// Every exact counter is its count.
+    fn exact_count(&self) -> Option<u64> {
+        Some(self.n)
     }
 }
 

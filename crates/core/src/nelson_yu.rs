@@ -289,12 +289,6 @@ impl crate::Mergeable for NelsonYuCounter {
     fn merge_from(&mut self, other: &Self, rng: &mut dyn RandomSource) -> Result<(), CoreError> {
         NelsonYuCounter::merge_from(self, other, rng)
     }
-
-    /// `Some(Y)` while the counter is still in its exact epoch at rate 1
-    /// (`X = X₀`, `t = 0`): every increment so far landed in `Y`.
-    fn exact_count(&self) -> Option<u64> {
-        (self.x == self.params.x0() && self.t == 0).then_some(self.y)
-    }
 }
 
 impl StateBits for NelsonYuCounter {
@@ -358,6 +352,13 @@ impl ApproxCounter for NelsonYuCounter {
     fn reset(&mut self) {
         let fresh = NelsonYuCounter::new(self.params);
         *self = fresh;
+    }
+
+    /// `Some(Y)` while the counter is still in its exact epoch at rate 1
+    /// (`X = X₀`, `t = 0`): every increment so far landed in `Y`.
+    #[inline]
+    fn exact_count(&self) -> Option<u64> {
+        (self.t == 0 && self.x == self.params.x0()).then_some(self.y)
     }
 }
 
@@ -695,7 +696,6 @@ mod tests {
 
     #[test]
     fn exact_count_holds_only_in_the_rate_one_exact_epoch() {
-        use crate::Mergeable;
         let p = params(0.2, 8);
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(17);
         let mut c = NelsonYuCounter::new(p);

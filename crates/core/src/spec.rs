@@ -417,6 +417,10 @@ impl ApproxCounter for CounterFamily {
     fn reset(&mut self) {
         dispatch!(self, c => c.reset());
     }
+
+    fn exact_count(&self) -> Option<u64> {
+        dispatch!(self, c => c.exact_count())
+    }
 }
 
 impl Mergeable for CounterFamily {
@@ -431,10 +435,6 @@ impl Mergeable for CounterFamily {
                 what: "different counter families",
             }),
         }
-    }
-
-    fn exact_count(&self) -> Option<u64> {
-        dispatch!(self, c => c.exact_count())
     }
 }
 

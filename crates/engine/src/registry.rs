@@ -27,7 +27,7 @@ use crate::ingest::{IngestStats, ProducerMark};
 use crate::shard::{route, Shard};
 use ac_core::{ApproxCounter, CoreError, Mergeable};
 use ac_randkit::{RandomSource, SplitMix64};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Engine construction parameters. Construct with the `const` builder
 /// surface: `EngineConfig::new().with_shards(32).with_seed(7)`.
@@ -222,18 +222,18 @@ impl EngineStats {
 }
 
 /// A fold of counters into one under the family's merge law
-/// (Remark 2.4): the shared step of every `O(keys)` merged aggregate.
+/// (Remark 2.4): the shared step of every merged aggregate.
 ///
-/// A counter with an exact count ([`Mergeable::exact_count`]) is only
-/// added to a running `u64` sum, which lands in one
-/// [`ApproxCounter::increment_by`] call at [`Fold::finish`]; only the
-/// other counters pay a `merge_from`. Merging `n` deterministic
-/// increments is `increment_by(n)`, and `increment_by(a)` then
-/// `increment_by(b)` is distributed like `increment_by(a + b)`, so the
-/// result has the distribution of merging every counter in turn. Only
-/// the grouping of random draws differs. Exact counts are summed without
-/// the parameter check `merge_from` makes: every caller folds clones of
-/// one template (per tier, in a tiered fold).
+/// Sampled counters [`Fold::merge`] into a running aggregate. Exact
+/// counts ([`ApproxCounter::exact_count`]) are only [`Fold::count`]ed
+/// into a running `u64` sum, which lands in one
+/// [`ApproxCounter::increment_by`] call at [`Fold::finish`]. Merging `n`
+/// deterministic increments is `increment_by(n)`, and `increment_by(a)`
+/// then `increment_by(b)` is distributed like `increment_by(a + b)`, so
+/// the result has the distribution of merging every counter in turn.
+/// Only the grouping of random draws differs. Exact counts are summed
+/// without the parameter check `merge_from` makes: every caller folds
+/// clones of one template (per tier, in a tiered fold).
 #[derive(Debug, Clone)]
 pub(crate) struct Fold<C> {
     acc: C,
@@ -249,27 +249,14 @@ impl<C: ApproxCounter + Mergeable + Clone> Fold<C> {
         }
     }
 
-    /// Adds `c` to the fold.
-    pub(crate) fn add(&mut self, c: &C, rng: &mut dyn RandomSource) -> Result<(), CoreError> {
-        match c.exact_count() {
-            Some(n) => self.pending = self.pending.saturating_add(n),
-            None => self.acc.merge_from(c, rng)?,
-        }
-        Ok(())
+    /// Merges the sampled counter `c` into the running aggregate.
+    pub(crate) fn merge(&mut self, c: &C, rng: &mut dyn RandomSource) -> Result<(), CoreError> {
+        self.acc.merge_from(c, rng)
     }
 
-    /// Adds `c` to the fold in `slot`, or starts that fold at a clone of
-    /// `c` when the slot is empty (per-tier folds have no template).
-    pub(crate) fn add_to(
-        slot: &mut Option<Self>,
-        c: &C,
-        rng: &mut dyn RandomSource,
-    ) -> Result<(), CoreError> {
-        match slot {
-            None => *slot = Some(Self::onto(c.clone())),
-            Some(fold) => fold.add(c, rng)?,
-        }
-        Ok(())
+    /// Adds `n` exact increments, applied at [`Fold::finish`].
+    pub(crate) fn count(&mut self, n: u64) {
+        self.pending = self.pending.saturating_add(n);
     }
 
     /// The folded counter: the running aggregate with the summed exact
@@ -282,54 +269,27 @@ impl<C: ApproxCounter + Mergeable + Clone> Fold<C> {
     }
 }
 
-/// One cached per-shard fold: the shard's counters merged into a single
-/// counter, valid while the identifying triple still matches the shard.
-/// `(dirty_epoch, events, len)` is a sound validity key within one engine
-/// lineage: any state-changing write bumps `events` (a zero-delta update
-/// changes neither events nor state), and a freeze opens a new epoch
-/// before post-freeze writes can stamp it.
-#[derive(Debug, Clone)]
-pub(crate) struct FoldEntry<C> {
-    pub(crate) dirty_epoch: u64,
-    pub(crate) events: u64,
-    pub(crate) len: usize,
-    pub(crate) folded: C,
-}
-
-/// The merged-aggregate cache shared by an engine and every snapshot
-/// frozen from it (one slot per shard). See
-/// [`EngineSnapshot::merged_total`](crate::EngineSnapshot::merged_total).
-pub(crate) type FoldCache<C> = Arc<Mutex<Vec<Option<FoldEntry<C>>>>>;
-
-pub(crate) fn fresh_fold_cache<C>(shards: usize) -> FoldCache<C> {
-    Arc::new(Mutex::new((0..shards).map(|_| None).collect()))
-}
-
-/// One cached per-shard **tiered** fold: the shard's counters merged
-/// within each tier (`folded[t]` = the shard's tier-`t` aggregate, `None`
-/// when the shard holds no tier-`t` keys). Valid while the same
-/// `(dirty_epoch, events, len)` triple as [`FoldEntry`] matches *and* the
-/// caller asks for the same ladder length. Tier **migrations** mutate
-/// counter state without moving either `events` or `len`, so
-/// [`CounterEngine::apply_migrations`] explicitly evicts the slots of
-/// migrated shards (from this cache and from [`FoldCache`]) instead of
-/// relying on the triple.
-#[derive(Debug, Clone)]
-pub(crate) struct TieredFoldEntry {
-    pub(crate) dirty_epoch: u64,
-    pub(crate) events: u64,
-    pub(crate) len: usize,
-    pub(crate) folded: Vec<Option<ac_core::CounterFamily>>,
-}
-
-/// The tiered merged-aggregate cache shared by an engine and every
-/// snapshot frozen from it (one slot per shard). Concrete over
-/// [`ac_core::CounterFamily`] because only tiered (ladder-bearing)
-/// engines ever populate it; on other engines it stays empty.
-pub(crate) type TieredFoldCache = Arc<Mutex<Vec<Option<TieredFoldEntry>>>>;
-
-pub(crate) fn fresh_tiered_fold_cache(shards: usize) -> TieredFoldCache {
-    Arc::new(Mutex::new((0..shards).map(|_| None).collect()))
+/// The merged aggregate of `shards`, folded onto `template` (reset):
+/// each shard's sampled counters merge in ascending key order, shard by
+/// shard, then the shards' exact sums land in one `increment_by`. Costs
+/// `O(sampled keys + shards)` and is a pure function of the shards'
+/// contents and `rng`, whatever order the keys arrived in.
+pub(crate) fn fold_shards<C: ApproxCounter + Mergeable + Clone>(
+    template: &C,
+    shards: &[Arc<Shard<C>>],
+    rng: &mut dyn RandomSource,
+) -> Result<C, CoreError> {
+    let mut fold = Fold::onto(template.clone());
+    for shard in shards {
+        debug_assert!(shard.books_match_scan(), "merged-aggregate books drifted");
+        for (c, _) in shard.sampled_in_key_order() {
+            fold.merge(c, rng)?;
+        }
+        for &n in shard.exact_sums() {
+            fold.count(n);
+        }
+    }
+    Ok(fold.finish(rng))
 }
 
 /// A hash-sharded registry of per-key approximate counters — the write
@@ -343,7 +303,7 @@ pub(crate) fn fresh_tiered_fold_cache(shards: usize) -> TieredFoldCache {
 /// surrounding layers: [`crate::IngestQueue`] feeds this type,
 /// [`CounterEngine::snapshot`] freezes it for readers,
 /// and [`crate::checkpoint_snapshot`] persists it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CounterEngine<C> {
     /// Copy-on-write shard slabs; see the module docs.
     shards: Vec<Arc<Shard<C>>>,
@@ -357,29 +317,6 @@ pub struct CounterEngine<C> {
     epoch: u64,
     /// Duration of the most recent freeze, in nanoseconds.
     last_freeze_ns: u64,
-    /// Per-shard merged-aggregate cache, shared with snapshots.
-    fold_cache: FoldCache<C>,
-    /// Per-shard tiered-aggregate cache, shared with snapshots (empty on
-    /// engines that never serve `merged_estimate_tiered`).
-    tiered_fold_cache: TieredFoldCache,
-}
-
-impl<C: Clone> Clone for CounterEngine<C> {
-    /// Clones the engine with a **fresh, empty** fold cache: a clone may
-    /// diverge from the original within the same epoch, and the cache's
-    /// validity key is only sound within one lineage.
-    fn clone(&self) -> Self {
-        Self {
-            shards: self.shards.clone(),
-            template: self.template.clone(),
-            config: self.config,
-            salt: self.salt,
-            epoch: self.epoch,
-            last_freeze_ns: self.last_freeze_ns,
-            fold_cache: fresh_fold_cache(self.shards.len()),
-            tiered_fold_cache: fresh_tiered_fold_cache(self.shards.len()),
-        }
-    }
 }
 
 impl<C: ApproxCounter + Clone> CounterEngine<C> {
@@ -404,8 +341,6 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
             salt,
             epoch: 1,
             last_freeze_ns: 0,
-            fold_cache: fresh_fold_cache(config.shards),
-            tiered_fold_cache: fresh_tiered_fold_cache(config.shards),
         }
     }
 
@@ -431,8 +366,6 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
             salt,
             epoch,
             last_freeze_ns: 0,
-            fold_cache: fresh_fold_cache(config.shards),
-            tiered_fold_cache: fresh_tiered_fold_cache(config.shards),
         }
     }
 
@@ -483,38 +416,17 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
     }
 
     /// Replaces whole shards with restored ones (a delta fold) and
-    /// resumes the freeze-epoch clock at `epoch`. Replaced shards' fold
-    /// cache slots are evicted: a restored shard's `(dirty_epoch,
-    /// events, len)` triple is not a validity key against a cache
-    /// filled from a different lineage step.
+    /// resumes the freeze-epoch clock at `epoch`.
     pub(crate) fn install_restored(&mut self, shards: Vec<(usize, Shard<C>)>, epoch: u64) {
-        let mut folds = self.fold_cache.lock().expect("fold cache lock");
-        let mut tiered = self
-            .tiered_fold_cache
-            .lock()
-            .expect("tiered fold cache lock");
         for (idx, shard) in shards {
             self.shards[idx] = Arc::new(shard);
-            folds[idx] = None;
-            tiered[idx] = None;
         }
-        drop((folds, tiered));
         self.epoch = epoch;
     }
 
     /// The reset template counter.
     pub(crate) fn template(&self) -> &C {
         &self.template
-    }
-
-    /// The shared merged-aggregate cache (cloned into snapshots).
-    pub(crate) fn fold_cache(&self) -> &FoldCache<C> {
-        &self.fold_cache
-    }
-
-    /// The shared tiered-aggregate cache (cloned into snapshots).
-    pub(crate) fn tiered_fold_cache(&self) -> &TieredFoldCache {
-        &self.tiered_fold_cache
     }
 
     /// The current freeze epoch.
@@ -679,11 +591,10 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
     /// (Remark 2.4), so it agrees with [`CounterEngine::total_events`]
     /// within the family's `(ε, δ)` guarantee.
     ///
-    /// An uncached `O(keys)` scan that merges only the counters without
-    /// an exact count ([`Mergeable::exact_count`]); the exact counts are
-    /// summed and applied once.
-    /// [`EngineSnapshot::merged_total`](crate::EngineSnapshot::merged_total)
-    /// runs the same fold per shard and caches it across freezes.
+    /// The same fold as
+    /// [`EngineSnapshot::merged_total`](crate::EngineSnapshot::merged_total):
+    /// `O(sampled keys + shards)`, with the counters without an exact
+    /// count merged in key order and the exact counts applied once.
     ///
     /// # Errors
     ///
@@ -694,11 +605,7 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
     where
         C: Mergeable,
     {
-        let mut fold = Fold::onto(self.template.clone());
-        for c in self.shards.iter().flat_map(|s| s.counters()) {
-            fold.add(c, rng)?;
-        }
-        Ok(fold.finish(rng))
+        fold_shards(&self.template, &self.shards, rng)
     }
 }
 
@@ -725,7 +632,6 @@ impl CounterEngine<ac_core::CounterFamily> {
         moves: &[ac_core::TierMove],
     ) -> Result<u64, CoreError> {
         let mut migrated = 0u64;
-        let mut migrated_shards = vec![false; self.shards.len()];
         for m in moves {
             let Some(spec) = ladder.get(usize::from(m.tier)) else {
                 return Err(CoreError::InvalidState {
@@ -736,26 +642,7 @@ impl CounterEngine<ac_core::CounterFamily> {
             let shard = Arc::make_mut(&mut self.shards[idx]);
             if shard.migrate_key(m.key, spec, m.tier)? {
                 shard.touch(self.epoch);
-                migrated_shards[idx] = true;
                 migrated += 1;
-            }
-        }
-        // A migration changes counter state without moving a shard's
-        // `events` or `len`, and `touch` is a no-op on an already-dirty
-        // shard — the fold caches' `(dirty_epoch, events, len)` validity
-        // key cannot see it. Evict migrated shards' slots explicitly so
-        // no stale fold survives.
-        if migrated > 0 {
-            let mut folds = self.fold_cache.lock().expect("fold cache lock");
-            let mut tiered = self
-                .tiered_fold_cache
-                .lock()
-                .expect("tiered fold cache lock");
-            for (idx, hit) in migrated_shards.iter().enumerate() {
-                if *hit {
-                    folds[idx] = None;
-                    tiered[idx] = None;
-                }
             }
         }
         Ok(migrated)

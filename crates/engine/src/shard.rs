@@ -42,6 +42,18 @@ pub(crate) fn route(salt: u64, shards: usize, key: u64) -> usize {
 /// the shard was last written. The registry compares it against snapshot
 /// and checkpoint epochs to decide what a freeze must copy and what a
 /// delta checkpoint must serialize; the shard itself only stores it.
+///
+/// ## The merged aggregate's bookkeeping
+///
+/// Every state change compares the counter's
+/// [`exact_count`](ApproxCounter::exact_count) before and after, and
+/// keeps two things current: `exact`, the sum of the exact counts per
+/// tier, and `sampled`, the `(key, slot)` pairs of every counter without
+/// one. The merged aggregate ([`crate::EngineSnapshot::merged_total`])
+/// merges only the sampled counters and applies the exact sums once, so
+/// it never scans the slab. A Nelson–Yu key leaves its exact epoch at
+/// most once, so under plain increments `sampled` only grows; families
+/// with no exact count (Morris, Csűrös) list every key.
 #[derive(Debug, Clone)]
 pub(crate) struct Shard<C> {
     /// key → slab slot. `u32` slots cap a shard at ~4 billion counters,
@@ -63,6 +75,13 @@ pub(crate) struct Shard<C> {
     /// Engine freeze epoch of the last write into this shard (0 = never
     /// written). Maintained by the registry via [`Shard::touch`].
     dirty_epoch: u64,
+    /// `exact[t]`: the sum of the exact counts of tier-`t` counters.
+    /// Grows to cover every tier tag the shard has held (empty: no
+    /// counter yet).
+    exact: Vec<u64>,
+    /// `(key, slot)` of every counter without an exact count, in the
+    /// order they became sampled (readers sort by key).
+    sampled: Vec<(u64, u32)>,
 }
 
 impl<C: ApproxCounter + Clone> Shard<C> {
@@ -75,6 +94,8 @@ impl<C: ApproxCounter + Clone> Shard<C> {
             events: 0,
             state_bits: 0,
             dirty_epoch: 0,
+            exact: Vec::new(),
+            sampled: Vec::new(),
         }
     }
 
@@ -84,7 +105,8 @@ impl<C: ApproxCounter + Clone> Shard<C> {
     /// per-key tier tags — either parallel to `entries` or empty for
     /// "every key in tier 0" (the v2-checkpoint case). `dirty_epoch` is
     /// the restore-time epoch — conservatively "dirty as of the
-    /// checkpoint it came from".
+    /// checkpoint it came from". The merged-aggregate books are rebuilt
+    /// from the entries, so a restored shard folds like the original.
     pub(crate) fn from_restored(
         rng: Xoshiro256PlusPlus,
         events: u64,
@@ -96,14 +118,6 @@ impl<C: ApproxCounter + Clone> Shard<C> {
             tiers.is_empty() || tiers.len() == entries.len(),
             "tier tags must be absent or parallel to the slab"
         );
-        let mut index = KeyIndex::with_capacity_and_hasher(entries.len(), BuildSplitMix64);
-        let mut slab = Vec::with_capacity(entries.len());
-        let mut state_bits = 0u64;
-        for (key, counter) in entries {
-            index.insert(key, slab.len() as u32);
-            state_bits += ac_bitio::StateBits::state_bits(&counter);
-            slab.push(counter);
-        }
         // Collapse an all-default tag vector back to the lazy form so a
         // restored shard is byte-identical to a never-tiered one.
         let tiers = if tiers.iter().all(|&t| t == 0) {
@@ -111,15 +125,26 @@ impl<C: ApproxCounter + Clone> Shard<C> {
         } else {
             tiers
         };
-        Self {
-            index,
-            slab,
+        let mut shard = Self {
+            index: KeyIndex::with_capacity_and_hasher(entries.len(), BuildSplitMix64),
+            slab: Vec::with_capacity(entries.len()),
             tiers,
             rng,
             events,
-            state_bits,
+            state_bits: 0,
             dirty_epoch,
+            exact: Vec::new(),
+            sampled: Vec::new(),
+        };
+        for (key, counter) in entries {
+            let slot = shard.slab.len() as u32;
+            shard.index.insert(key, slot);
+            shard.state_bits += ac_bitio::StateBits::state_bits(&counter);
+            let tier = shard.tier_of_slot(slot as usize);
+            shard.book(key, slot, tier, counter.exact_count());
+            shard.slab.push(counter);
         }
+        shard
     }
 
     /// Routes `delta` increments into `key`'s counter, materializing it
@@ -132,6 +157,7 @@ impl<C: ApproxCounter + Clone> Shard<C> {
             let slot = self.slab.len() as u32;
             let fresh = template.clone();
             self.state_bits += ac_bitio::StateBits::state_bits(&fresh);
+            self.book(key, slot, 0, fresh.exact_count());
             self.slab.push(fresh);
             if !self.tiers.is_empty() {
                 self.tiers.push(0);
@@ -140,11 +166,59 @@ impl<C: ApproxCounter + Clone> Shard<C> {
             slot
         };
         let counter = &mut self.slab[slot as usize];
-        let before = ac_bitio::StateBits::state_bits(counter);
+        let bits_before = ac_bitio::StateBits::state_bits(counter);
+        let exact_before = counter.exact_count();
         counter.increment_by(delta, &mut self.rng);
-        let after = ac_bitio::StateBits::state_bits(counter);
-        self.state_bits = self.state_bits - before + after;
+        let bits_after = ac_bitio::StateBits::state_bits(counter);
+        let exact_after = counter.exact_count();
+        self.state_bits = self.state_bits - bits_before + bits_after;
         self.events += delta;
+        // Branch-free on the hot path: an exact counter moves its tier's
+        // sum by the change in its count, a sampled one by zero, and one
+        // leaving its exact epoch takes its count out. Increments never
+        // turn a sampled counter exact again.
+        debug_assert!(exact_before.is_some() || exact_after.is_none());
+        let tier = usize::from(self.tier_of_slot(slot as usize));
+        let sum = &mut self.exact[tier];
+        *sum = *sum - exact_before.unwrap_or(0) + exact_after.unwrap_or(0);
+        if exact_before.is_some() && exact_after.is_none() {
+            self.sampled.push((key, slot));
+        }
+    }
+
+    /// Enters `key`'s counter (at `slot`, in `tier`, with exact count
+    /// `exact`) into the merged aggregate's books.
+    fn book(&mut self, key: u64, slot: u32, tier: u8, exact: Option<u64>) {
+        self.cover_tier(tier);
+        match exact {
+            Some(n) => self.exact[usize::from(tier)] += n,
+            None => self.sampled.push((key, slot)),
+        }
+    }
+
+    /// Takes `key`'s counter (in `tier`, with exact count `exact`) out of
+    /// the merged aggregate's books.
+    fn unbook(&mut self, key: u64, tier: u8, exact: Option<u64>) {
+        match exact {
+            Some(n) => self.exact[usize::from(tier)] -= n,
+            None => {
+                let at = self
+                    .sampled
+                    .iter()
+                    .position(|&(k, _)| k == key)
+                    .expect("a sampled counter is listed");
+                self.sampled.swap_remove(at);
+            }
+        }
+    }
+
+    /// Grows `exact` to cover tier `tier`, so that `exact.len()` bounds
+    /// every tag the shard has held ([`Shard::tags_below`] relies on it).
+    fn cover_tier(&mut self, tier: u8) {
+        let len = usize::from(tier) + 1;
+        if self.exact.len() < len {
+            self.exact.resize(len, 0);
+        }
     }
 
     /// Applies a routed lane slice of pairs in order — the drains'
@@ -186,10 +260,6 @@ impl<C: ApproxCounter + Clone> Shard<C> {
         &self.rng
     }
 
-    pub(crate) fn counters(&self) -> impl Iterator<Item = &C> {
-        self.slab.iter()
-    }
-
     /// Iterates `(key, counter)` pairs in unspecified order (the counter
     /// *states* are deterministic; only the iteration order is not).
     pub(crate) fn entries(&self) -> impl Iterator<Item = (u64, &C)> {
@@ -202,6 +272,57 @@ impl<C: ApproxCounter + Clone> Shard<C> {
     /// incrementally; `O(1)` to read).
     pub(crate) fn state_bits(&self) -> u64 {
         self.state_bits
+    }
+
+    /// The sum of the exact counts of tier-`t` counters, at index `t`.
+    pub(crate) fn exact_sums(&self) -> &[u64] {
+        &self.exact
+    }
+
+    /// The counters without an exact count and their tiers, in ascending
+    /// key order: the only counters the merged aggregate merges.
+    pub(crate) fn sampled_in_key_order(&self) -> impl Iterator<Item = (&C, u8)> {
+        let mut order = self.sampled.clone();
+        order.sort_unstable_by_key(|&(key, _)| key);
+        order.into_iter().map(|(_, slot)| {
+            let slot = slot as usize;
+            (&self.slab[slot], self.tier_of_slot(slot))
+        })
+    }
+
+    /// Some counter in tier `tier`, if the shard holds one.
+    pub(crate) fn any_in_tier(&self, tier: u8) -> Option<&C> {
+        let slot = if self.tiers.is_empty() {
+            (tier == 0 && !self.slab.is_empty()).then_some(0)
+        } else {
+            self.tiers.iter().position(|&t| t == tier)
+        };
+        slot.map(|slot| &self.slab[slot])
+    }
+
+    /// True when every key carries a tier tag below `tiers`. Scans the
+    /// tags only if the shard has ever held a tag at or above `tiers`.
+    pub(crate) fn tags_below(&self, tiers: usize) -> bool {
+        self.exact.len() <= tiers || self.tiers.iter().all(|&t| usize::from(t) < tiers)
+    }
+
+    /// True when the merged-aggregate books equal a from-scratch scan of
+    /// the slab (an `O(keys)` audit for debug assertions and tests).
+    pub(crate) fn books_match_scan(&self) -> bool {
+        let mut exact = vec![0u64; self.exact.len()];
+        let mut sampled = Vec::new();
+        for (key, &slot) in &self.index {
+            let tier = self.tier_of_slot(slot as usize);
+            match self.slab[slot as usize].exact_count() {
+                Some(n) if usize::from(tier) < exact.len() => exact[usize::from(tier)] += n,
+                Some(_) => return false,
+                None => sampled.push((*key, slot)),
+            }
+        }
+        let mut listed = self.sampled.clone();
+        listed.sort_unstable();
+        sampled.sort_unstable();
+        exact == self.exact && listed == sampled
     }
 
     /// The accuracy tier of slab slot `slot`.
@@ -252,6 +373,7 @@ impl<C: ApproxCounter + Clone> Shard<C> {
     /// Tags slab slot `slot` with `tier`, materializing the lazy tag
     /// vector on the first non-default assignment.
     fn set_tier_slot(&mut self, slot: usize, tier: u8) {
+        self.cover_tier(tier);
         if self.tiers.is_empty() {
             if tier == 0 {
                 return;
@@ -265,9 +387,9 @@ impl<C: ApproxCounter + Clone> Shard<C> {
 impl Shard<CounterFamily> {
     /// Migrates `key`'s counter to `spec` via the estimate-preserving
     /// [`CounterFamily::migrate_to`] and tags it `tier`, keeping the
-    /// shard's incremental `state_bits` exact. Returns `Ok(false)` for a
-    /// key the shard does not track (it may have been routed here by a
-    /// stale plan).
+    /// shard's incremental `state_bits` and merged-aggregate books
+    /// exact. Returns `Ok(false)` for a key the shard does not track (it
+    /// may have been routed here by a stale plan).
     ///
     /// The migration construction is deterministic and consumes no
     /// randomness, so the shard's RNG stream — which checkpoints persist
@@ -281,13 +403,21 @@ impl Shard<CounterFamily> {
         let Some(&slot) = self.index.get(&key) else {
             return Ok(false);
         };
-        let slot = slot as usize;
-        let migrated = self.slab[slot].migrate_to(spec, &mut self.rng)?;
-        let before = ac_bitio::StateBits::state_bits(&self.slab[slot]);
+        let migrated = self.slab[slot as usize].migrate_to(spec, &mut self.rng)?;
+        let old = &self.slab[slot as usize];
+        let before = ac_bitio::StateBits::state_bits(old);
         let after = ac_bitio::StateBits::state_bits(&migrated);
         self.state_bits = self.state_bits - before + after;
-        self.slab[slot] = migrated;
-        self.set_tier_slot(slot, tier);
+        let (old_tier, old_exact) = (self.tier_of_slot(slot as usize), old.exact_count());
+        let new_exact = migrated.exact_count();
+        self.slab[slot as usize] = migrated;
+        self.set_tier_slot(slot as usize, tier);
+        // A counter sampled before and after stays listed; its tier is
+        // read from the tags.
+        if old_exact.is_some() || new_exact.is_some() {
+            self.unbook(key, old_tier, old_exact);
+            self.book(key, slot, tier, new_exact);
+        }
         Ok(true)
     }
 }

@@ -19,20 +19,23 @@
 //!   [`crate::checkpoint_delta`]).
 //!
 //! The cross-shard merged aggregate (Remark 2.4) is *not* folded at
-//! freeze time — folding is an `O(keys)` scan and would put it back on
-//! the freeze path. [`EngineSnapshot::merged_total`] computes it on
-//! demand, on whichever reader thread wants it. The scan merges only the
-//! counters without an exact count ([`Mergeable::exact_count`]); the
-//! exact counts, which are most keys under a skewed key distribution,
-//! are summed and applied to the aggregate in one `increment_by`.
+//! freeze time. [`EngineSnapshot::merged_total`] computes it on demand,
+//! on whichever reader thread wants it, from bookkeeping the write path
+//! already keeps: each shard's running sum of exact counts
+//! ([`ApproxCounter::exact_count`]) and its list of sampled counters.
+//! Under a skewed key distribution nearly every key is still exact, so
+//! a fold merges a few dozen counters in ascending key order, applies
+//! the summed exact counts in one `increment_by`, and costs
+//! `O(sampled keys + shards)` — never a scan of the slabs. It takes no
+//! lock and keeps no cache: the merged state is a pure function of the
+//! snapshot and the caller's RNG, so a primary, its replica and a
+//! restored copy pinned to the same contents and seed agree on it.
 //!
 //! [`CounterEngine::snapshot_deep`] keeps the PR 3 stop-the-world
 //! `O(keys)` deep-clone freeze alive as a benchmark baseline and as the
 //! oracle for the CoW-equivalence property tests.
 
-use crate::registry::{
-    CounterEngine, EngineConfig, Fold, FoldCache, FoldEntry, TieredFoldCache, TieredFoldEntry,
-};
+use crate::registry::{fold_shards, CounterEngine, EngineConfig, Fold};
 use crate::shard::{route, Shard};
 use ac_core::{ApproxCounter, CoreError, Mergeable};
 use ac_randkit::RandomSource;
@@ -42,10 +45,7 @@ use std::time::Instant;
 /// An immutable point-in-time replica of a [`CounterEngine`].
 ///
 /// Created by [`CounterEngine::snapshot`]; cloning is cheap (shared
-/// frozen shards). Every query runs lock-free against the frozen data
-/// (the merged-aggregate fold cache behind
-/// [`EngineSnapshot::merged_total`] is the one mutex, taken only by that
-/// call).
+/// frozen shards). Every query runs lock-free against the frozen data.
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot<C> {
     pub(crate) shards: Vec<Arc<Shard<C>>>,
@@ -57,12 +57,6 @@ pub struct EngineSnapshot<C> {
     epoch: u64,
     keys: usize,
     events: u64,
-    /// Per-shard fold cache, shared with the engine and every sibling
-    /// snapshot of the same lineage.
-    fold_cache: FoldCache<C>,
-    /// Per-shard tiered fold cache, shared the same way (used only by
-    /// [`EngineSnapshot::merged_estimate_tiered`]).
-    tiered_fold_cache: TieredFoldCache,
 }
 
 impl<C: ApproxCounter + Clone> CounterEngine<C> {
@@ -107,8 +101,6 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
             epoch: 0, // patched below, after the freeze is timed
             keys,
             events,
-            fold_cache: Arc::clone(self.fold_cache()),
-            tiered_fold_cache: Arc::clone(self.tiered_fold_cache()),
         };
         let freeze_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let epoch = self.note_freeze(freeze_ns);
@@ -138,26 +130,24 @@ impl<C: ApproxCounter + Clone> EngineSnapshot<C> {
     ///
     /// ## Cost
     ///
-    /// An `O(keys)` scan that merges only the counters without an exact
-    /// count ([`Mergeable::exact_count`]). A counter with one (a
-    /// Nelson–Yu counter still in its exact epoch, any
-    /// [`ExactCounter`](ac_core::ExactCounter)) only adds to a running
-    /// sum, which lands in one `increment_by` per fold. The result has
-    /// the distribution of merging every counter in turn.
+    /// `O(sampled keys + shards)`. Each shard keeps, as it applies
+    /// writes, the sum of its exact counts ([`ApproxCounter::exact_count`]:
+    /// a Nelson–Yu counter still in its exact epoch, any
+    /// [`ExactCounter`](ac_core::ExactCounter)) and the list of its
+    /// counters without one. The fold sorts each shard's list by key,
+    /// merges the listed counters shard by shard, then applies the summed
+    /// exact counts in one `increment_by`. The result has the
+    /// distribution of merging every counter in turn. Families with no
+    /// exact count (Morris, Csűrös) list every key, so for them the fold
+    /// is `O(keys)`.
     ///
-    /// ## Per-shard caching
+    /// ## Determinism
     ///
-    /// The fold is computed in two stages — each shard's counters merge
-    /// into one per-shard contribution, then the `O(shards)`
-    /// contributions merge into the total — and the per-shard stage is
-    /// **cached across freezes, keyed on dirty epochs**: a shard
-    /// untouched since the last fold reuses its cached contribution, so
-    /// between two freezes the recomputation cost is `O(dirty shards'
-    /// keys + shards)`, not `O(all keys)`. The cache is shared by the
-    /// engine and every snapshot of its lineage. Because cache hits skip
-    /// their shard's merge draws, the *sequence* of draws taken from
-    /// `rng` depends on cache warmth; the distribution of the result
-    /// (the Remark 2.4 guarantee) does not.
+    /// There is no cache and no lock: the merged state is a pure function
+    /// of the snapshot's contents and `rng`. Snapshots holding the same
+    /// counters — a primary, its replica, a copy restored from a
+    /// checkpoint — give equal merged states for equal RNG states,
+    /// whatever order their keys arrived in.
     ///
     /// # Errors
     ///
@@ -167,33 +157,7 @@ impl<C: ApproxCounter + Clone> EngineSnapshot<C> {
     where
         C: Mergeable,
     {
-        let mut cache = self.fold_cache.lock().expect("fold cache lock");
-        let mut reset = self.template.clone();
-        reset.reset();
-        let mut total = Fold::onto(reset.clone());
-        for (slot, shard) in cache.iter_mut().zip(&self.shards) {
-            let fresh = matches!(
-                slot,
-                Some(e) if e.dirty_epoch == shard.dirty_epoch()
-                    && e.events == shard.events()
-                    && e.len == shard.len()
-            );
-            if !fresh {
-                let mut folded = Fold::onto(reset.clone());
-                for c in shard.counters() {
-                    folded.add(c, rng)?;
-                }
-                *slot = Some(FoldEntry {
-                    dirty_epoch: shard.dirty_epoch(),
-                    events: shard.events(),
-                    len: shard.len(),
-                    folded: folded.finish(rng),
-                });
-            }
-            let entry = slot.as_ref().expect("slot filled above");
-            total.add(&entry.folded, rng)?;
-        }
-        Ok(total.finish(rng))
+        fold_shards(&self.template, &self.shards, rng)
     }
 
     /// Distinct keys at freeze time.
@@ -265,22 +229,12 @@ impl EngineSnapshot<ac_core::CounterFamily> {
     ///
     /// `tiers` is the ladder length; a tag at or above it is refused.
     ///
-    /// ## Per-shard caching
-    ///
-    /// Like [`EngineSnapshot::merged_total`], the fold runs in two
-    /// stages — each shard's counters merge into one per-tier aggregate
-    /// vector, then the `O(shards × tiers)` vectors merge into per-tier
-    /// totals — and the per-shard stage is cached across freezes on the
-    /// same `(dirty_epoch, events, len)` validity key (plus the ladder
-    /// length). Between two freezes the cost is `O(dirty shards' keys +
-    /// shards × tiers)`, not `O(all keys)`. Within a tier, counters with
-    /// an exact count are summed rather than merged, as in
-    /// `merged_total`. Tier migrations, which change
-    /// counter state without moving the validity triple, evict their
-    /// shards' slots explicitly
-    /// (see [`CounterEngine::apply_migrations`]). As with `merged_total`,
-    /// cache warmth changes the *sequence* of draws taken from `rng`, not
-    /// the distribution of the result.
+    /// Costs the same as [`EngineSnapshot::merged_total`], per tier: each
+    /// shard keeps a sum of exact counts per tier, so only sampled
+    /// counters merge (shard by shard, in ascending key order), and each
+    /// tier's exact sum lands in one `increment_by`. A tier holding only
+    /// exact counts starts from a reset clone of one of its counters.
+    /// The result is a pure function of the snapshot and `rng`.
     ///
     /// # Errors
     ///
@@ -292,48 +246,47 @@ impl EngineSnapshot<ac_core::CounterFamily> {
         tiers: usize,
         rng: &mut dyn RandomSource,
     ) -> Result<f64, CoreError> {
-        let mut cache = self.tiered_fold_cache.lock().expect("tiered fold cache");
-        let mut per_tier: Vec<Option<Fold<ac_core::CounterFamily>>> = vec![None; tiers];
-        for (slot, shard) in cache.iter_mut().zip(&self.shards) {
-            let fresh = matches!(
-                slot,
-                Some(e) if e.dirty_epoch == shard.dirty_epoch()
-                    && e.events == shard.events()
-                    && e.len == shard.len()
-                    && e.folded.len() == tiers
-            );
-            if !fresh {
-                let mut folds: Vec<Option<Fold<ac_core::CounterFamily>>> = vec![None; tiers];
-                for (_, counter, tier) in shard.entries_tagged() {
-                    let slot = folds
-                        .get_mut(usize::from(tier))
-                        .ok_or(CoreError::InvalidState {
-                            what: "key carries a tier tag outside the ladder",
-                        })?;
-                    Fold::add_to(slot, counter, rng)?;
-                }
-                *slot = Some(TieredFoldEntry {
-                    dirty_epoch: shard.dirty_epoch(),
-                    events: shard.events(),
-                    len: shard.len(),
-                    folded: folds
-                        .into_iter()
-                        .map(|f| f.map(|f| f.finish(rng)))
-                        .collect(),
-                });
+        const OUTSIDE: CoreError = CoreError::InvalidState {
+            what: "key carries a tier tag outside the ladder",
+        };
+        let mut folds: Vec<Option<Fold<ac_core::CounterFamily>>> = vec![None; tiers];
+        let mut exact = vec![0u64; tiers];
+        for shard in &self.shards {
+            debug_assert!(shard.books_match_scan(), "merged-aggregate books drifted");
+            if !shard.tags_below(tiers) {
+                return Err(OUTSIDE);
             }
-            let entry = slot.as_ref().expect("slot filled above");
-            for (total, part) in per_tier.iter_mut().zip(&entry.folded) {
-                if let Some(p) = part {
-                    Fold::add_to(total, p, rng)?;
+            for (counter, tier) in shard.sampled_in_key_order() {
+                match folds.get_mut(usize::from(tier)).ok_or(OUTSIDE)? {
+                    Some(fold) => fold.merge(counter, rng)?,
+                    slot @ None => *slot = Some(Fold::onto(counter.clone())),
                 }
+            }
+            for (sum, &n) in exact.iter_mut().zip(shard.exact_sums()) {
+                *sum = sum.saturating_add(n);
             }
         }
-        Ok(per_tier
-            .into_iter()
-            .flatten()
-            .map(|f| f.finish(rng).estimate())
-            .sum())
+        let mut total = 0.0;
+        for (tier, (fold, n)) in folds.into_iter().zip(exact).enumerate() {
+            let mut fold = match fold {
+                Some(fold) => fold,
+                None if n == 0 => continue,
+                None => {
+                    let tier = u8::try_from(tier).expect("tier tags are u8");
+                    let mut start = self
+                        .shards
+                        .iter()
+                        .find_map(|s| s.any_in_tier(tier))
+                        .expect("a tier with exact counts holds a counter")
+                        .clone();
+                    start.reset();
+                    Fold::onto(start)
+                }
+            };
+            fold.count(n);
+            total += fold.finish(rng).estimate();
+        }
+        Ok(total)
     }
 }
 
@@ -445,8 +398,7 @@ mod tests {
         assert_eq!(deep.epoch(), cow.epoch() + 1);
     }
 
-    /// Counts how many words a fold actually draws, to observe cache
-    /// hits (a cached shard contributes zero merge draws).
+    /// Counts how many words a fold actually draws.
     struct CountingSource<'a> {
         inner: &'a mut Xoshiro256PlusPlus,
         draws: u64,
@@ -460,46 +412,9 @@ mod tests {
     }
 
     #[test]
-    fn merged_total_reuses_clean_shard_folds_across_freezes() {
-        use ac_core::MorrisCounter;
-        let mut e = CounterEngine::new(MorrisCounter::new(0.25).unwrap(), cfg());
-        let batch: Vec<(u64, u64)> = (0..2_000u64).map(|k| (k, 50)).collect();
-        e.apply(&batch);
-
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(9);
-        let snap1 = e.snapshot();
-        let mut cold = CountingSource {
-            inner: &mut rng,
-            draws: 0,
-        };
-        let _ = snap1.merged_total(&mut cold).unwrap();
-        let cold_draws = cold.draws;
-
-        // Touch exactly one shard, freeze again: only that shard's fold
-        // (plus the O(shards) cross-shard merge) recomputes.
-        e.apply(&[(7, 5)]);
-        let snap2 = e.snapshot();
-        let mut warm = CountingSource {
-            inner: &mut rng,
-            draws: 0,
-        };
-        let total = snap2.merged_total(&mut warm).unwrap();
-        assert!(
-            warm.draws < cold_draws / 2,
-            "warm fold drew {} vs cold {}",
-            warm.draws,
-            cold_draws
-        );
-        // And the estimate still tracks the exact total.
-        let n = snap2.total_events() as f64;
-        let rel = (total.estimate() - n).abs() / n;
-        assert!(rel < 0.5, "merged relative error {rel}");
-    }
-
-    #[test]
     fn merged_total_cache_is_exact_for_exact_counters() {
-        // With the deterministic exact merge the cache must be invisible:
-        // every freeze's merged total equals the frozen event count.
+        // With the deterministic exact merge, every freeze's merged total
+        // equals the frozen event count.
         let mut e = CounterEngine::new(ExactCounter::new(), cfg());
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(2);
         for round in 0..5u64 {
@@ -511,48 +426,6 @@ mod tests {
                 "round {round}"
             );
         }
-    }
-
-    #[test]
-    fn tiered_fold_reuses_clean_shard_folds_across_freezes() {
-        use ac_core::CounterSpec;
-        let template = CounterSpec::Morris { a: 0.25 }.build().unwrap();
-        let mut e = CounterEngine::new(template, cfg());
-        let batch: Vec<(u64, u64)> = (0..2_000u64).map(|k| (k, 50)).collect();
-        e.apply(&batch);
-
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(13);
-        let snap1 = e.snapshot();
-        let mut cold = CountingSource {
-            inner: &mut rng,
-            draws: 0,
-        };
-        let _ = snap1.merged_estimate_tiered(1, &mut cold).unwrap();
-        let cold_draws = cold.draws;
-
-        // Touch exactly one shard, freeze again: only that shard's
-        // per-tier fold recomputes.
-        e.apply(&[(7, 5)]);
-        let snap2 = e.snapshot();
-        let mut warm = CountingSource {
-            inner: &mut rng,
-            draws: 0,
-        };
-        let est = snap2.merged_estimate_tiered(1, &mut warm).unwrap();
-        assert!(
-            warm.draws < cold_draws / 2,
-            "warm tiered fold drew {} vs cold {}",
-            warm.draws,
-            cold_draws
-        );
-        let n = snap2.total_events() as f64;
-        let rel = (est - n).abs() / n;
-        assert!(rel < 0.5, "tiered estimate relative error {rel}");
-
-        // A different ladder length is a different fold: no stale reuse.
-        let wide = snap2.merged_estimate_tiered(3, &mut rng).unwrap();
-        let rel = (wide - n).abs() / n;
-        assert!(rel < 0.5, "wider-ladder estimate relative error {rel}");
     }
 
     #[test]
@@ -572,7 +445,7 @@ mod tests {
         // Migrate one key onto the coarse rung. Its exact count (12) is
         // not representable with a 1-bit mantissa, so the re-seeded
         // estimate moves — while the shard's `events` and `len` do not.
-        // The fold must never serve the pre-migration cache entry.
+        // The fold must see the migrated state.
         let moved = e
             .apply_migrations(&ladder, &[TierMove { key: 3, tier: 1 }])
             .unwrap();
@@ -585,7 +458,7 @@ mod tests {
             .flat_map(|s| s.entries_tagged())
             .map(|(_, c, _)| c.estimate())
             .sum();
-        assert_eq!(after, oracle, "fold must match an uncached recompute");
+        assert_eq!(after, oracle, "fold must match a from-scratch sum");
         assert_ne!(after, before, "coarse rung must move the estimate");
     }
 
@@ -624,23 +497,26 @@ mod tests {
 
     #[test]
     fn all_sampled_folds_keep_the_pairwise_draws() {
-        // No key has an exact count, so the fold is the pairwise fold,
-        // draw for draw.
+        // No key has an exact count, so the fold is the pairwise fold
+        // in (shard, key) order, draw for draw.
         let p = NyParams::new(0.2, 8).unwrap();
         let mut e = CounterEngine::new(NelsonYuCounter::new(p), cfg());
-        e.apply(&(0..50u64).map(|k| (k, 5_000 + 300 * k)).collect::<Vec<_>>());
+        e.apply(
+            &(0..50u64)
+                .rev()
+                .map(|k| (k, 5_000 + 300 * k))
+                .collect::<Vec<_>>(),
+        );
         let snap = e.snapshot();
         let mut a = Xoshiro256PlusPlus::seed_from_u64(41);
         let mut b = a.clone();
         let mut reference = snap.template.clone();
-        reference.reset();
         for shard in &snap.shards {
-            let mut part = snap.template.clone();
-            part.reset();
-            for c in shard.counters() {
-                part.merge_from(c, &mut b).unwrap();
+            let mut entries: Vec<_> = shard.entries().collect();
+            entries.sort_unstable_by_key(|&(key, _)| key);
+            for (_, c) in entries {
+                reference.merge_from(c, &mut b).unwrap();
             }
-            reference.merge_from(&part, &mut b).unwrap();
         }
         assert_eq!(snap.merged_total(&mut a).unwrap(), reference);
         assert_eq!(a.next_u64(), b.next_u64());
@@ -683,12 +559,7 @@ mod tests {
         let mut tiered = Vec::new();
         let mut pairwise = Vec::new();
         for _ in 0..400 {
-            // A clone starts a fresh lineage, so every fold is cold.
-            let est = e
-                .clone()
-                .snapshot()
-                .merged_estimate_tiered(2, &mut rng)
-                .unwrap();
+            let est = snap.merged_estimate_tiered(2, &mut rng).unwrap();
             tiered.push(est - exact_tier);
             let mut ny = tagged(1);
             let mut total = ny.next().unwrap().clone();

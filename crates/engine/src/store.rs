@@ -1206,8 +1206,8 @@ impl StoreReader {
     /// The cross-shard merged aggregate (Remark 2.4) of the pinned
     /// replica, folded with a deterministic RNG derived from the store
     /// seed and the pinned epoch — so two readers pinned to the same
-    /// epoch with the same cache warmth agree. For explicit randomness
-    /// use [`StoreReader::merged_total_with`].
+    /// epoch agree, on this process or on a replica. For explicit
+    /// randomness use [`StoreReader::merged_total_with`].
     ///
     /// # Errors
     ///

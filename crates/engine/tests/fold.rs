@@ -1,13 +1,28 @@
-//! The merged aggregate's distribution when most keys hold an exact
-//! count: a fold that sums exact-epoch counters and merges only the
-//! sampled ones must be distributed like one counter fed the whole
-//! stream, and like the counter-by-counter fold (Remark 2.4). Checked
-//! with two-sample KS tests over fresh populations.
+//! The merged aggregate (Remark 2.4), from two sides.
+//!
+//! * **Distribution** — when most keys hold an exact count, a fold that
+//!   sums exact-epoch counters and merges only the sampled ones must be
+//!   distributed like one counter fed the whole stream, and like the
+//!   counter-by-counter fold. Checked with two-sample KS tests over
+//!   fresh populations.
+//! * **Bookkeeping** — each shard keeps its exact-count sums and its list
+//!   of sampled counters as it applies writes, restores, delta folds and
+//!   tier migrations, so a fold never scans the slab. After every such
+//!   step the fold must equal a from-scratch reference fold that scans
+//!   every counter in (shard, key) order, state for state and draw for
+//!   draw. Debug builds also audit every shard's books against a scan
+//!   inside each fold. Because the fold follows key order, not arrival
+//!   order, an engine and its restored copy merge to equal states.
 
-use ac_core::{ApproxCounter, Mergeable, NelsonYuCounter, NyParams};
-use ac_engine::{CounterEngine, EngineConfig, EngineSnapshot};
-use ac_randkit::{RandomSource, Xoshiro256PlusPlus};
+use ac_core::{ApproxCounter, CounterFamily, CounterSpec, NelsonYuCounter, NyParams, TierMove};
+use ac_engine::{
+    checkpoint_delta, checkpoint_snapshot, checkpoint_snapshot_with, fold_checkpoint_delta,
+    restore_checkpoint, restore_checkpoint_chain, restore_checkpoint_with, Checkpoint,
+    CounterEngine, EngineConfig, EngineSnapshot, ShardRouter,
+};
+use ac_randkit::{mix64, RandomSource, Xoshiro256PlusPlus, Zipf};
 use ac_stats::ks::ks_two_sample;
+use proptest::prelude::*;
 
 const TRIALS: u64 = 400;
 
@@ -85,4 +100,237 @@ fn mixed_population_fold_matches_the_pairwise_fold() {
     }
     let ks = ks_two_sample(&summed, &pairwise);
     assert!(ks.p_value > 0.001, "KS p={} D={}", ks.p_value, ks.statistic);
+}
+
+fn all_specs() -> [CounterSpec; 5] {
+    [
+        CounterSpec::Exact,
+        CounterSpec::Morris { a: 0.5 },
+        CounterSpec::MorrisPlus {
+            eps: 0.2,
+            delta_log2: 6,
+        },
+        CounterSpec::NelsonYu {
+            eps: 0.2,
+            delta_log2: 6,
+        },
+        CounterSpec::Csuros { mantissa_bits: 4 },
+    ]
+}
+
+/// A snapshot's counters in fold order: shard by shard, ascending key
+/// within each shard.
+fn fold_order(snap: &EngineSnapshot<CounterFamily>) -> Vec<(u64, &CounterFamily)> {
+    let router = ShardRouter::new(snap.config());
+    let mut entries: Vec<_> = snap.iter().collect();
+    entries.sort_unstable_by_key(|&(key, _)| (router.shard_of(key), key));
+    entries
+}
+
+/// The merged aggregate by definition: scan every counter in fold
+/// order, merge the ones without an exact count as they come, and apply
+/// the summed exact counts once at the end.
+fn reference_total(
+    snap: &EngineSnapshot<CounterFamily>,
+    template: &CounterFamily,
+    rng: &mut dyn RandomSource,
+) -> CounterFamily {
+    let mut total = template.clone();
+    total.reset();
+    let mut exact = 0u64;
+    for (_, c) in fold_order(snap) {
+        match c.exact_count() {
+            Some(n) => exact += n,
+            None => ac_core::Mergeable::merge_from(&mut total, c, rng).unwrap(),
+        }
+    }
+    if exact > 0 {
+        total.increment_by(exact, rng);
+    }
+    total
+}
+
+/// The tiered merged estimate by definition: per tier, the first
+/// sampled counter in fold order starts the tier's fold and the rest
+/// merge into it; each tier's exact counts land in one `increment_by`
+/// (onto a fresh rung counter when the tier has no sampled one); the
+/// tiers' estimates sum in ladder order.
+fn reference_tiered(
+    snap: &EngineSnapshot<CounterFamily>,
+    tier_of: impl Fn(u64) -> u8,
+    ladder: &[CounterSpec],
+    rng: &mut dyn RandomSource,
+) -> f64 {
+    let mut folds: Vec<Option<CounterFamily>> = vec![None; ladder.len()];
+    let mut exact = vec![0u64; ladder.len()];
+    for (key, c) in fold_order(snap) {
+        let tier = usize::from(tier_of(key));
+        match (c.exact_count(), &mut folds[tier]) {
+            (Some(n), _) => exact[tier] += n,
+            (None, Some(fold)) => ac_core::Mergeable::merge_from(fold, c, rng).unwrap(),
+            (None, slot @ None) => *slot = Some(c.clone()),
+        }
+    }
+    let mut total = 0.0;
+    for ((fold, n), spec) in folds.into_iter().zip(exact).zip(ladder) {
+        let mut fold = match fold {
+            Some(fold) => fold,
+            None if n == 0 => continue,
+            None => spec.build().unwrap(),
+        };
+        if n > 0 {
+            fold.increment_by(n, rng);
+        }
+        total += fold.estimate();
+    }
+    total
+}
+
+fn rng(seed: u64) -> Xoshiro256PlusPlus {
+    Xoshiro256PlusPlus::seed_from_u64(seed)
+}
+
+/// The engine's fold against the reference, same seed: equal states
+/// and equal RNG streams afterwards.
+fn assert_total_matches_reference(
+    snap: &EngineSnapshot<CounterFamily>,
+    template: &CounterFamily,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let (mut a, mut b) = (rng(seed), rng(seed));
+    let folded = snap.merged_total(&mut a).unwrap();
+    prop_assert_eq!(folded, reference_total(snap, template, &mut b));
+    prop_assert_eq!(a.next_u64(), b.next_u64());
+    Ok(())
+}
+
+/// Two snapshots holding the same counters merge to equal states.
+fn assert_same_total(
+    a: &EngineSnapshot<CounterFamily>,
+    b: &EngineSnapshot<CounterFamily>,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        a.merged_total(&mut rng(seed)).unwrap(),
+        b.merged_total(&mut rng(seed)).unwrap()
+    );
+    Ok(())
+}
+
+proptest! {
+    /// Writes, a delta chain folded one frame at a time, a whole-chain
+    /// restore, tier migrations both ways, writes into migrated keys and
+    /// a tiered restore: after each step the fold equals the reference
+    /// scan, for all five families.
+    #[test]
+    fn merged_fold_matches_a_reference_scan_through_every_state_change(
+        seed in 0u64..10_000,
+        spec_idx in 0usize..5,
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0u64..300, 1u64..400), 1..80),
+            2..5,
+        ),
+        moves in proptest::collection::vec((0u64..300, 0u8..2), 1..40),
+    ) {
+        let spec = all_specs()[spec_idx];
+        let template = spec.build().unwrap();
+        let config = EngineConfig::new().with_shards(4).with_seed(seed);
+        let mut engine = CounterEngine::new(template.clone(), config);
+        let mut frames: Vec<Checkpoint> = Vec::new();
+        let mut replica: Option<CounterEngine<CounterFamily>> = None;
+        for batch in &batches {
+            engine.apply(batch);
+            let snap = engine.snapshot();
+            assert_total_matches_reference(&snap, &template, seed)?;
+            let frame = match frames.last() {
+                None => checkpoint_snapshot(&snap),
+                Some(parent) => checkpoint_delta(&snap, &parent.header()).unwrap(),
+            };
+            match (&mut replica, frames.last()) {
+                (Some(r), Some(parent)) => {
+                    fold_checkpoint_delta(r, &parent.header(), frame.bytes()).unwrap();
+                }
+                _ => replica = Some(restore_checkpoint(&template, frame.bytes()).unwrap()),
+            }
+            let folded = replica.as_mut().unwrap().snapshot();
+            assert_total_matches_reference(&folded, &template, seed)?;
+            assert_same_total(&snap, &folded, seed)?;
+            frames.push(frame);
+        }
+        let chain: Vec<&[u8]> = frames.iter().map(|f| f.bytes()).collect();
+        let restored = restore_checkpoint_chain(&template, &chain).unwrap().snapshot();
+        assert_total_matches_reference(&restored, &template, seed)?;
+        assert_same_total(&engine.snapshot(), &restored, seed)?;
+
+        // A second rung of another family: migrations move keys between
+        // exact and sampled books and between tiers.
+        let other = if spec == CounterSpec::Exact { all_specs()[3] } else { CounterSpec::Exact };
+        let ladder = [spec, other];
+        let moves: Vec<TierMove> = moves.iter().map(|&(key, tier)| TierMove { key, tier }).collect();
+        let templates: Vec<CounterFamily> = ladder.iter().map(|s| s.build().unwrap()).collect();
+        for round in 0..2 {
+            if round == 0 {
+                engine.apply_migrations(&ladder, &moves).unwrap();
+            } else {
+                engine.apply(&batches[0]);
+            }
+            let snap = engine.snapshot();
+            let (mut a, mut b) = (rng(seed), rng(seed));
+            let tiered = snap.merged_estimate_tiered(ladder.len(), &mut a).unwrap();
+            let expected = reference_tiered(&snap, |k| engine.tier_of(k).unwrap(), &ladder, &mut b);
+            prop_assert_eq!(tiered, expected);
+            prop_assert_eq!(a.next_u64(), b.next_u64());
+
+            let frame = checkpoint_snapshot_with(&snap, &templates);
+            let copy = restore_checkpoint_with(&templates, frame.bytes()).unwrap().snapshot();
+            prop_assert_eq!(
+                copy.merged_estimate_tiered(ladder.len(), &mut rng(seed)).unwrap(),
+                tiered
+            );
+        }
+    }
+}
+
+/// `events` Zipf(1.1) draws over `keys` ranks, each rank scattered to an
+/// opaque key so first-touch order has nothing to do with key order.
+fn zipf_stream(keys: u64, events: usize, seed: u64) -> Vec<(u64, u64)> {
+    let zipf = Zipf::new(keys, 1.1).unwrap();
+    let mut r = rng(seed);
+    (0..events)
+        .map(|_| (mix64(zipf.sample(&mut r)), 1))
+        .collect()
+}
+
+#[test]
+fn an_engine_and_its_restored_copy_merge_to_equal_states() {
+    let template = CounterSpec::NelsonYu {
+        eps: 0.3,
+        delta_log2: 2,
+    }
+    .build()
+    .unwrap();
+    for seed in 0..20u64 {
+        let mut engine = CounterEngine::new(
+            template.clone(),
+            EngineConfig::new().with_shards(8).with_seed(seed),
+        );
+        for batch in zipf_stream(20_000, 60_000, seed).chunks(1_024) {
+            engine.apply(batch);
+        }
+        let snap = engine.snapshot();
+        let sampled = snap
+            .iter()
+            .filter(|(_, c)| c.exact_count().is_none())
+            .count();
+        assert!(sampled >= 10, "seed {seed}: only {sampled} sampled keys");
+        let restored = restore_checkpoint(&template, checkpoint_snapshot(&snap).bytes())
+            .unwrap()
+            .snapshot();
+        let fold_seed = mix64(seed);
+        assert_eq!(
+            snap.merged_total(&mut rng(fold_seed)).unwrap(),
+            restored.merged_total(&mut rng(fold_seed)).unwrap(),
+            "seed {seed}"
+        );
+    }
 }

@@ -187,7 +187,9 @@ impl ReplicaNode {
     /// The merged aggregate estimate of the folded snapshot, seeded
     /// exactly like the primary's [`StoreReader::merged_estimate`] at
     /// the same epoch — a replica and a primary reader pinned to the
-    /// same freeze agree on the merge.
+    /// same freeze agree on the merge. The fold follows key order, not
+    /// the order keys reached either side, so the merged *state* agrees
+    /// too.
     ///
     /// # Errors
     ///

@@ -166,6 +166,60 @@ fn writers_readers_and_replicas_agree_over_loopback() {
     assert_eq!(report.stats.events, expected);
 }
 
+/// A primary reader and a replica pinned to one digest merge to equal
+/// states. The replica restores its shards in key order while the
+/// primary's slabs fill in arrival order, so this holds only because the
+/// fold follows key order. A short exact epoch makes a Zipf stream push
+/// a few dozen keys out of it, in arrival order.
+#[test]
+fn primary_reader_and_replica_merge_to_equal_states_at_one_digest() {
+    let server = start_server(
+        CounterSpec::NelsonYu {
+            eps: 0.3,
+            delta_log2: 2,
+        },
+        17,
+    );
+    let identity = server.identity();
+    let replica = ReplicaNode::connect(server.local_addr(), identity.clone()).expect("replica");
+    let client = StoreClient::new(server.local_addr(), identity).expect("client");
+    let mut writer = client.writer(WriterConfig::default()).expect("writer");
+    let zipf = ac_randkit::Zipf::new(20_000, 1.1).expect("zipf");
+    let mut rng = ac_randkit::Xoshiro256PlusPlus::seed_from_u64(17);
+    let events = 60_000u64;
+    for _ in 0..events {
+        writer.record(ac_randkit::mix64(zipf.sample(&mut rng)), 1);
+    }
+    writer.close().expect("clean close");
+
+    assert!(
+        replica.wait_for_events(events, Duration::from_secs(30)),
+        "replica never converged: {:?}",
+        replica.failed()
+    );
+    let tip = server.tip_chain();
+    assert!(
+        replica.wait_for_chain(tip, Duration::from_secs(30)),
+        "replica digest {} != primary tip {tip}",
+        replica.chain_digest()
+    );
+    let reader = server.reader();
+    assert_eq!(reader.total_events(), events);
+    assert_eq!(reader.epoch(), replica.epoch(), "pinned to one freeze");
+    let sampled = reader
+        .snapshot()
+        .iter()
+        .filter(|(_, c)| c.exact_count().is_none())
+        .count();
+    assert!(sampled >= 10, "only {sampled} sampled keys");
+    assert_eq!(
+        reader.merged_total().expect("primary merge"),
+        replica.merged_total().expect("replica merge")
+    );
+    drop(replica);
+    server.shutdown().expect("shutdown");
+}
+
 #[test]
 fn reconnect_replays_exactly_once() {
     let server = start_server(ny_spec(), 7);
