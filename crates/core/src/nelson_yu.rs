@@ -356,9 +356,8 @@ impl ApproxCounter for NelsonYuCounter {
 
     /// `Some(Y)` while the counter is still in its exact epoch at rate 1
     /// (`X = X₀`, `t = 0`): every increment so far landed in `Y`.
-    #[inline]
     fn exact_count(&self) -> Option<u64> {
-        (self.t == 0 && self.x == self.params.x0()).then_some(self.y)
+        (self.x == self.params.x0() && self.t == 0).then_some(self.y)
     }
 }
 

@@ -246,18 +246,17 @@ impl EngineSnapshot<ac_core::CounterFamily> {
         tiers: usize,
         rng: &mut dyn RandomSource,
     ) -> Result<f64, CoreError> {
-        const OUTSIDE: CoreError = CoreError::InvalidState {
-            what: "key carries a tier tag outside the ladder",
-        };
         let mut folds: Vec<Option<Fold<ac_core::CounterFamily>>> = vec![None; tiers];
         let mut exact = vec![0u64; tiers];
         for shard in &self.shards {
             debug_assert!(shard.books_match_scan(), "merged-aggregate books drifted");
             if !shard.tags_below(tiers) {
-                return Err(OUTSIDE);
+                return Err(CoreError::InvalidState {
+                    what: "key carries a tier tag outside the ladder",
+                });
             }
             for (counter, tier) in shard.sampled_in_key_order() {
-                match folds.get_mut(usize::from(tier)).ok_or(OUTSIDE)? {
+                match &mut folds[usize::from(tier)] {
                     Some(fold) => fold.merge(counter, rng)?,
                     slot @ None => *slot = Some(Fold::onto(counter.clone())),
                 }
@@ -460,6 +459,10 @@ mod tests {
             .sum();
         assert_eq!(after, oracle, "fold must match a from-scratch sum");
         assert_ne!(after, before, "coarse rung must move the estimate");
+        assert!(
+            snap2.merged_estimate_tiered(1, &mut rng).is_err(),
+            "a tag outside the ladder is refused"
+        );
     }
 
     #[test]
