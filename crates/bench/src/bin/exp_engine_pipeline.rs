@@ -20,9 +20,8 @@
 use ac_bench::{header, json::JsonObject, section, sized, verdict, write_json_report};
 use ac_core::{ApproxCounter, NelsonYuCounter, NyParams, StateBits};
 use ac_engine::{
-    checkpoint_delta, checkpoint_snapshot, restore_checkpoint, restore_checkpoint_chain,
-    BackgroundCheckpointer, CheckpointCadence, CheckpointKind, CheckpointerConfig, CounterEngine,
-    EngineConfig, EngineSnapshot, IngestConfig, IngestQueue,
+    checkpoint, restore_checkpoint, BackgroundCheckpointer, CheckpointCadence, CheckpointKind,
+    CheckpointerConfig, CounterEngine, EngineConfig, EngineSnapshot, IngestConfig, IngestQueue,
 };
 use ac_randkit::{RandomSource, SplitMix64, Xoshiro256PlusPlus};
 use ac_sim::report::Table;
@@ -165,7 +164,10 @@ fn routed_checkpoint_matches_serial(events: &[(u64, u64)]) -> bool {
         } else {
             queue.drain_into(&mut engine);
         }
-        checkpoint_snapshot(&engine.snapshot()).bytes().to_vec()
+        checkpoint(&engine.snapshot(), None, None)
+            .unwrap()
+            .bytes()
+            .to_vec()
     };
     drain(false) == drain(true)
 }
@@ -290,6 +292,7 @@ fn main() {
         CheckpointerConfig::new()
             .with_every_events(cadence)
             .with_retain_bytes(false),
+        None,
     );
 
     let ingest_start = Instant::now();
@@ -551,7 +554,7 @@ fn main() {
     section("checkpoint: ac-bitio serialization of the final snapshot");
     let final_snap = engine.snapshot();
     let ck_start = Instant::now();
-    let ck = checkpoint_snapshot(&final_snap);
+    let ck = checkpoint(&final_snap, None, None).unwrap();
     let write_s = ck_start.elapsed().as_secs_f64();
     let cs = ck.stats();
     let path = std::env::temp_dir().join("ac_engine_pipeline_checkpoint.bin");
@@ -603,7 +606,7 @@ fn main() {
     section("restore: every key bit-identical, RNG stream continued");
     let bytes = std::fs::read(&path).expect("read checkpoint file");
     let rs_start = Instant::now();
-    let restored = restore_checkpoint(&template(), &bytes).expect("restore");
+    let restored = restore_checkpoint(&[template()], &[&bytes]).expect("restore");
     let restore_s = rs_start.elapsed().as_secs_f64();
     let mut mismatches = 0u64;
     for (key, counter) in engine.iter() {
@@ -642,7 +645,7 @@ fn main() {
     let fleet_batch: Vec<(u64, u64)> = (0..keys).map(|k| (k, 1 + k % 32)).collect();
     fleet.apply(&fleet_batch);
     let full_start = Instant::now();
-    let base = checkpoint_snapshot(&fleet.snapshot());
+    let base = checkpoint(&fleet.snapshot(), None, None).unwrap();
     let full_write_s = full_start.elapsed().as_secs_f64();
 
     // Dirty at most 2 of 256 shards (0.78 %): touch only keys that route
@@ -654,7 +657,7 @@ fn main() {
     let hot_batch: Vec<(u64, u64)> = hot_keys.iter().map(|&k| (k, 100)).collect();
     fleet.apply(&hot_batch);
     let delta_start = Instant::now();
-    let delta = checkpoint_delta(&fleet.snapshot(), &base.header()).expect("own lineage");
+    let delta = checkpoint(&fleet.snapshot(), None, Some(&base.header())).expect("own lineage");
     let delta_write_s = delta_start.elapsed().as_secs_f64();
 
     let dirty = delta.stats().shards_written;
@@ -664,7 +667,7 @@ fn main() {
     // Chain restore must equal the live engine bit for bit — and keep
     // producing the same random stream afterwards.
     let mut via_chain =
-        restore_checkpoint_chain(&template(), &[base.bytes(), delta.bytes()]).expect("chain");
+        restore_checkpoint(&[template()], &[base.bytes(), delta.bytes()]).expect("chain");
     let mut chain_mismatches = 0u64;
     let follow_up: Vec<(u64, u64)> = (0..2_000u64).map(|k| (k * 17 % keys, 3 + k % 9)).collect();
     via_chain.apply(&follow_up);

@@ -166,7 +166,7 @@ fn main() {
 
     let start = Instant::now();
     for chunk in pairs.chunks(1 << 16) {
-        engine.apply_parallel(chunk);
+        engine.apply(chunk);
     }
     let apply_s = start.elapsed().as_secs_f64();
     let stats = engine.stats();

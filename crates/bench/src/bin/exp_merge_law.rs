@@ -24,9 +24,7 @@ use ac_bitio::{BitReader, BitWriter, MemoryAudit, StateBits};
 use ac_core::{
     ApproxCounter, CoreError, Mergeable, MorrisCounter, NelsonYuCounter, NyParams, StateCodec,
 };
-use ac_engine::{
-    checkpoint_snapshot, restore_checkpoint, CounterEngine, EngineConfig, EngineSnapshot,
-};
+use ac_engine::{checkpoint, restore_checkpoint, CounterEngine, EngineConfig, EngineSnapshot};
 use ac_randkit::{trial_seed, RandomSource, Xoshiro256PlusPlus};
 use ac_sim::report::{sig, Table};
 use ac_stats::ks::{ks_two_sample, KsResult};
@@ -142,8 +140,8 @@ fn population(p: NyParams, seed: u64) -> EngineSnapshot<Counted> {
             .collect();
         engine.apply(&batch);
     }
-    let frame = checkpoint_snapshot(&engine.snapshot());
-    restore_checkpoint(&template, frame.bytes())
+    let frame = checkpoint(&engine.snapshot(), None, None).unwrap();
+    restore_checkpoint(std::slice::from_ref(&template), &[frame.bytes()])
         .expect("the population restores")
         .snapshot()
 }

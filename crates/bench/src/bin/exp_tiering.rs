@@ -195,7 +195,7 @@ fn main() {
                     (workload.key_of_rank(u64::from(rank)), u64::from(delta))
                 }),
             );
-            engine.apply_parallel(&buf);
+            engine.apply(&buf);
         }
         let stats = engine.stats();
         let (mean, max) = score_top(&workload, &exact, |key| {

@@ -5,11 +5,11 @@
 //!
 //! ## Why not scoped-spawn per batch
 //!
-//! [`CounterEngine::apply_parallel`](crate::CounterEngine::apply_parallel)
-//! spawns one scoped thread per touched shard *per batch* — fine for the
-//! occasional large batch, ruinous at pipeline rates where a batch is a
-//! few thousand pairs and spawn/join costs rival application. The
-//! threaded drain spawns its workers once and ships work over channels.
+//! Spawning one scoped thread per touched shard *per batch* is fine for
+//! the occasional large batch but ruinous at pipeline rates, where a
+//! batch is a few thousand pairs and spawn/join costs rival
+//! application. The threaded drain spawns its workers once and ships
+//! work over channels.
 //!
 //! ## The burst protocol
 //!

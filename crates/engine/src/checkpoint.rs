@@ -30,21 +30,28 @@
 //! ## Delta chains
 //!
 //! A **full** checkpoint (`kind = 0`) writes every shard. A **delta**
-//! (`kind = 1`, written by [`checkpoint_delta`]) writes only the shards
-//! whose [dirty epoch](crate::EngineStats::dirty_shards) is newer than
-//! its *parent* checkpoint's freeze epoch — `O(dirty data)` bytes instead
-//! of `O(total keys)`. The parent is identified by a **chained
-//! checksum**: every checkpoint's identity is a 64-bit digest of its own
-//! header and payload checksums ([`CheckpointHeader::chain`]), and a
-//! delta's header stores its parent's digest in `parent_chain`.
-//! [`restore_checkpoint_chain`] refuses a chain whose links don't match —
-//! a delta can never be applied to the wrong base, out of order, or
-//! across a divergent history, because any of those changes the parent's
-//! bytes and therefore its digest. A node that receives the chain one
-//! segment at a time folds each delta into its resident engine with
+//! (`kind = 1`, written by [`checkpoint`] given a parent header) writes
+//! only the shards whose [dirty epoch](crate::EngineStats::dirty_shards)
+//! is newer than its *parent* checkpoint's freeze epoch — `O(dirty data)`
+//! bytes instead of `O(total keys)`. The parent is identified by a
+//! **chained checksum**: every checkpoint's identity is a 64-bit digest
+//! of its own header and payload checksums ([`CheckpointHeader::chain`]),
+//! and a delta's header stores its parent's digest in `parent_chain`.
+//! [`restore_checkpoint`] refuses a chain whose links don't match — a
+//! delta can never be applied to the wrong base, out of order, or across
+//! a divergent history, because any of those changes the parent's bytes
+//! and therefore its digest. A node that receives the chain one segment
+//! at a time folds each delta into its resident engine with
 //! [`fold_checkpoint_delta`] — the same validator, one delta at a time —
-//! and a node cutting a chain compacts it with [`compact_snapshot`],
-//! straight from the snapshot its tip was cut from.
+//! and a node cutting a chain compacts it with [`compact_checkpoint`],
+//! from the snapshot its tip was cut from (or from a restore of the
+//! chain, pinned to the tip's epoch).
+//!
+//! These four functions are the whole API. Each takes the tier ladder
+//! (rung 0 = default template): `None` tiers write version-2 frames,
+//! `Some` write version 3, and restores read the version from each
+//! header. Large engines encode and decode their shard sections on
+//! scoped threads, one per core; the bytes never depend on it.
 //!
 //! Corruption behavior mid-chain: every segment carries its own header
 //! and payload checksums, verified before parsing, so a truncated or
@@ -66,7 +73,8 @@ use ac_bitio::{BitReader, BitVec, BitWriter};
 use ac_core::{CoreError, StateCodec};
 use ac_randkit::Xoshiro256PlusPlus;
 use std::fmt;
-use std::sync::Arc;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// `"ACKP"` — approximate-counting checkpoint.
 pub const CHECKPOINT_MAGIC: u32 = 0x4143_4B50;
@@ -81,9 +89,9 @@ pub const CHECKPOINT_VERSION: u16 = 2;
 /// shard section carries a sparse per-key tier-tag block *before* its
 /// states (a state can only be decoded by its own tier's template), and
 /// the header fingerprint covers the whole ladder of templates via
-/// [`combined_fingerprint`]. Written by [`checkpoint_snapshot_with`] /
-/// [`checkpoint_delta_with`]; version-2 frames restore through the same
-/// `_with` readers with every key in tier 0.
+/// [`combined_fingerprint`]. Written by [`checkpoint`] given a tier
+/// ladder; version-2 frames restore through the same ladder with every
+/// key in tier 0.
 pub const CHECKPOINT_VERSION_TIERED: u16 = 3;
 
 /// Domain separation for the ladder fingerprint fold, so a one-tier
@@ -127,7 +135,7 @@ pub enum CheckpointKind {
     /// Every shard, self-contained.
     Full,
     /// Only shards dirtied since the parent checkpoint; restorable only
-    /// through [`restore_checkpoint_chain`] on top of its parent.
+    /// on top of its parent.
     Delta,
 }
 
@@ -193,16 +201,17 @@ pub enum CheckpointError {
     /// The template's family/parameter fingerprint does not match the
     /// one the checkpoint was written with.
     ScheduleMismatch,
-    /// The caller pinned an expected [`EngineConfig`] and the header
-    /// disagrees.
+    /// The frame belongs to an engine with a different [`EngineConfig`]
+    /// (shard count or seed) than the one it is written against or
+    /// folded into.
     ConfigMismatch {
         /// The configuration the caller expected.
         expected: EngineConfig,
         /// The configuration in the header.
         got: EngineConfig,
     },
-    /// A delta checkpoint was handed to [`restore_checkpoint`]; deltas
-    /// only restore through [`restore_checkpoint_chain`] on their base.
+    /// A chain of one delta was handed to [`restore_checkpoint`]; a
+    /// delta only restores on top of its base.
     DeltaWithoutBase,
     /// The delta chain is broken: wrong parent digest, wrong order, a
     /// non-full first segment, or a mid-chain kind violation.
@@ -238,7 +247,7 @@ impl fmt::Display for CheckpointError {
             ),
             CheckpointError::DeltaWithoutBase => write!(
                 f,
-                "delta checkpoint cannot restore alone; fold it with restore_checkpoint_chain"
+                "delta checkpoint cannot restore alone; restore it after its base"
             ),
             CheckpointError::BadChain { what } => write!(f, "broken checkpoint chain: {what}"),
             CheckpointError::Truncated => write!(f, "checkpoint is truncated"),
@@ -324,8 +333,8 @@ impl Checkpoint {
         self.stats
     }
 
-    /// The parsed header — pass it to [`checkpoint_delta`] as the parent
-    /// of the next incremental frame.
+    /// The parsed header — pass it to [`checkpoint`] as the parent of
+    /// the next incremental frame.
     #[must_use]
     pub fn header(&self) -> CheckpointHeader {
         self.header
@@ -386,73 +395,57 @@ fn effective_workers(requested: usize, items: usize, keys: u64) -> usize {
     }
 }
 
-/// Serializes a snapshot into a self-contained full [`Checkpoint`]
-/// (version 2). Shard sections are encoded in parallel when the engine
-/// is large enough; the bytes are identical to the serial encoder's.
+/// Runs `work(pos)` for every `pos` in `0..items` across `workers`
+/// claim loops — the caller plus `workers - 1` scoped threads, all
+/// taking positions off one shared counter (section sizes are skewed,
+/// so static striping would idle threads behind the heaviest one) — and
+/// returns the `(pos, result)` pairs in completion order. Callers that
+/// need frame order sort by `pos`. A panic inside `work` reaches the
+/// caller through `join`.
+fn fan_out<T, F>(workers: usize, items: usize, work: F) -> Vec<(usize, T)>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let next = AtomicUsize::new(0);
+    let claim_all = || {
+        let mut out = Vec::new();
+        loop {
+            let pos = next.fetch_add(1, Ordering::Relaxed);
+            if pos >= items {
+                break out;
+            }
+            out.push((pos, work(pos)));
+        }
+    };
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers.min(items))
+            .map(|_| s.spawn(claim_all))
+            .collect();
+        let mut all = claim_all();
+        for helper in helpers {
+            all.extend(helper.join().unwrap_or_else(|p| resume_unwind(p)));
+        }
+        all
+    })
+}
+
+/// Serializes a snapshot into a [`Checkpoint`]: a self-contained **full**
+/// frame when `parent` is `None`, otherwise a **delta** holding only the
+/// shards dirtied since `parent` (`O(dirty data)` bytes; a delta after
+/// touching 1 % of shards costs ~1 % of the full frame).
 ///
-/// # Panics
-///
-/// Panics if the engine carries non-default tier tags — version 2 has
-/// nowhere to put them; use [`checkpoint_snapshot_with`] instead.
-#[must_use]
-pub fn checkpoint_snapshot<C: StateCodec + Clone + Send + Sync + 'static>(
-    snap: &EngineSnapshot<C>,
-) -> Checkpoint {
-    checkpoint_snapshot_workers(snap, 0)
-}
-
-/// [`checkpoint_snapshot`] with an explicit encode worker count: `0`
-/// picks one per core (engaged only for large engines), `1` forces the
-/// serial encoder, larger values are capped at the shard count. Every
-/// choice produces bit-identical frames — a property test pins this.
-#[must_use]
-pub fn checkpoint_snapshot_workers<C: StateCodec + Clone + Send + Sync + 'static>(
-    snap: &EngineSnapshot<C>,
-    workers: usize,
-) -> Checkpoint {
-    let all: Vec<usize> = (0..snap.shards.len()).collect();
-    write_checkpoint(snap, None, CheckpointKind::Full, 0, &all, workers)
-}
-
-/// Serializes a tiered snapshot into a self-contained full version-3
-/// [`Checkpoint`]: per-key tier tags ride in each shard section and the
-/// header fingerprint covers the whole `templates` ladder (tier →
-/// template, `templates[0]` the default tier). Restore through
-/// [`restore_checkpoint_chain_with`] with the same ladder.
-#[must_use]
-pub fn checkpoint_snapshot_with<C: StateCodec + Clone + Send + Sync + 'static>(
-    snap: &EngineSnapshot<C>,
-    templates: &[C],
-) -> Checkpoint {
-    checkpoint_snapshot_with_workers(snap, templates, 0)
-}
-
-/// [`checkpoint_snapshot_with`] with an explicit encode worker count
-/// (see [`checkpoint_snapshot_workers`] for the contract).
-#[must_use]
-pub fn checkpoint_snapshot_with_workers<C: StateCodec + Clone + Send + Sync + 'static>(
-    snap: &EngineSnapshot<C>,
-    templates: &[C],
-    workers: usize,
-) -> Checkpoint {
-    assert!(!templates.is_empty(), "need at least the default template");
-    let all: Vec<usize> = (0..snap.shards.len()).collect();
-    write_checkpoint(
-        snap,
-        Some(templates),
-        CheckpointKind::Full,
-        0,
-        &all,
-        workers,
-    )
-}
-
-/// Serializes only the shards dirtied since `parent` — an incremental
-/// frame restorable on top of its parent via [`restore_checkpoint_chain`].
-/// `O(dirty data)` bytes; a delta after touching 1 % of shards costs ~1 %
-/// of the full checkpoint.
+/// `tiers` selects the format. `None` writes version 2. `Some(ladder)`
+/// writes version 3: per-key tier tags ride in each shard section and
+/// the header fingerprint covers the whole ladder (tier → template,
+/// `ladder[0]` the default tier). A version-3 delta may extend a
+/// version-2 parent, the chain cut before tiering was turned on. Shard
+/// sections are encoded in parallel when the engine is large enough;
+/// the bytes are identical to the serial encoder's.
 ///
 /// # Errors
+///
+/// Only a delta can fail:
 ///
 /// * [`CheckpointError::ScheduleMismatch`] — the parent was written by a
 ///   different counter family or parameter schedule;
@@ -467,53 +460,21 @@ pub fn checkpoint_snapshot_with_workers<C: StateCodec + Clone + Send + Sync + 's
 ///   epoch clock happens to have advanced *past* the parent's is
 ///   indistinguishable from the parent's own future without a lineage
 ///   identity — keep one chain per engine.
-pub fn checkpoint_delta<C: StateCodec + Clone + Send + Sync + 'static>(
-    snap: &EngineSnapshot<C>,
-    parent: &CheckpointHeader,
-) -> Result<Checkpoint, CheckpointError> {
-    checkpoint_delta_inner(snap, None, parent)
-}
-
-/// [`checkpoint_delta`] for tiered engines: writes a version-3 delta
-/// whose dirty shard sections carry per-key tier tags. The parent may be
-/// a version-2 frame (the chain that was cut before tiering was turned
-/// on) or another version-3 frame — both fingerprints are accepted.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Everything [`checkpoint_delta`] returns.
-pub fn checkpoint_delta_with<C: StateCodec + Clone + Send + Sync + 'static>(
+/// Panics if `tiers` is `Some` but empty, or if `tiers` is `None` and
+/// the engine carries non-default tier tags — version 2 has nowhere to
+/// put them.
+pub fn checkpoint<C: StateCodec + Clone + Send + Sync>(
     snap: &EngineSnapshot<C>,
-    templates: &[C],
-    parent: &CheckpointHeader,
+    tiers: Option<&[C]>,
+    parent: Option<&CheckpointHeader>,
 ) -> Result<Checkpoint, CheckpointError> {
-    assert!(!templates.is_empty(), "need at least the default template");
-    checkpoint_delta_inner(snap, Some(templates), parent)
-}
-
-fn checkpoint_delta_inner<C: StateCodec + Clone + Send + Sync + 'static>(
-    snap: &EngineSnapshot<C>,
-    templates: Option<&[C]>,
-    parent: &CheckpointHeader,
-) -> Result<Checkpoint, CheckpointError> {
-    let fingerprint_ok = match templates {
-        None => parent.params_fingerprint == snap.template.params_fingerprint(),
-        // A tiered delta may extend a pre-tiering (version 2) chain: its
-        // parent then carries the bare default-template fingerprint.
-        Some(t) => {
-            parent.params_fingerprint == combined_fingerprint(t)
-                || parent.params_fingerprint == t[0].params_fingerprint()
-        }
+    let Some(parent) = parent else {
+        return Ok(write_full(snap, tiers, 0, 0));
     };
-    if !fingerprint_ok {
-        return Err(CheckpointError::ScheduleMismatch);
-    }
-    if parent.config != snap.config() {
-        return Err(CheckpointError::ConfigMismatch {
-            expected: snap.config(),
-            got: parent.config,
-        });
-    }
+    check_lineage(snap, tiers, parent)?;
     if parent.epoch >= snap.epoch() {
         return Err(CheckpointError::BadChain {
             what: "parent freeze epoch is not strictly older than the snapshot",
@@ -528,12 +489,39 @@ fn checkpoint_delta_inner<C: StateCodec + Clone + Send + Sync + 'static>(
         .collect();
     Ok(write_checkpoint(
         snap,
-        templates,
+        tiers,
         CheckpointKind::Delta,
         parent.chain,
         &dirty,
         0,
     ))
+}
+
+/// Refuses a `header` (a delta's parent, or a chain tip to compact)
+/// that another schedule or engine wrote. A tiered frame may follow a
+/// version-2 one, which carries the bare default-template fingerprint.
+fn check_lineage<C: StateCodec + Clone>(
+    snap: &EngineSnapshot<C>,
+    tiers: Option<&[C]>,
+    header: &CheckpointHeader,
+) -> Result<(), CheckpointError> {
+    let fingerprint_ok = match tiers {
+        None => header.params_fingerprint == snap.template.params_fingerprint(),
+        Some(t) => {
+            header.params_fingerprint == combined_fingerprint(t)
+                || header.params_fingerprint == t[0].params_fingerprint()
+        }
+    };
+    if !fingerprint_ok {
+        return Err(CheckpointError::ScheduleMismatch);
+    }
+    if header.config != snap.config() {
+        return Err(CheckpointError::ConfigMismatch {
+            expected: snap.config(),
+            got: header.config,
+        });
+    }
+    Ok(())
 }
 
 /// Size accounting for one encoded shard section, accumulated into the
@@ -610,7 +598,7 @@ fn encode_section_into<C: StateCodec + Clone>(
         assert!(
             entries.iter().all(|&(_, _, tier)| tier == 0),
             "engine carries tier tags; version 2 cannot represent them \
-             — checkpoint with checkpoint_snapshot_with/checkpoint_delta_with"
+             — pass the tier ladder to checkpoint"
         );
     }
     let before = v.len();
@@ -632,11 +620,11 @@ fn encode_section_into<C: StateCodec + Clone>(
 /// version 2 (and panics on non-default tier tags, which it cannot
 /// represent); `Some(ladder)` writes version 3 with per-section tag
 /// blocks and the ladder-covering fingerprint. `workers` steers section
-/// encoding (0 = auto): with more than one worker, sections are encoded
-/// into per-worker vectors and spliced in order with [`BitVec::append`],
-/// so checksums, chain digests, and every committed byte are identical
-/// to the serial path.
-fn write_checkpoint<C: StateCodec + Clone + Send + Sync + 'static>(
+/// encoding (0 = auto, 1 = serial; tests force either): sections are
+/// encoded into their own vectors by [`fan_out`] and spliced in order
+/// with [`BitVec::append`], so checksums, chain digests, and every
+/// committed byte are the same for every worker count.
+fn write_checkpoint<C: StateCodec + Clone + Send + Sync>(
     snap: &EngineSnapshot<C>,
     templates: Option<&[C]>,
     kind: CheckpointKind,
@@ -644,6 +632,10 @@ fn write_checkpoint<C: StateCodec + Clone + Send + Sync + 'static>(
     indices: &[usize],
     workers: usize,
 ) -> Checkpoint {
+    assert!(
+        templates.is_none_or(|t| !t.is_empty()),
+        "need at least the default template"
+    );
     let (version, fingerprint) = match templates {
         None => (CHECKPOINT_VERSION, snap.template.params_fingerprint()),
         Some(t) => (CHECKPOINT_VERSION_TIERED, combined_fingerprint(t)),
@@ -669,34 +661,18 @@ fn write_checkpoint<C: StateCodec + Clone + Send + Sync + 'static>(
 
     v.push_bits(indices.len() as u64, 32);
     let tiered = templates.is_some();
-    let mut tally = SectionTally::default();
     let n_workers = effective_workers(workers, indices.len(), snap.len() as u64);
-    if n_workers <= 1 {
-        for &idx in indices {
-            tally.absorb(encode_section_into(&mut v, &snap.shards[idx], idx, tiered));
-        }
-    } else {
-        // Persistent-pool fan-out (`pool::fan_out`): workers claim
-        // section positions off a shared counter and encode into fresh
-        // vectors (shard sizes are skewed, so static striping would
-        // leave threads idle behind the heaviest shard). Sections then
-        // splice into the frame in original position order, reproducing
-        // the serial byte stream exactly.
-        let work: Vec<(usize, Arc<Shard<C>>)> = indices
-            .iter()
-            .map(|&idx| (idx, Arc::clone(&snap.shards[idx])))
-            .collect();
-        let mut encoded = crate::pool::fan_out(n_workers, work.len(), move |pos| {
-            let (idx, shard) = &work[pos];
-            let mut section = BitVec::new();
-            let t = encode_section_into(&mut section, shard, *idx, tiered);
-            (section, t)
-        });
-        encoded.sort_unstable_by_key(|&(pos, _)| pos);
-        for (_, (section, t)) in &encoded {
-            v.append(section);
-            tally.absorb(*t);
-        }
+    let mut encoded = fan_out(n_workers, indices.len(), |pos| {
+        let idx = indices[pos];
+        let mut section = BitVec::new();
+        let tally = encode_section_into(&mut section, &snap.shards[idx], idx, tiered);
+        (section, tally)
+    });
+    encoded.sort_unstable_by_key(|&(pos, _)| pos);
+    let mut tally = SectionTally::default();
+    for (_, (section, t)) in &encoded {
+        v.append(section);
+        tally.absorb(*t);
     }
     let SectionTally {
         keys: keys_written,
@@ -752,6 +728,25 @@ fn write_checkpoint<C: StateCodec + Clone + Send + Sync + 'static>(
         stats,
         header,
     }
+}
+
+/// [`write_checkpoint`] of every shard: a full frame, or with a nonzero
+/// `parent_chain` a compacted base.
+fn write_full<C: StateCodec + Clone + Send + Sync>(
+    snap: &EngineSnapshot<C>,
+    templates: Option<&[C]>,
+    parent_chain: u64,
+    workers: usize,
+) -> Checkpoint {
+    let all: Vec<usize> = (0..snap.shards.len()).collect();
+    write_checkpoint(
+        snap,
+        templates,
+        CheckpointKind::Full,
+        parent_chain,
+        &all,
+        workers,
+    )
 }
 
 /// Parses and validates the fixed header. Only the first 83 bytes are
@@ -838,8 +833,8 @@ struct ShardSection<C> {
 
 /// Verifies a checkpoint's payload checksum and parses its shard
 /// sections into restored shards (each stamped with the header's freeze
-/// epoch as its dirty epoch). Shared by the lone-restore and
-/// chain-restore paths; all structural validation happens here.
+/// epoch as its dirty epoch). Shared by the restore and fold paths; all
+/// structural validation happens here.
 /// `templates` is the tier ladder (rung 0 = default); a version-2 frame
 /// uses only rung 0 and must carry its bare fingerprint, a version-3
 /// frame must carry the fingerprint covering the whole ladder.
@@ -847,10 +842,10 @@ struct ShardSection<C> {
 /// Decoding runs in two phases: a cheap sequential boundary scan over
 /// the length-prefixed sections (which also proves the payload length
 /// adds up), then per-section decoding — fanned out across `workers`
-/// threads (0 = auto) since sections are self-contained. Errors keep
-/// the serial path's precedence: the first failing section in frame
-/// order names the error.
-fn parse_sections<C: StateCodec + Clone + Send + Sync + 'static>(
+/// threads (0 = auto, 1 = serial) since sections are self-contained.
+/// Errors keep the serial path's precedence: the first failing section
+/// in frame order names the error.
+fn parse_sections<C: StateCodec + Clone + Send + Sync>(
     templates: &[C],
     bytes: &[u8],
     header: &CheckpointHeader,
@@ -948,36 +943,17 @@ fn parse_sections<C: StateCodec + Clone + Send + Sync + 'static>(
 
     // Phase 2: decode every section body, shard-parallel when asked.
     let n_workers = effective_workers(workers, bounds.len(), header.keys);
-    if n_workers <= 1 {
-        let mut parsed = Vec::with_capacity(bounds.len());
-        for &(idx, start, len) in &bounds {
-            let s = parse_one_section(templates, &v, header, start, len)?;
-            parsed.push((
-                idx,
-                Shard::from_restored(s.rng, s.events, s.entries, s.tiers, header.epoch),
-            ));
-        }
-        return Ok(parsed);
-    }
-    // The pool's jobs outlive this borrow-scoped call, so the shared
-    // inputs move into `Arc`s: the payload words, the boundary table,
-    // the tier ladder, and the header are all owned by the fan-out.
-    let v = Arc::new(v);
-    let bounds = Arc::new(bounds);
-    let templates: Arc<Vec<C>> = Arc::new(templates.to_vec());
-    let header = *header;
-    let mut decoded = crate::pool::fan_out(n_workers, bounds.len(), move |pos| {
+    let mut decoded = fan_out(n_workers, bounds.len(), |pos| {
         let (idx, start, len) = bounds[pos];
-        parse_one_section(&templates, &v, &header, start, len).map(|s| {
+        parse_one_section(templates, &v, header, start, len).map(|s| {
             (
                 idx,
                 Shard::from_restored(s.rng, s.events, s.entries, s.tiers, header.epoch),
             )
         })
     });
-    // Frame order restored by the sort, so the `collect` below still
-    // names the *first failing section in frame order* — the serial
-    // path's error precedence.
+    // Frame order restored by the sort, so the `collect` below names the
+    // *first failing section in frame order* whatever the worker count.
     decoded.sort_unstable_by_key(|&(pos, _)| pos);
     decoded
         .into_iter()
@@ -1089,108 +1065,53 @@ fn parse_one_section<C: StateCodec + Clone>(
     })
 }
 
-/// Rebuilds a [`CounterEngine`] from one **full** checkpoint. `template`
-/// supplies the family and parameter schedule; it must match the
-/// checkpoint's fingerprint (its registers are ignored).
+/// Rebuilds a [`CounterEngine`] from a **base + deltas chain** —
+/// bit-identical to the engine the *last* segment was cut from, every
+/// key's counter state and each shard's RNG included. A lone full frame
+/// is a chain of one. Segment 0 must be a full checkpoint, every later
+/// segment a delta whose `parent_chain` cites the digest of the segment
+/// before it. Dirty shards are replaced wholesale by the newest delta
+/// that carries them; clean shards keep the newest earlier state. The
+/// chain is folded one delta at a time through
+/// [`fold_checkpoint_delta`]'s validator, which checks every header's
+/// whole-engine totals against the state it produces, so a fold that
+/// loses or duplicates anything is refused.
+///
+/// `ladder` supplies the family and parameter schedule (rung 0 = the
+/// default template; its registers are ignored). Each segment's version
+/// is read from its header: a version-2 segment must carry rung 0's
+/// fingerprint and restores every key at tier 0, a version-3 segment
+/// must carry the whole ladder's. A chain that straddles the moment
+/// tiering was enabled therefore folds cleanly.
 ///
 /// # Errors
 ///
-/// Returns a [`CheckpointError`] for any mismatch, truncation, or
-/// validation failure — including [`CheckpointError::DeltaWithoutBase`]
-/// for a delta frame, which only restores through
-/// [`restore_checkpoint_chain`]. On success every key's counter state —
-/// and each shard's RNG — is bit-identical to the snapshot's.
-pub fn restore_checkpoint<C: StateCodec + Clone + Send + Sync + 'static>(
-    template: &C,
-    bytes: &[u8],
-) -> Result<CounterEngine<C>, CheckpointError> {
-    restore_checkpoint_chain(template, &[bytes])
-}
-
-/// [`restore_checkpoint`] for tiered checkpoints: `templates` is the
-/// tier ladder (rung 0 = default) the version-3 frame was written
-/// against.
+/// A [`CheckpointError`] for any mismatch, truncation, or validation
+/// failure: [`CheckpointError::DeltaWithoutBase`] for a lone delta, and
+/// [`CheckpointError::BadChain`] for an empty chain, a delta-first
+/// chain, a full frame mid-chain, a parent-digest mismatch, or a
+/// non-monotone epoch. Each segment's checksums are verified
+/// independently, so a corrupt or truncated delta names itself rather
+/// than poisoning the fold.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Everything [`restore_checkpoint`] returns.
-pub fn restore_checkpoint_with<C: StateCodec + Clone + Send + Sync + 'static>(
-    templates: &[C],
-    bytes: &[u8],
-) -> Result<CounterEngine<C>, CheckpointError> {
-    restore_checkpoint_chain_with(templates, &[bytes])
-}
-
-/// Folds a **base + deltas chain** back into a [`CounterEngine`] that is
-/// bit-identical to the engine the *last* delta was cut from: segment 0
-/// must be a full checkpoint, every later segment a delta whose
-/// `parent_chain` cites the digest of the segment before it. Dirty shards
-/// are replaced wholesale by the newest delta that carries them; clean
-/// shards keep the newest earlier state. The chain is folded one delta
-/// at a time through [`fold_checkpoint_delta`]'s validator, which checks
-/// every header's whole-engine totals against the state it produces, so
-/// a fold that loses or duplicates anything is refused.
-///
-/// # Errors
-///
-/// Everything [`restore_checkpoint`] returns, plus
-/// [`CheckpointError::BadChain`] for an empty chain, a delta-first chain,
-/// a full frame mid-chain, a parent-digest mismatch, or a non-monotone
-/// epoch. Each segment's checksums are verified independently, so a
-/// corrupt or truncated delta names itself rather than poisoning the
-/// fold.
-pub fn restore_checkpoint_chain<C: StateCodec + Clone + Send + Sync + 'static>(
-    template: &C,
+/// Panics if `ladder` is empty.
+pub fn restore_checkpoint<C: StateCodec + Clone + Send + Sync>(
+    ladder: &[C],
     segments: &[&[u8]],
 ) -> Result<CounterEngine<C>, CheckpointError> {
-    restore_checkpoint_chain_with(std::slice::from_ref(template), segments)
+    restore_with_workers(ladder, segments, 0)
 }
 
-/// [`restore_checkpoint_chain`] with an explicit decode worker count:
-/// `0` picks one per core (engaged only for large frames), `1` forces
-/// the serial decoder, larger values are capped at the section count.
-/// Every choice restores identical state — a property test pins this.
-///
-/// # Errors
-///
-/// Everything [`restore_checkpoint_chain`] returns.
-pub fn restore_checkpoint_chain_workers<C: StateCodec + Clone + Send + Sync + 'static>(
-    template: &C,
+/// [`restore_checkpoint`] with an explicit decode worker count (0 =
+/// auto, 1 = serial).
+fn restore_with_workers<C: StateCodec + Clone + Send + Sync>(
+    ladder: &[C],
     segments: &[&[u8]],
     workers: usize,
 ) -> Result<CounterEngine<C>, CheckpointError> {
-    restore_checkpoint_chain_with_workers(std::slice::from_ref(template), segments, workers)
-}
-
-/// [`restore_checkpoint_chain`] for tiered chains: `templates` is the
-/// tier ladder (rung 0 = default). Accepts any mix of version-2 segments
-/// (fingerprinted against rung 0 alone, every key restored at tier 0)
-/// and version-3 segments (fingerprinted against the whole ladder,
-/// per-key tier tags restored), so a chain that straddles the moment
-/// tiering was enabled folds cleanly.
-///
-/// # Errors
-///
-/// Everything [`restore_checkpoint_chain`] returns.
-pub fn restore_checkpoint_chain_with<C: StateCodec + Clone + Send + Sync + 'static>(
-    templates: &[C],
-    segments: &[&[u8]],
-) -> Result<CounterEngine<C>, CheckpointError> {
-    restore_checkpoint_chain_with_workers(templates, segments, 0)
-}
-
-/// [`restore_checkpoint_chain_with`] with an explicit decode worker
-/// count (see [`restore_checkpoint_chain_workers`] for the contract).
-///
-/// # Errors
-///
-/// Everything [`restore_checkpoint_chain`] returns.
-pub fn restore_checkpoint_chain_with_workers<C: StateCodec + Clone + Send + Sync + 'static>(
-    templates: &[C],
-    segments: &[&[u8]],
-    workers: usize,
-) -> Result<CounterEngine<C>, CheckpointError> {
-    assert!(!templates.is_empty(), "need at least the default template");
+    assert!(!ladder.is_empty(), "need at least the default template");
     let (first, rest) = segments.split_first().ok_or(CheckpointError::BadChain {
         what: "empty chain",
     })?;
@@ -1207,7 +1128,7 @@ pub fn restore_checkpoint_chain_with_workers<C: StateCodec + Clone + Send + Sync
     // parse_sections proved a full frame holds exactly `shards` strictly
     // increasing in-range indices, so the sections are the shards in
     // order.
-    let shards: Vec<Shard<C>> = parse_sections(templates, first, &base, workers)?
+    let shards: Vec<Shard<C>> = parse_sections(ladder, first, &base, workers)?
         .into_iter()
         .map(|(_, shard)| shard)
         .collect();
@@ -1219,44 +1140,45 @@ pub fn restore_checkpoint_chain_with_workers<C: StateCodec + Clone + Send + Sync
         });
     }
     let mut engine =
-        CounterEngine::from_restored(templates[0].clone(), base.config, shards, base.epoch + 1);
+        CounterEngine::from_restored(ladder[0].clone(), base.config, shards, base.epoch + 1);
     let mut tip = base;
     for &segment in rest {
-        tip = fold_delta(templates, &mut engine, &tip, segment, workers)?;
+        tip = fold_with_workers(&mut engine, ladder, &tip, segment, workers)?;
     }
     Ok(engine)
 }
 
 /// Folds one **delta** into an engine restored from its chain, in place:
-/// the incremental step of [`restore_checkpoint_chain`], for a node that
-/// keeps its engine resident and receives the chain one segment at a
-/// time (a replica). `tip` is the header of the last segment folded into
-/// `engine`; on success the delta's header is returned — the new tip.
+/// the incremental step of [`restore_checkpoint`], for a node that keeps
+/// its engine resident and receives the chain one segment at a time (a
+/// replica, or store recovery). `ladder` is the one the chain restores
+/// through; `tip` is the header of the last segment folded into
+/// `engine`. On success the delta's header is returned — the new tip.
 ///
 /// Every check runs before any shard is installed, so a refused delta
 /// leaves `engine` exactly as it was: kind, config, parent digest
-/// (including the compacted-base alias, see [`compact_chain`]), epoch
-/// order, both checksums, every section, and the header's whole-engine
-/// key and event totals against the engine the delta would produce.
+/// (including the compacted-base alias, see [`compact_checkpoint`]),
+/// epoch order, both checksums, every section, and the header's
+/// whole-engine key and event totals against the engine the delta would
+/// produce.
 ///
 /// # Errors
 ///
-/// Everything [`restore_checkpoint_chain`] returns for its second and
-/// later segments.
-pub fn fold_checkpoint_delta<C: StateCodec + Clone + Send + Sync + 'static>(
+/// Everything [`restore_checkpoint`] returns for its second and later
+/// segments.
+pub fn fold_checkpoint_delta<C: StateCodec + Clone + Send + Sync>(
     engine: &mut CounterEngine<C>,
+    ladder: &[C],
     tip: &CheckpointHeader,
     delta: &[u8],
 ) -> Result<CheckpointHeader, CheckpointError> {
-    let template = engine.template().clone();
-    fold_delta(std::slice::from_ref(&template), engine, tip, delta, 0)
+    fold_with_workers(engine, ladder, tip, delta, 0)
 }
 
-/// The one delta validator behind [`restore_checkpoint_chain`],
-/// [`fold_checkpoint_delta`] and store recovery.
-pub(crate) fn fold_delta<C: StateCodec + Clone + Send + Sync + 'static>(
-    templates: &[C],
+/// [`fold_checkpoint_delta`] with an explicit decode worker count.
+fn fold_with_workers<C: StateCodec + Clone + Send + Sync>(
     engine: &mut CounterEngine<C>,
+    ladder: &[C],
     tip: &CheckpointHeader,
     bytes: &[u8],
     workers: usize,
@@ -1274,7 +1196,7 @@ pub(crate) fn fold_delta<C: StateCodec + Clone + Send + Sync + 'static>(
         });
     }
     if header.parent_chain != tip.chain {
-        // A compacted base (written by `compact_chain*`) replaces a
+        // A compacted base (written by `compact_checkpoint`) replaces a
         // base+deltas prefix whose tip it folded; it records that
         // tip's digest in its own `parent_chain` (ordinary full
         // frames store 0). The first delta after it still
@@ -1296,7 +1218,7 @@ pub(crate) fn fold_delta<C: StateCodec + Clone + Send + Sync + 'static>(
             what: "delta freeze epoch precedes its parent",
         });
     }
-    let sections = parse_sections(templates, bytes, &header, workers)?;
+    let sections = parse_sections(ladder, bytes, &header, workers)?;
     let (mut keys, mut events) = (engine.len() as u64, engine.total_events());
     for (idx, shard) in &sections {
         let old = &engine.shards()[*idx];
@@ -1314,120 +1236,24 @@ pub(crate) fn fold_delta<C: StateCodec + Clone + Send + Sync + 'static>(
     Ok(header)
 }
 
-/// [`restore_checkpoint`], additionally refusing a checkpoint whose
-/// embedded [`EngineConfig`] differs from `expected` — for deployments
-/// where the config is pinned externally and a drifted checkpoint must
-/// not silently win.
-///
-/// # Errors
-///
-/// [`CheckpointError::ConfigMismatch`] on disagreement, plus everything
-/// [`restore_checkpoint`] returns.
-pub fn restore_checkpoint_expecting<C: StateCodec + Clone + Send + Sync + 'static>(
-    template: &C,
-    bytes: &[u8],
-    expected: EngineConfig,
-) -> Result<CounterEngine<C>, CheckpointError> {
-    let header = read_header(bytes)?;
-    if header.config != expected {
-        return Err(CheckpointError::ConfigMismatch {
-            expected,
-            got: header.config,
-        });
-    }
-    restore_checkpoint(template, bytes)
-}
-
-/// Folds a base+deltas chain into one fresh **full** checkpoint holding
+/// Writes the **compacted base** of a chain: one fresh full frame holding
 /// exactly the state the chain restores to — the compaction primitive
 /// that bounds recovery time by state size instead of history length.
+/// `snap` is the snapshot the chain's `tip` was cut from, or a
+/// [`restore_checkpoint`] of the chain pinned to the tip's epoch with
+/// [`EngineSnapshot::with_epoch`]; both give the same bytes. `tiers`
+/// selects the format as in [`checkpoint`].
 ///
 /// The compacted base is *not* an ordinary full frame: its header keeps
 /// the folded tip's freeze `epoch` (so deltas cut against that tip
 /// still select the right dirty shards when chained onto it) and
 /// records the tip's chain digest in `parent_chain` (ordinary full
-/// frames store 0). [`restore_checkpoint_chain`] uses that digest to
+/// frames store 0). [`fold_checkpoint_delta`] uses that digest to
 /// accept the one delta written against the folded tip before the swap
 /// landed — see the alias rule there — which is what lets a compactor
 /// commit without stalling the writer. Its payload bytes are identical
-/// to a [`checkpoint_snapshot`] of the serially restored chain (a
-/// property test pins this).
-///
-/// # Errors
-///
-/// Everything [`restore_checkpoint_chain`] returns.
-pub fn compact_chain<C: StateCodec + Clone + Send + Sync + 'static>(
-    template: &C,
-    segments: &[&[u8]],
-) -> Result<Checkpoint, CheckpointError> {
-    compact_chain_workers(template, segments, 0)
-}
-
-/// [`compact_chain`] with an explicit worker count for both the restore
-/// fold and the re-encode (0 = auto, 1 = serial).
-///
-/// # Errors
-///
-/// Everything [`restore_checkpoint_chain`] returns.
-pub fn compact_chain_workers<C: StateCodec + Clone + Send + Sync + 'static>(
-    template: &C,
-    segments: &[&[u8]],
-    workers: usize,
-) -> Result<Checkpoint, CheckpointError> {
-    compact_chain_inner(std::slice::from_ref(template), false, segments, workers)
-}
-
-/// [`compact_chain`] for tiered chains: restores through the `templates`
-/// ladder and writes a version-3 compacted base.
-///
-/// # Errors
-///
-/// Everything [`restore_checkpoint_chain`] returns.
-pub fn compact_chain_with<C: StateCodec + Clone + Send + Sync + 'static>(
-    templates: &[C],
-    segments: &[&[u8]],
-) -> Result<Checkpoint, CheckpointError> {
-    compact_chain_inner(templates, true, segments, 0)
-}
-
-/// [`compact_chain_with`] with an explicit worker count (0 = auto).
-///
-/// # Errors
-///
-/// Everything [`restore_checkpoint_chain`] returns.
-pub fn compact_chain_with_workers<C: StateCodec + Clone + Send + Sync + 'static>(
-    templates: &[C],
-    segments: &[&[u8]],
-    workers: usize,
-) -> Result<Checkpoint, CheckpointError> {
-    compact_chain_inner(templates, true, segments, workers)
-}
-
-fn compact_chain_inner<C: StateCodec + Clone + Send + Sync + 'static>(
-    templates: &[C],
-    tiered: bool,
-    segments: &[&[u8]],
-    workers: usize,
-) -> Result<Checkpoint, CheckpointError> {
-    let tip = read_header(segments.last().ok_or(CheckpointError::BadChain {
-        what: "empty chain",
-    })?)?;
-    let mut engine = restore_checkpoint_chain_with_workers(templates, segments, workers)?;
-    // Pin the compacted base to the folded tip's freeze epoch: the
-    // restored engine's own clock sits past it, and a base claiming a
-    // *newer* epoch than the tip would make deltas cut against the tip
-    // unchainable (their epochs must not precede their parent's) while
-    // silently shifting the dirty-shard horizon.
-    let snap = engine.snapshot().with_epoch(tip.epoch);
-    let t = if tiered { Some(templates) } else { None };
-    Ok(write_compacted(&snap, t, &tip, workers))
-}
-
-/// Writes the compacted base of a chain straight from the snapshot its
-/// tip was cut from — no restore, no re-decode. The bytes are identical
-/// to [`compact_chain`] of that chain (same tip epoch, keys, events and
-/// `parent_chain` = tip digest; a test pins this), so a node that still
-/// holds the tip's snapshot compacts for the cost of one full encode.
+/// to a full [`checkpoint`] of the restored chain (a property test pins
+/// this).
 ///
 /// # Errors
 ///
@@ -1435,19 +1261,16 @@ fn compact_chain_inner<C: StateCodec + Clone + Send + Sync + 'static>(
 /// when `tip` belongs to a different schedule or engine, and
 /// [`CheckpointError::BadChain`] when `snap` is not the tip's snapshot
 /// (its epoch, keys or events differ).
-pub fn compact_snapshot<C: StateCodec + Clone + Send + Sync + 'static>(
+///
+/// # Panics
+///
+/// As [`checkpoint`].
+pub fn compact_checkpoint<C: StateCodec + Clone + Send + Sync>(
     snap: &EngineSnapshot<C>,
+    tiers: Option<&[C]>,
     tip: &CheckpointHeader,
 ) -> Result<Checkpoint, CheckpointError> {
-    if tip.params_fingerprint != snap.template.params_fingerprint() {
-        return Err(CheckpointError::ScheduleMismatch);
-    }
-    if tip.config != snap.config() {
-        return Err(CheckpointError::ConfigMismatch {
-            expected: snap.config(),
-            got: tip.config,
-        });
-    }
+    check_lineage(snap, tiers, tip)?;
     if tip.epoch != snap.epoch()
         || tip.keys != snap.len() as u64
         || tip.events != snap.total_events()
@@ -1456,27 +1279,7 @@ pub fn compact_snapshot<C: StateCodec + Clone + Send + Sync + 'static>(
             what: "snapshot is not the one the chain tip was cut from",
         });
     }
-    Ok(write_compacted(snap, None, tip, 0))
-}
-
-/// The compacted-base writer shared by [`compact_chain`] and
-/// [`compact_snapshot`]: a full frame of `snap` (already pinned to the
-/// tip's epoch) citing the folded tip's digest.
-fn write_compacted<C: StateCodec + Clone + Send + Sync + 'static>(
-    snap: &EngineSnapshot<C>,
-    templates: Option<&[C]>,
-    tip: &CheckpointHeader,
-    workers: usize,
-) -> Checkpoint {
-    let all: Vec<usize> = (0..snap.shards.len()).collect();
-    write_checkpoint(
-        snap,
-        templates,
-        CheckpointKind::Full,
-        tip.chain,
-        &all,
-        workers,
-    )
+    Ok(write_full(snap, tiers, tip.chain, 0))
 }
 
 #[cfg(test)]
@@ -1509,17 +1312,49 @@ mod tests {
         e
     }
 
-    fn checkpoint_of<C: StateCodec + Clone + Send + Sync + 'static>(
-        e: &mut CounterEngine<C>,
-    ) -> Checkpoint {
-        checkpoint_snapshot(&e.snapshot())
+    fn checkpoint_of<C: StateCodec + Clone + Send + Sync>(e: &mut CounterEngine<C>) -> Checkpoint {
+        full(&e.snapshot())
+    }
+
+    fn full<C: StateCodec + Clone + Send + Sync>(snap: &EngineSnapshot<C>) -> Checkpoint {
+        checkpoint(snap, None, None).unwrap()
+    }
+
+    /// Restores an untiered chain: a one-rung ladder.
+    fn restore<C: StateCodec + Clone + Send + Sync>(
+        template: &C,
+        segments: &[&[u8]],
+    ) -> Result<CounterEngine<C>, CheckpointError> {
+        restore_checkpoint(std::slice::from_ref(template), segments)
+    }
+
+    /// The compacted base of `segments`, decoded and re-encoded by
+    /// exactly `workers` claim loops: the chain restored through
+    /// `ladder`, pinned to the tip's epoch, written citing the tip.
+    fn compact_with_workers<C: StateCodec + Clone + Send + Sync>(
+        ladder: &[C],
+        tiers: Option<&[C]>,
+        segments: &[&[u8]],
+        workers: usize,
+    ) -> Result<Checkpoint, CheckpointError> {
+        let tip = read_header(segments.last().expect("a non-empty chain"))?;
+        let mut engine = restore_with_workers(ladder, segments, workers)?;
+        let snap = engine.snapshot().with_epoch(tip.epoch);
+        Ok(write_full(&snap, tiers, tip.chain, workers))
+    }
+
+    fn compacted_base<C: StateCodec + Clone + Send + Sync>(
+        template: &C,
+        segments: &[&[u8]],
+    ) -> Result<Checkpoint, CheckpointError> {
+        compact_with_workers(std::slice::from_ref(template), None, segments, 0)
     }
 
     #[test]
     fn round_trip_preserves_every_counter_bit_for_bit() {
         let mut e = ny_engine(1_000);
         let ck = checkpoint_of(&mut e);
-        let back = restore_checkpoint(&ny_template(), ck.bytes()).unwrap();
+        let back = restore(&ny_template(), &[ck.bytes()]).unwrap();
         assert_eq!(back.len(), e.len());
         assert_eq!(back.total_events(), e.total_events());
         assert_eq!(back.config(), e.config());
@@ -1538,7 +1373,7 @@ mod tests {
         // states ride in the checkpoint.
         let mut original = ny_engine(300);
         let ck = checkpoint_of(&mut original);
-        let mut restored = restore_checkpoint(&ny_template(), ck.bytes()).unwrap();
+        let mut restored = restore(&ny_template(), &[ck.bytes()]).unwrap();
 
         let follow_up: Vec<(u64, u64)> = (0..500u64).map(|k| (k * 31, 40 + k)).collect();
         original.apply(&follow_up);
@@ -1598,7 +1433,7 @@ mod tests {
             .collect();
         let batch: Vec<(u64, u64)> = shard0_keys.iter().map(|&k| (k, 7)).collect();
         e.apply(&batch);
-        let delta = checkpoint_delta(&e.snapshot(), &base.header()).unwrap();
+        let delta = checkpoint(&e.snapshot(), None, Some(&base.header())).unwrap();
 
         assert_eq!(delta.header().kind, CheckpointKind::Delta);
         assert_eq!(delta.stats().shards_written, 1, "one dirty shard");
@@ -1609,8 +1444,7 @@ mod tests {
             base.bytes().len()
         );
 
-        let back =
-            restore_checkpoint_chain(&ny_template(), &[base.bytes(), delta.bytes()]).unwrap();
+        let back = restore(&ny_template(), &[base.bytes(), delta.bytes()]).unwrap();
         assert_eq!(back.len(), e.len());
         assert_eq!(back.total_events(), e.total_events());
         for (key, counter) in e.iter() {
@@ -1627,13 +1461,11 @@ mod tests {
         let mut e = ny_engine(500);
         let base = checkpoint_of(&mut e);
         e.apply(&[(13, 100), (97 * 31 + 13, 5)]);
-        let d1 = checkpoint_delta(&e.snapshot(), &base.header()).unwrap();
+        let d1 = checkpoint(&e.snapshot(), None, Some(&base.header())).unwrap();
         e.apply(&[(13, 1), (7, 7), (999_983, 3)]);
-        let d2 = checkpoint_delta(&e.snapshot(), &d1.header()).unwrap();
+        let d2 = checkpoint(&e.snapshot(), None, Some(&d1.header())).unwrap();
 
-        let mut back =
-            restore_checkpoint_chain(&ny_template(), &[base.bytes(), d1.bytes(), d2.bytes()])
-                .unwrap();
+        let mut back = restore(&ny_template(), &[base.bytes(), d1.bytes(), d2.bytes()]).unwrap();
         assert_eq!(back.total_events(), e.total_events());
         // The restored engine continues the exact random stream.
         let follow_up: Vec<(u64, u64)> = (0..300u64).map(|k| (k * 7, 11 + k)).collect();
@@ -1653,11 +1485,10 @@ mod tests {
         let mut e = ny_engine(200);
         let base = checkpoint_of(&mut e);
         // No writes between freezes: the delta carries zero sections.
-        let delta = checkpoint_delta(&e.snapshot(), &base.header()).unwrap();
+        let delta = checkpoint(&e.snapshot(), None, Some(&base.header())).unwrap();
         assert_eq!(delta.stats().shards_written, 0);
         assert_eq!(delta.stats().keys, 0);
-        let back =
-            restore_checkpoint_chain(&ny_template(), &[base.bytes(), delta.bytes()]).unwrap();
+        let back = restore(&ny_template(), &[base.bytes(), delta.bytes()]).unwrap();
         assert_eq!(back.total_events(), e.total_events());
     }
 
@@ -1666,13 +1497,13 @@ mod tests {
         let mut e = ny_engine(100);
         let base = checkpoint_of(&mut e);
         e.apply(&[(13, 2)]);
-        let delta = checkpoint_delta(&e.snapshot(), &base.header()).unwrap();
+        let delta = checkpoint(&e.snapshot(), None, Some(&base.header())).unwrap();
         assert_eq!(
-            restore_checkpoint(&ny_template(), delta.bytes()).unwrap_err(),
+            restore(&ny_template(), &[delta.bytes()]).unwrap_err(),
             CheckpointError::DeltaWithoutBase
         );
         assert_eq!(
-            restore_checkpoint_chain(&ny_template(), &[delta.bytes()]).unwrap_err(),
+            restore(&ny_template(), &[delta.bytes()]).unwrap_err(),
             CheckpointError::DeltaWithoutBase
         );
     }
@@ -1682,35 +1513,35 @@ mod tests {
         let mut e = ny_engine(100);
         let base = checkpoint_of(&mut e);
         e.apply(&[(13, 2)]);
-        let d1 = checkpoint_delta(&e.snapshot(), &base.header()).unwrap();
+        let d1 = checkpoint(&e.snapshot(), None, Some(&base.header())).unwrap();
         e.apply(&[(14, 2)]);
-        let d2 = checkpoint_delta(&e.snapshot(), &d1.header()).unwrap();
+        let d2 = checkpoint(&e.snapshot(), None, Some(&d1.header())).unwrap();
         let t = ny_template();
 
         // Skipping a link: d2 cites d1, not base.
         assert_eq!(
-            restore_checkpoint_chain(&t, &[base.bytes(), d2.bytes()]).unwrap_err(),
+            restore(&t, &[base.bytes(), d2.bytes()]).unwrap_err(),
             CheckpointError::BadChain {
                 what: "delta cites a different parent checkpoint"
             }
         );
         // Reordering the deltas breaks the same check.
         assert!(matches!(
-            restore_checkpoint_chain(&t, &[base.bytes(), d2.bytes(), d1.bytes()]).unwrap_err(),
+            restore(&t, &[base.bytes(), d2.bytes(), d1.bytes()]).unwrap_err(),
             CheckpointError::BadChain { .. }
         ));
         // A full frame mid-chain is a chain error, not silently a rebase.
         assert!(matches!(
-            restore_checkpoint_chain(&t, &[base.bytes(), base.bytes()]).unwrap_err(),
+            restore(&t, &[base.bytes(), base.bytes()]).unwrap_err(),
             CheckpointError::BadChain { .. }
         ));
         // An empty chain has nothing to restore.
         assert!(matches!(
-            restore_checkpoint_chain(&t, &[]).unwrap_err(),
+            restore(&t, &[]).unwrap_err(),
             CheckpointError::BadChain { .. }
         ));
         // The intact chain still works.
-        assert!(restore_checkpoint_chain(&t, &[base.bytes(), d1.bytes(), d2.bytes()]).is_ok());
+        assert!(restore(&t, &[base.bytes(), d1.bytes(), d2.bytes()]).is_ok());
     }
 
     #[test]
@@ -1718,11 +1549,10 @@ mod tests {
         let mut e = ny_engine(300);
         let base = checkpoint_of(&mut e);
         e.apply(&[(13, 50), (14, 60)]);
-        let delta = checkpoint_delta(&e.snapshot(), &base.header()).unwrap();
+        let delta = checkpoint(&e.snapshot(), None, Some(&base.header())).unwrap();
         let t = ny_template();
         for keep in [0, 10, PAYLOAD_BYTE, delta.bytes().len() - 1] {
-            let err =
-                restore_checkpoint_chain(&t, &[base.bytes(), &delta.bytes()[..keep]]).unwrap_err();
+            let err = restore(&t, &[base.bytes(), &delta.bytes()[..keep]]).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1742,7 +1572,7 @@ mod tests {
             CounterEngine::new(NelsonYuCounter::new(NyParams::new(0.1, 8).unwrap()), cfg());
         let other_ck = checkpoint_of(&mut other);
         assert_eq!(
-            checkpoint_delta(&e.snapshot(), &other_ck.header()).unwrap_err(),
+            checkpoint(&e.snapshot(), None, Some(&other_ck.header())).unwrap_err(),
             CheckpointError::ScheduleMismatch
         );
         // Wrong config.
@@ -1755,7 +1585,7 @@ mod tests {
         );
         let bigger_ck = checkpoint_of(&mut bigger);
         assert!(matches!(
-            checkpoint_delta(&e.snapshot(), &bigger_ck.header()).unwrap_err(),
+            checkpoint(&e.snapshot(), None, Some(&bigger_ck.header())).unwrap_err(),
             CheckpointError::ConfigMismatch { .. }
         ));
         // Parent claiming a freeze epoch from the snapshot's future.
@@ -1764,7 +1594,7 @@ mod tests {
         let mut forged = newer.header();
         forged.epoch = snap.epoch() + 1_000;
         assert!(matches!(
-            checkpoint_delta(&snap, &forged).unwrap_err(),
+            checkpoint(&snap, None, Some(&forged)).unwrap_err(),
             CheckpointError::BadChain { .. }
         ));
     }
@@ -1778,21 +1608,21 @@ mod tests {
         let mut bad = ck.bytes().to_vec();
         bad[0] ^= 0xFF;
         assert_eq!(
-            restore_checkpoint(&template, &bad).unwrap_err(),
+            restore(&template, &[&bad]).unwrap_err(),
             CheckpointError::BadMagic
         );
 
         assert_eq!(
-            restore_checkpoint(&template, &ck.bytes()[..4]).unwrap_err(),
+            restore(&template, &[&ck.bytes()[..4]]).unwrap_err(),
             CheckpointError::Truncated
         );
         let half = &ck.bytes()[..ck.bytes().len() / 2];
         assert_eq!(
-            restore_checkpoint(&template, half).unwrap_err(),
+            restore(&template, &[half]).unwrap_err(),
             CheckpointError::Truncated
         );
         assert_eq!(
-            restore_checkpoint(&template, &[]).unwrap_err(),
+            restore(&template, &[&[]]).unwrap_err(),
             CheckpointError::Truncated
         );
     }
@@ -1805,7 +1635,7 @@ mod tests {
         // base and the tiered versions.
         bytes[4] = bytes[4].wrapping_add(2);
         assert!(matches!(
-            restore_checkpoint(&ny_template(), &bytes),
+            restore(&ny_template(), &[&bytes]),
             Err(CheckpointError::UnsupportedVersion { .. })
         ));
     }
@@ -1817,32 +1647,46 @@ mod tests {
         // Same family, different parameters.
         let wrong_eps = NelsonYuCounter::new(NyParams::new(0.1, 8).unwrap());
         assert_eq!(
-            restore_checkpoint(&wrong_eps, ck.bytes()).unwrap_err(),
+            restore(&wrong_eps, &[ck.bytes()]).unwrap_err(),
             CheckpointError::ScheduleMismatch
         );
         // Different family altogether.
         let morris = MorrisCounter::new(0.5).unwrap();
         assert_eq!(
-            restore_checkpoint(&morris, ck.bytes()).unwrap_err(),
+            restore(&morris, &[ck.bytes()]).unwrap_err(),
             CheckpointError::ScheduleMismatch
         );
     }
 
     #[test]
     fn rejects_pinned_config_mismatch() {
-        let mut e = ny_engine(25);
-        let ck = checkpoint_of(&mut e);
+        // A resident engine pins its config: a delta cut by an engine
+        // with another shard count is refused before it is parsed.
         let template = ny_template();
-        let wrong = EngineConfig {
-            shards: 8,
-            seed: 11,
-        };
+        let mut e = ny_engine(25);
+        let base = checkpoint_of(&mut e);
+        let mut resident = restore(&template, &[base.bytes()]).unwrap();
+        let mut wrong = CounterEngine::new(
+            template.clone(),
+            EngineConfig {
+                shards: 8,
+                seed: 11,
+            },
+        );
+        let wrong_base = checkpoint_of(&mut wrong);
+        wrong.apply(&[(13, 2)]);
+        let wrong_delta = checkpoint(&wrong.snapshot(), None, Some(&wrong_base.header())).unwrap();
+        let ladder = [template];
         assert!(matches!(
-            restore_checkpoint_expecting(&template, ck.bytes(), wrong),
+            fold_checkpoint_delta(&mut resident, &ladder, &base.header(), wrong_delta.bytes()),
             Err(CheckpointError::ConfigMismatch { .. })
         ));
-        // The right pin restores fine.
-        assert!(restore_checkpoint_expecting(&template, ck.bytes(), cfg()).is_ok());
+        // The engine's own delta folds fine.
+        e.apply(&[(13, 2)]);
+        let delta = checkpoint(&e.snapshot(), None, Some(&base.header())).unwrap();
+        assert!(
+            fold_checkpoint_delta(&mut resident, &ladder, &base.header(), delta.bytes()).is_ok()
+        );
     }
 
     #[test]
@@ -1854,7 +1698,7 @@ mod tests {
         // epoch(64) parent(64) → keys starts at bit 344 = byte 43.
         bytes[43] ^= 1;
         assert!(matches!(
-            restore_checkpoint(&ny_template(), &bytes),
+            restore(&ny_template(), &[&bytes]),
             Err(CheckpointError::Corrupt { .. })
         ));
     }
@@ -1864,7 +1708,7 @@ mod tests {
         let p = NyParams::new(0.3, 6).unwrap();
         let mut e = CounterEngine::new(NelsonYuCounter::new(p), cfg());
         let ck = checkpoint_of(&mut e);
-        let back = restore_checkpoint(&NelsonYuCounter::new(p), ck.bytes()).unwrap();
+        let back = restore(&NelsonYuCounter::new(p), &[ck.bytes()]).unwrap();
         assert!(back.is_empty());
         assert_eq!(back.total_events(), 0);
     }
@@ -1881,7 +1725,7 @@ mod tests {
             v
         }
 
-        fn drive<C: StateCodec + Clone + Send + Sync + 'static + std::fmt::Debug>(template: C) {
+        fn drive<C: StateCodec + Clone + Send + Sync + std::fmt::Debug>(template: C) {
             let mut e = CounterEngine::new(template.clone(), cfg());
             let mut gen = SplitMix64::new(21);
             let batch: Vec<(u64, u64)> = (0..400u64)
@@ -1889,7 +1733,7 @@ mod tests {
                 .collect();
             e.apply(&batch);
             let ck = checkpoint_of(&mut e);
-            let back = restore_checkpoint(&template, ck.bytes()).unwrap();
+            let back = restore(&template, &[ck.bytes()]).unwrap();
             for (key, counter) in e.iter() {
                 let restored = back.counter(key).expect("key present");
                 assert_eq!(encoded(restored), encoded(counter), "key {key}");
@@ -1966,14 +1810,14 @@ mod tests {
     #[test]
     fn tiered_round_trip_restores_tiers_counters_and_rng_streams() {
         let (mut e, templates) = tiered_engine(800);
-        let ck = checkpoint_snapshot_with(&e.snapshot(), &templates);
+        let ck = checkpoint(&e.snapshot(), Some(&templates), None).unwrap();
         assert_eq!(ck.header().version, CHECKPOINT_VERSION_TIERED);
         assert_eq!(
             ck.header().params_fingerprint,
             combined_fingerprint(&templates)
         );
 
-        let mut back = restore_checkpoint_with(&templates, ck.bytes()).unwrap();
+        let mut back = restore_checkpoint(&templates, &[ck.bytes()]).unwrap();
         assert_eq!(back.len(), e.len());
         assert_eq!(back.stats().tier_keys, e.stats().tier_keys);
         assert_eq!(back.stats().state_bits_total, e.stats().state_bits_total);
@@ -1988,7 +1832,7 @@ mod tests {
 
         // A second checkpoint of the freshly restored engine carries the
         // very same payload (headers differ only in the freeze epoch).
-        let again = checkpoint_snapshot_with(&back.snapshot(), &templates);
+        let again = checkpoint(&back.snapshot(), Some(&templates), None).unwrap();
         assert_eq!(
             &ck.bytes()[PAYLOAD_BYTE..],
             &again.bytes()[PAYLOAD_BYTE..],
@@ -2019,7 +1863,7 @@ mod tests {
         let ck = checkpoint_of(&mut e);
         assert_eq!(ck.header().version, CHECKPOINT_VERSION);
 
-        let back = restore_checkpoint_chain_with(&templates, &[ck.bytes()]).unwrap();
+        let back = restore_checkpoint(&templates, &[ck.bytes()]).unwrap();
         assert_eq!(back.len(), e.len());
         let counts = back.tier_counts();
         assert_eq!(counts[0], e.len() as u64, "every key on the default rung");
@@ -2048,11 +1892,10 @@ mod tests {
         e.apply_migrations(policy.specs(), &moves).unwrap();
         let more: Vec<(u64, u64)> = (0..200u64).map(|k| (k * 7 + 1, 3)).collect();
         e.apply(&more);
-        let delta = checkpoint_delta_with(&e.snapshot(), &templates, &base.header()).unwrap();
+        let delta = checkpoint(&e.snapshot(), Some(&templates), Some(&base.header())).unwrap();
         assert_eq!(delta.header().version, CHECKPOINT_VERSION_TIERED);
 
-        let back =
-            restore_checkpoint_chain_with(&templates, &[base.bytes(), delta.bytes()]).unwrap();
+        let back = restore_checkpoint(&templates, &[base.bytes(), delta.bytes()]).unwrap();
         assert_eq!(back.len(), e.len());
         assert_eq!(back.total_events(), e.total_events());
         assert_eq!(back.stats().tier_keys, e.stats().tier_keys);
@@ -2071,10 +1914,10 @@ mod tests {
     #[test]
     fn tiered_frame_refuses_a_bare_or_wrong_ladder() {
         let (mut e, templates) = tiered_engine(60);
-        let ck = checkpoint_snapshot_with(&e.snapshot(), &templates);
+        let ck = checkpoint(&e.snapshot(), Some(&templates), None).unwrap();
         // A single-template restore cannot cover the ladder fingerprint.
         assert_eq!(
-            restore_checkpoint(&templates[0], ck.bytes()).unwrap_err(),
+            restore(&templates[0], &[ck.bytes()]).unwrap_err(),
             CheckpointError::ScheduleMismatch
         );
         // Nor can a reordered ladder: the fingerprint fold is
@@ -2082,9 +1925,52 @@ mod tests {
         let mut reversed = templates.clone();
         reversed.reverse();
         assert_eq!(
-            restore_checkpoint_with(&reversed, ck.bytes()).unwrap_err(),
+            restore_checkpoint(&reversed, &[ck.bytes()]).unwrap_err(),
             CheckpointError::ScheduleMismatch
         );
+    }
+
+    // ---- the scoped fan-out -----------------------------------------
+
+    #[test]
+    fn covers_every_position_exactly_once() {
+        for workers in [1, 2, 3, 8, 64] {
+            let mut got = fan_out(workers, 100, |pos| pos * 2);
+            got.sort_unstable_by_key(|&(pos, _)| pos);
+            assert_eq!(got.len(), 100);
+            for (i, (pos, val)) in got.into_iter().enumerate() {
+                assert_eq!((pos, val), (i, i * 2));
+            }
+        }
+    }
+
+    #[test]
+    fn empty_fan_out_is_a_no_op() {
+        assert!(fan_out(4, 0, |pos| pos).is_empty());
+    }
+
+    #[test]
+    fn worker_panic_reaches_the_caller_and_pool_survives() {
+        let attempt = std::panic::catch_unwind(|| {
+            fan_out(4, 64, |pos| {
+                assert!(pos != 17, "poisoned position");
+                pos
+            })
+        });
+        assert!(attempt.is_err());
+        // A fresh fan-out still works afterwards.
+        let ok = fan_out(4, 32, |pos| pos + 1);
+        assert_eq!(ok.len(), 32);
+    }
+
+    #[test]
+    fn reentrant_fan_out_cannot_deadlock() {
+        // Nested fan-outs: every level's caller claims work itself, so
+        // each one finishes whatever its helpers are doing.
+        let outer = fan_out(8, 8, |pos| {
+            fan_out(8, 8, move |inner| pos * 8 + inner).len()
+        });
+        assert!(outer.iter().all(|&(_, n)| n == 8));
     }
 
     // ---- parallel encode / restore, off-thread compaction ------------
@@ -2093,7 +1979,7 @@ mod tests {
 
     /// Builds a family engine plus a `rounds`-delta chain over it, with
     /// traffic seeded by `seed`.
-    fn chain_of<C: StateCodec + Clone + Send + Sync + 'static>(
+    fn chain_of<C: StateCodec + Clone + Send + Sync>(
         template: &C,
         seed: u64,
         rounds: usize,
@@ -2103,7 +1989,7 @@ mod tests {
     }
 
     /// [`chain_of`], plus the snapshot the tip frame was cut from.
-    fn chain_with_tip<C: StateCodec + Clone + Send + Sync + 'static>(
+    fn chain_with_tip<C: StateCodec + Clone + Send + Sync>(
         template: &C,
         seed: u64,
         rounds: usize,
@@ -2115,7 +2001,7 @@ mod tests {
             .collect();
         e.apply(&batch);
         let mut snap = e.snapshot();
-        let mut frames = vec![checkpoint_snapshot(&snap)];
+        let mut frames = vec![full(&snap)];
         for _ in 0..rounds {
             let extra: Vec<(u64, u64)> = (0..40)
                 .map(|_| (gen.next_u64() % 5_000, 1 + gen.next_u64() % 50))
@@ -2123,21 +2009,22 @@ mod tests {
             e.apply(&extra);
             let parent = frames.last().unwrap().header();
             snap = e.snapshot();
-            frames.push(checkpoint_delta(&snap, &parent).unwrap());
+            frames.push(checkpoint(&snap, None, Some(&parent)).unwrap());
         }
         (e, frames, snap)
     }
 
     /// Folds `segments[1..]` one delta at a time onto a restore of
     /// `segments[0]`, the way a replica receives them.
-    fn fold_one_by_one<C: StateCodec + Clone + Send + Sync + 'static>(
+    fn fold_one_by_one<C: StateCodec + Clone + Send + Sync>(
         template: &C,
         segments: &[&[u8]],
     ) -> (CounterEngine<C>, CheckpointHeader) {
-        let mut engine = restore_checkpoint(template, segments[0]).unwrap();
+        let ladder = std::slice::from_ref(template);
+        let mut engine = restore_checkpoint(ladder, &[segments[0]]).unwrap();
         let mut tip = read_header(segments[0]).unwrap();
         for segment in &segments[1..] {
-            tip = fold_checkpoint_delta(&mut engine, &tip, segment).unwrap();
+            tip = fold_checkpoint_delta(&mut engine, ladder, &tip, segment).unwrap();
         }
         (engine, tip)
     }
@@ -2145,9 +2032,8 @@ mod tests {
     /// The fold oracle: a `rounds`-delta chain — with its prefix through
     /// frame `compact_at` replaced by the compacted base when
     /// `compact_at <= rounds`, so the next delta chains through the alias
-    /// rule — folded one
-    /// delta at a time lands on exactly the engine
-    /// [`restore_checkpoint_chain`] builds: same epoch clock, same
+    /// rule — folded one delta at a time lands on exactly the engine
+    /// [`restore_checkpoint`] builds from the whole chain: same epoch clock, same
     /// snapshot bytes (states, RNG streams, totals), and the same
     /// evolution under a follow-up batch.
     fn assert_fold_matches_chain_restore<C>(
@@ -2156,63 +2042,64 @@ mod tests {
         rounds: usize,
         compact_at: usize,
     ) where
-        C: StateCodec + Clone + Send + Sync + 'static,
+        C: StateCodec + Clone + Send + Sync,
     {
         let (_, frames, _) = chain_with_tip(&template, seed, rounds);
         let mut segments: Vec<Vec<u8>> = frames.iter().map(|f| f.bytes().to_vec()).collect();
         if compact_at <= rounds {
             let prefix: Vec<&[u8]> = segments[..=compact_at].iter().map(Vec::as_slice).collect();
-            let base = compact_chain(&template, &prefix).unwrap().into_bytes();
+            let base = compacted_base(&template, &prefix).unwrap().into_bytes();
             segments.splice(..=compact_at, [base]);
         }
         let refs: Vec<&[u8]> = segments.iter().map(Vec::as_slice).collect();
         let (mut folded, tip) = fold_one_by_one(&template, &refs);
-        let mut restored = restore_checkpoint_chain(&template, &refs).unwrap();
+        let mut restored = restore(&template, &refs).unwrap();
         assert_eq!(tip, read_header(refs[refs.len() - 1]).unwrap());
         assert_eq!(folded.epoch(), restored.epoch());
         assert_eq!(folded.epoch(), tip.epoch + 1);
         assert_eq!(
-            checkpoint_snapshot(&folded.snapshot()).bytes(),
-            checkpoint_snapshot(&restored.snapshot()).bytes()
+            full(&folded.snapshot()).bytes(),
+            full(&restored.snapshot()).bytes()
         );
         let follow_up: Vec<(u64, u64)> = (0..200u64).map(|k| (k * 37, 1 + k % 90)).collect();
         folded.apply(&follow_up);
         restored.apply(&follow_up);
         assert_eq!(
-            checkpoint_snapshot(&folded.snapshot()).bytes(),
-            checkpoint_snapshot(&restored.snapshot()).bytes(),
+            full(&folded.snapshot()).bytes(),
+            full(&restored.snapshot()).bytes(),
             "RNG streams diverge after the fold"
         );
     }
 
     /// Asserts a refused fold left `engine` and `tip` exactly as they
     /// were: same epoch clock, same snapshot bytes.
-    fn assert_fold_refused<C: StateCodec + Clone + Send + Sync + 'static>(
+    fn assert_fold_refused<C: StateCodec + Clone + Send + Sync>(
         engine: &mut CounterEngine<C>,
         tip: &CheckpointHeader,
         delta: &[u8],
     ) -> CheckpointError {
-        let before = checkpoint_snapshot(&engine.snapshot().with_epoch(0)).into_bytes();
+        let before = full(&engine.snapshot().with_epoch(0)).into_bytes();
         let (epoch, tip_before) = (engine.epoch(), *tip);
-        let err = fold_checkpoint_delta(engine, tip, delta).unwrap_err();
+        let ladder = [engine.template().clone()];
+        let err = fold_checkpoint_delta(engine, &ladder, tip, delta).unwrap_err();
         assert_eq!(engine.epoch(), epoch, "refused fold moved the epoch clock");
         assert_eq!(*tip, tip_before);
-        let after = checkpoint_snapshot(&engine.snapshot().with_epoch(0)).into_bytes();
+        let after = full(&engine.snapshot().with_epoch(0)).into_bytes();
         assert_eq!(before, after, "refused fold changed the engine");
         err
     }
 
     /// The tentpole encode oracle: any worker count must commit the very
     /// same frame bytes the serial encoder does.
-    fn assert_parallel_encode_identical<C: StateCodec + Clone + Send + Sync + 'static>(
+    fn assert_parallel_encode_identical<C: StateCodec + Clone + Send + Sync>(
         template: C,
         seed: u64,
         workers: usize,
     ) {
         let (mut e, _) = chain_of(&template, seed, 0);
         let snap = e.snapshot();
-        let serial = checkpoint_snapshot_workers(&snap, 1);
-        let parallel = checkpoint_snapshot_workers(&snap, workers);
+        let serial = write_full(&snap, None, 0, 1);
+        let parallel = write_full(&snap, None, 0, workers);
         assert_eq!(serial.bytes(), parallel.bytes(), "workers {workers}");
     }
 
@@ -2223,19 +2110,21 @@ mod tests {
     /// restores to the same state the chain does.
     fn assert_compaction_matches_serial_fold<C>(template: C, seed: u64, rounds: usize)
     where
-        C: StateCodec + Clone + Send + Sync + 'static,
+        C: StateCodec + Clone + Send + Sync,
     {
         let (_, frames, tip_snap) = chain_with_tip(&template, seed, rounds);
         let segments: Vec<&[u8]> = frames.iter().map(Checkpoint::bytes).collect();
-        let serial = compact_chain_workers(&template, &segments, 1).unwrap();
+        let ladder = std::slice::from_ref(&template);
+        let serial = compact_with_workers(ladder, None, &segments, 1).unwrap();
         for workers in [0, 2, 8] {
-            let parallel = compact_chain_workers(&template, &segments, workers).unwrap();
+            let parallel = compact_with_workers(ladder, None, &segments, workers).unwrap();
             assert_eq!(serial.bytes(), parallel.bytes(), "workers {workers}");
         }
-        let from_snap = compact_snapshot(&tip_snap, &frames.last().unwrap().header()).unwrap();
+        let from_snap =
+            compact_checkpoint(&tip_snap, None, &frames.last().unwrap().header()).unwrap();
         assert_eq!(serial.bytes(), from_snap.bytes(), "snapshot compaction");
-        let mut folded = restore_checkpoint_chain_workers(&template, &segments, 1).unwrap();
-        let replayed = checkpoint_snapshot_workers(&folded.snapshot(), 1);
+        let mut folded = restore_with_workers(ladder, &segments, 1).unwrap();
+        let replayed = write_full(&folded.snapshot(), None, 0, 1);
         assert_eq!(
             &serial.bytes()[PAYLOAD_BYTE..],
             &replayed.bytes()[PAYLOAD_BYTE..],
@@ -2244,7 +2133,7 @@ mod tests {
         let tip = frames.last().unwrap().header();
         assert_eq!(serial.header().epoch, tip.epoch, "epoch pins the tip");
         assert_eq!(serial.header().parent_chain, tip.chain, "tip digest kept");
-        let via = restore_checkpoint(&template, serial.bytes()).unwrap();
+        let via = restore(&template, &[serial.bytes()]).unwrap();
         assert_eq!(via.total_events(), folded.total_events());
         assert_eq!(via.len(), folded.len());
     }
@@ -2268,9 +2157,9 @@ mod tests {
     fn parallel_encode_is_bit_identical_for_tiered_frames() {
         let (mut e, templates) = tiered_engine(800);
         let snap = e.snapshot();
-        let serial = checkpoint_snapshot_with_workers(&snap, &templates, 1);
+        let serial = write_full(&snap, Some(&templates), 0, 1);
         for workers in [0, 2, 5, 8] {
-            let parallel = checkpoint_snapshot_with_workers(&snap, &templates, workers);
+            let parallel = write_full(&snap, Some(&templates), 0, workers);
             assert_eq!(serial.bytes(), parallel.bytes(), "workers {workers}");
         }
     }
@@ -2280,20 +2169,19 @@ mod tests {
         let template = ny_template();
         let (e, frames) = chain_of(&template, 77, 3);
         let segments: Vec<&[u8]> = frames.iter().map(Checkpoint::bytes).collect();
-        let serial = restore_checkpoint_chain_workers(&template, &segments, 1).unwrap();
+        let ladder = std::slice::from_ref(&template);
+        let serial = restore_with_workers(ladder, &segments, 1).unwrap();
         assert_eq!(serial.total_events(), e.total_events());
         for workers in [0, 2, 4, 8] {
-            let mut parallel =
-                restore_checkpoint_chain_workers(&template, &segments, workers).unwrap();
+            let mut parallel = restore_with_workers(ladder, &segments, workers).unwrap();
             assert_eq!(parallel.total_events(), serial.total_events());
             assert_eq!(parallel.len(), serial.len());
             // Shard RNG streams and every counter register came through
             // identically: re-encoding both engines in full proves it.
-            let mut serial_clone =
-                restore_checkpoint_chain_workers(&template, &segments, 1).unwrap();
+            let mut serial_clone = restore_with_workers(ladder, &segments, 1).unwrap();
             assert_eq!(
-                checkpoint_snapshot(&serial_clone.snapshot()).bytes(),
-                checkpoint_snapshot(&parallel.snapshot()).bytes(),
+                full(&serial_clone.snapshot()).bytes(),
+                full(&parallel.snapshot()).bytes(),
                 "workers {workers}"
             );
         }
@@ -2304,24 +2192,23 @@ mod tests {
         let template = ny_template();
         let (mut e, frames) = chain_of(&template, 5, 2);
         let segments: Vec<&[u8]> = frames.iter().map(Checkpoint::bytes).collect();
-        let cbase = compact_chain(&template, &segments).unwrap();
+        let cbase = compacted_base(&template, &segments).unwrap();
         let tip = frames.last().unwrap().header();
 
         // Deltas kept landing against the live tip while the fold ran.
         e.apply(&[(1, 5), (999, 2)]);
-        let d_next = checkpoint_delta(&e.snapshot(), &tip).unwrap();
+        let d_next = checkpoint(&e.snapshot(), None, Some(&tip)).unwrap();
         e.apply(&[(2, 9)]);
-        let d_after = checkpoint_delta(&e.snapshot(), &d_next.header()).unwrap();
+        let d_after = checkpoint(&e.snapshot(), None, Some(&d_next.header())).unwrap();
 
         // The compacted base + the in-flight delta restore to exactly
         // the state the uncompacted chain + that delta restore to.
         let via_alias =
-            restore_checkpoint_chain(&template, &[cbase.bytes(), d_next.bytes(), d_after.bytes()])
-                .unwrap();
+            restore(&template, &[cbase.bytes(), d_next.bytes(), d_after.bytes()]).unwrap();
         let mut full_chain: Vec<&[u8]> = segments.clone();
         full_chain.push(d_next.bytes());
         full_chain.push(d_after.bytes());
-        let via_history = restore_checkpoint_chain(&template, &full_chain).unwrap();
+        let via_history = restore(&template, &full_chain).unwrap();
         assert_eq!(via_alias.total_events(), via_history.total_events());
         assert_eq!(via_alias.len(), via_history.len());
         for (key, counter) in via_history.iter() {
@@ -2338,17 +2225,17 @@ mod tests {
         let template = ny_template();
         let (mut e, frames) = chain_of(&template, 6, 1);
         let segments: Vec<&[u8]> = frames.iter().map(Checkpoint::bytes).collect();
-        let cbase = compact_chain(&template, &segments).unwrap();
+        let cbase = compacted_base(&template, &segments).unwrap();
         let tip = frames.last().unwrap().header();
         e.apply(&[(1, 1)]);
-        let d_next = checkpoint_delta(&e.snapshot(), &tip).unwrap();
+        let d_next = checkpoint(&e.snapshot(), None, Some(&tip)).unwrap();
         e.apply(&[(2, 2)]);
-        let d_after = checkpoint_delta(&e.snapshot(), &d_next.header()).unwrap();
+        let d_after = checkpoint(&e.snapshot(), None, Some(&d_next.header())).unwrap();
 
         // Skipping the aliased link: d_after cites d_next, which is
         // neither the compacted base's digest nor the folded tip's.
         assert_eq!(
-            restore_checkpoint_chain(&template, &[cbase.bytes(), d_after.bytes()]).unwrap_err(),
+            restore(&template, &[cbase.bytes(), d_after.bytes()]).unwrap_err(),
             CheckpointError::BadChain {
                 what: "delta cites a different parent checkpoint"
             }
@@ -2358,7 +2245,7 @@ mod tests {
         // digest on the base side, so pre-compaction chains are exactly
         // as strict as before.
         assert_eq!(
-            restore_checkpoint_chain(&template, &[segments[0], d_next.bytes()]).unwrap_err(),
+            restore(&template, &[segments[0], d_next.bytes()]).unwrap_err(),
             CheckpointError::BadChain {
                 what: "delta cites a different parent checkpoint"
             }
@@ -2368,27 +2255,28 @@ mod tests {
     #[test]
     fn tiered_compaction_matches_the_serial_fold_byte_for_byte() {
         let (mut e, templates) = tiered_engine(600);
-        let base = checkpoint_snapshot_with(&e.snapshot(), &templates);
+        let base = checkpoint(&e.snapshot(), Some(&templates), None).unwrap();
         e.apply(&[(5, 40), (71 + 5, 7)]);
-        let d1 = checkpoint_delta_with(&e.snapshot(), &templates, &base.header()).unwrap();
+        let d1 = checkpoint(&e.snapshot(), Some(&templates), Some(&base.header())).unwrap();
         e.apply(&[(2 * 71 + 5, 11)]);
-        let d2 = checkpoint_delta_with(&e.snapshot(), &templates, &d1.header()).unwrap();
+        let d2 = checkpoint(&e.snapshot(), Some(&templates), Some(&d1.header())).unwrap();
         let segments = [base.bytes(), d1.bytes(), d2.bytes()];
 
-        let serial = compact_chain_with_workers(&templates, &segments, 1).unwrap();
+        let serial = compact_with_workers(&templates, Some(&templates), &segments, 1).unwrap();
         for workers in [0, 4] {
-            let parallel = compact_chain_with_workers(&templates, &segments, workers).unwrap();
+            let parallel =
+                compact_with_workers(&templates, Some(&templates), &segments, workers).unwrap();
             assert_eq!(serial.bytes(), parallel.bytes(), "workers {workers}");
         }
         assert_eq!(serial.header().version, CHECKPOINT_VERSION_TIERED);
-        let mut folded = restore_checkpoint_chain_with(&templates, &segments).unwrap();
-        let replayed = checkpoint_snapshot_with_workers(&folded.snapshot(), &templates, 1);
+        let mut folded = restore_checkpoint(&templates, &segments).unwrap();
+        let replayed = write_full(&folded.snapshot(), Some(&templates), 0, 1);
         assert_eq!(
             &serial.bytes()[PAYLOAD_BYTE..],
             &replayed.bytes()[PAYLOAD_BYTE..]
         );
         // Tier tags survive the fold.
-        let via = restore_checkpoint_with(&templates, serial.bytes()).unwrap();
+        let via = restore_checkpoint(&templates, &[serial.bytes()]).unwrap();
         assert_eq!(via.stats().tier_keys, folded.stats().tier_keys);
     }
 
@@ -2404,7 +2292,7 @@ mod tests {
         );
         // The cut frame itself still refuses to restore.
         assert_eq!(
-            restore_checkpoint(&ny_template(), header_only).unwrap_err(),
+            restore(&ny_template(), &[header_only]).unwrap_err(),
             CheckpointError::Truncated
         );
     }
@@ -2413,7 +2301,7 @@ mod tests {
     fn fold_refuses_bad_deltas_and_leaves_the_engine_untouched() {
         let template = ny_template();
         let (_, frames) = chain_of(&template, 9, 2);
-        let mut engine = restore_checkpoint(&template, frames[0].bytes()).unwrap();
+        let mut engine = restore(&template, &[frames[0].bytes()]).unwrap();
         let tip = frames[0].header();
 
         // Mis-parented: the second delta folded straight onto the base.
@@ -2437,7 +2325,8 @@ mod tests {
             CheckpointError::BadChain { .. }
         ));
         // The intact delta still folds afterwards.
-        let next = fold_checkpoint_delta(&mut engine, &tip, frames[1].bytes()).unwrap();
+        let next =
+            fold_checkpoint_delta(&mut engine, &[template], &tip, frames[1].bytes()).unwrap();
         assert_eq!(next, frames[1].header());
     }
 
@@ -2452,7 +2341,7 @@ mod tests {
         let key_in = |shard: usize| (0u64..).find(|&k| e.shard_of(k) == shard).unwrap();
         let (k0, k1) = (key_in(0), key_in(1));
         e.apply(&[(k0, 3), (k1, 4)]);
-        let base = checkpoint_snapshot(&e.snapshot());
+        let base = full(&e.snapshot());
         e.apply(&[(k0, 5)]);
         let skipped_epoch = e.snapshot().epoch();
         e.apply(&[(k1, 6)]);
@@ -2460,17 +2349,17 @@ mod tests {
             epoch: skipped_epoch,
             ..base.header()
         };
-        let delta = checkpoint_delta(&e.snapshot(), &lying_parent).unwrap();
+        let delta = checkpoint(&e.snapshot(), None, Some(&lying_parent)).unwrap();
         assert_eq!(delta.stats().shards_written, 1);
 
-        let mut engine = restore_checkpoint(&template, base.bytes()).unwrap();
+        let mut engine = restore(&template, &[base.bytes()]).unwrap();
         assert_eq!(
             assert_fold_refused(&mut engine, &base.header(), delta.bytes()),
             CheckpointError::Corrupt {
                 what: "shard totals disagree with the header"
             }
         );
-        assert!(restore_checkpoint_chain(&template, &[base.bytes(), delta.bytes()]).is_err());
+        assert!(restore(&template, &[base.bytes(), delta.bytes()]).is_err());
     }
 
     #[test]
@@ -2495,15 +2384,19 @@ mod tests {
                 ..tip
             },
         ] {
-            assert_eq!(compact_snapshot(&snap, &wrong).unwrap_err(), not_tip);
+            assert_eq!(
+                compact_checkpoint(&snap, None, &wrong).unwrap_err(),
+                not_tip
+            );
         }
         // A later snapshot of the same engine is not the tip either.
         e.apply(&[(77, 1)]);
         let later = e.snapshot().with_epoch(tip.epoch);
-        assert_eq!(compact_snapshot(&later, &tip).unwrap_err(), not_tip);
+        assert_eq!(compact_checkpoint(&later, None, &tip).unwrap_err(), not_tip);
         assert_eq!(
-            compact_snapshot(
+            compact_checkpoint(
                 &snap,
+                None,
                 &CheckpointHeader {
                     config: EngineConfig { shards: 8, ..cfg() },
                     ..tip

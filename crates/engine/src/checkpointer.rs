@@ -12,7 +12,7 @@
 //! serializes it on its own time: the first snapshot (and every
 //! [`CheckpointerConfig::max_deltas_per_base`]-th thereafter) becomes a
 //! full checkpoint, the rest become deltas against the previous frame via
-//! [`checkpoint_delta`]. Because snapshots share unwritten slabs with the
+//! [`checkpoint`]. Because snapshots share unwritten slabs with the
 //! live engine, serialization reads the same memory the readers do —
 //! never blocking, never copying more than the writers already did.
 //!
@@ -37,9 +37,9 @@
 //! has a directory + manifest, the writer thread owns a second
 //! **compactor** thread. When the live chain crosses a trigger, the
 //! writer hands the chain's frame files to the compactor and keeps
-//! writing; the compactor folds them (parallel restore) into one fresh
-//! full frame ([`compact_chain`](crate::compact_chain)) whose header
-//! pins the folded tip's epoch and chain digest, writes + fsyncs it,
+//! writing; the compactor restores them ([`restore_checkpoint`]) and
+//! writes one fresh full frame ([`compact_checkpoint`]) whose header
+//! pins the folded tip's epoch and chain digest, fsyncs it,
 //! and hands the result back. The writer — still the only manifest
 //! writer — then **commits** by atomically rewriting the manifest
 //! (tmp file + rename, both fsynced) to list the compacted base plus
@@ -54,8 +54,7 @@
 //! discarded — the orphan base file is deleted and never referenced.
 
 use crate::checkpoint::{
-    checkpoint_delta, checkpoint_delta_with, checkpoint_snapshot, checkpoint_snapshot_with,
-    compact_chain_with_workers, compact_chain_workers, Checkpoint, CheckpointHeader,
+    checkpoint, compact_checkpoint, read_header, restore_checkpoint, CheckpointHeader,
     CheckpointKind,
 };
 use crate::ingest::ProducerMark;
@@ -239,7 +238,7 @@ pub struct CheckpointerReport {
 impl CheckpointerReport {
     /// The newest restorable chain: the last full frame and every delta
     /// after it, ready for
-    /// [`restore_checkpoint_chain`](crate::restore_checkpoint_chain).
+    /// [`restore_checkpoint`].
     /// `None` when nothing was written or bytes were not retained.
     #[must_use]
     pub fn latest_chain(&self) -> Option<Vec<&[u8]>> {
@@ -370,7 +369,7 @@ struct CompactOutcome {
     nanos: u64,
 }
 
-fn compactor_loop<C: StateCodec + Clone + Send + Sync + 'static>(
+fn compactor_loop<C: StateCodec + Clone + Send + Sync>(
     dir: &Path,
     templates: Option<&[C]>,
     jobs: &Receiver<CompactJob<C>>,
@@ -387,7 +386,7 @@ fn compactor_loop<C: StateCodec + Clone + Send + Sync + 'static>(
 /// Folds one chain into a compacted base file. Any failure (a frame
 /// file already gone, a corrupt segment, an I/O error) yields `None`:
 /// the old chain stays authoritative and nothing was published.
-fn run_compaction<C: StateCodec + Clone + Send + Sync + 'static>(
+fn run_compaction<C: StateCodec + Clone + Send + Sync>(
     dir: &Path,
     templates: Option<&[C]>,
     job: &CompactJob<C>,
@@ -400,10 +399,14 @@ fn run_compaction<C: StateCodec + Clone + Send + Sync + 'static>(
         buffers.push(std::fs::read(dir.join(&frame.file)).ok()?);
     }
     let segments: Vec<&[u8]> = buffers.iter().map(Vec::as_slice).collect();
-    let ck: Checkpoint = match templates {
-        Some(t) => compact_chain_with_workers(t, &segments, 0).ok()?,
-        None => compact_chain_workers(&job.template, &segments, 0).ok()?,
-    };
+    let ladder = templates.unwrap_or(std::slice::from_ref(&job.template));
+    let folded_tip = read_header(segments.last()?).ok()?;
+    let mut engine = restore_checkpoint(ladder, &segments).ok()?;
+    // Pin the base to the folded tip's epoch: the restored engine's own
+    // clock sits past it, and a base claiming a *newer* epoch would make
+    // deltas cut against the tip unchainable.
+    let snap = engine.snapshot().with_epoch(folded_tip.epoch);
+    let ck = compact_checkpoint(&snap, templates, &folded_tip).ok()?;
     let header = ck.header();
     let name = format!("ckpt-{:03}-c{:05}-full.bin", job.session, job.seq);
     let path = dir.join(&name);
@@ -534,34 +537,22 @@ pub struct BackgroundCheckpointer<C: StateCodec + Clone + Send + Sync + 'static>
 }
 
 impl<C: StateCodec + Clone + Send + Sync + 'static> BackgroundCheckpointer<C> {
-    /// Starts the writer thread.
+    /// Starts the writer thread. `templates` is the tier ladder (rung 0
+    /// = default) for a **tiered** engine: frames are serialized against
+    /// it, so snapshots carrying tier tags land as version-3 frames
+    /// instead of panicking the writer. `None` is the plain version-2
+    /// writer.
     ///
     /// # Panics
     ///
-    /// Panics if `every_events` is zero or, in
-    /// [`BackgroundCheckpointer::finish`], if a configured directory or
-    /// manifest turns out not to be writable or belongs to a different
-    /// deployment (durability failures are not swallowed; the `Store`
-    /// facade pre-validates both to return typed errors instead).
+    /// Panics if `every_events` is zero, if `templates` is `Some` but
+    /// empty, or, in [`BackgroundCheckpointer::finish`], if a configured
+    /// directory or manifest turns out not to be writable or belongs to
+    /// a different deployment (durability failures are not swallowed;
+    /// the `Store` facade pre-validates both to return typed errors
+    /// instead).
     #[must_use]
-    pub fn spawn(config: CheckpointerConfig) -> Self {
-        Self::spawn_with(config, None)
-    }
-
-    /// [`BackgroundCheckpointer::spawn`] for a **tiered** engine: frames
-    /// are serialized against `templates` (the tier ladder, rung 0 =
-    /// default) via
-    /// [`checkpoint_snapshot_with`](crate::checkpoint_snapshot_with) /
-    /// [`checkpoint_delta_with`](crate::checkpoint_delta_with), so
-    /// snapshots carrying tier tags land as version-3 frames instead of
-    /// panicking the writer. `None` is the plain version-2 writer.
-    ///
-    /// # Panics
-    ///
-    /// As [`BackgroundCheckpointer::spawn`], plus if `templates` is
-    /// `Some` but empty.
-    #[must_use]
-    pub fn spawn_with(config: CheckpointerConfig, templates: Option<Vec<C>>) -> Self {
+    pub fn spawn(config: CheckpointerConfig, templates: Option<Vec<C>>) -> Self {
         assert!(config.every_events > 0, "cadence must be positive");
         assert!(
             templates.as_ref().is_none_or(|t| !t.is_empty()),
@@ -628,13 +619,9 @@ impl<C: StateCodec + Clone + Send + Sync + 'static> BackgroundCheckpointer<C> {
                     }
                 }
                 let start = Instant::now();
-                let full = |snap: &EngineSnapshot<C>| match &templates {
-                    Some(t) => checkpoint_snapshot_with(snap, t),
-                    None => checkpoint_snapshot(snap),
-                };
-                let delta = |snap: &EngineSnapshot<C>, base: &CheckpointHeader| match &templates {
-                    Some(t) => checkpoint_delta_with(snap, t, base),
-                    None => checkpoint_delta(snap, base),
+                let tiers = templates.as_deref();
+                let full = |snap: &EngineSnapshot<C>| {
+                    checkpoint(snap, tiers, None).expect("a full frame has no parent to refuse")
                 };
                 let (ck, kind) = match &parent {
                     Some(base) if deltas_since_base < thread_config.max_deltas_per_base => {
@@ -645,7 +632,7 @@ impl<C: StateCodec + Clone + Send + Sync + 'static> BackgroundCheckpointer<C> {
                         // killing the writer thread: every full frame is
                         // self-contained, so durability degrades to
                         // "larger", never to "lost".
-                        match delta(&snap, base) {
+                        match checkpoint(&snap, tiers, Some(base)) {
                             Ok(d) => (d, CheckpointKind::Delta),
                             Err(_) => (full(&snap), CheckpointKind::Full),
                         }
@@ -848,7 +835,7 @@ impl<C: StateCodec + Clone + Send + Sync + 'static> BackgroundCheckpointer<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::restore_checkpoint_chain;
+    use crate::checkpoint::restore_checkpoint;
     use crate::registry::{CounterEngine, EngineConfig};
     use ac_core::{NelsonYuCounter, NyParams};
 
@@ -866,7 +853,7 @@ mod tests {
     #[test]
     fn base_then_deltas_then_rebase() {
         let mut e = CounterEngine::new(template(), EngineConfig::new().with_shards(4).with_seed(9));
-        let ckpt = BackgroundCheckpointer::spawn(small_cfg());
+        let ckpt = BackgroundCheckpointer::spawn(small_cfg(), None);
         for round in 0..6u64 {
             let batch: Vec<(u64, u64)> = (0..50u64).map(|k| (k + 10 * round, 3)).collect();
             e.apply(&batch);
@@ -891,7 +878,7 @@ mod tests {
         // The newest chain folds back to the engine at its last freeze.
         let chain = report.latest_chain().expect("bytes retained");
         assert_eq!(chain.len(), 2, "last full + one delta");
-        let back = restore_checkpoint_chain(&template(), &chain).unwrap();
+        let back = restore_checkpoint(&[template()], &chain).unwrap();
         assert_eq!(back.total_events(), e.total_events());
         for (key, counter) in e.iter() {
             assert_eq!(
@@ -919,7 +906,7 @@ mod tests {
         a.apply(&[(1, 10)]);
         b.apply(&[(2, 20)]);
         twin.apply(&[(3, 30)]);
-        let ckpt = BackgroundCheckpointer::spawn(small_cfg());
+        let ckpt = BackgroundCheckpointer::spawn(small_cfg(), None);
         ckpt.submit(a.snapshot());
         ckpt.submit(b.snapshot());
         ckpt.submit(twin.snapshot());
@@ -934,14 +921,14 @@ mod tests {
             ]
         );
         let chain = report.latest_chain().expect("bytes retained");
-        let back = restore_checkpoint_chain(&template(), &chain).unwrap();
+        let back = restore_checkpoint(&[template()], &chain).unwrap();
         assert_eq!(back.total_events(), 30, "latest chain is the twin's");
     }
 
     #[test]
     fn stats_track_lag() {
         let mut e = CounterEngine::new(template(), EngineConfig::new().with_shards(2).with_seed(1));
-        let ckpt = BackgroundCheckpointer::spawn(small_cfg());
+        let ckpt = BackgroundCheckpointer::spawn(small_cfg(), None);
         let probe = ckpt.probe();
         e.apply(&[(1, 500)]);
         ckpt.submit(e.snapshot());
@@ -977,15 +964,17 @@ mod tests {
         };
         let config = EngineConfig::new().with_shards(2).with_seed(4);
         let mut e = CounterEngine::new(template(), config);
-        let ckpt =
-            BackgroundCheckpointer::spawn(small_cfg().with_directory(dir.clone()).with_manifest(
-                ManifestInfo {
+        let ckpt = BackgroundCheckpointer::spawn(
+            small_cfg()
+                .with_directory(dir.clone())
+                .with_manifest(ManifestInfo {
                     spec,
                     config,
                     session: 0,
                     tiering: None,
-                },
-            ));
+                }),
+            None,
+        );
         e.apply(&[(1, 10)]);
         ckpt.submit_with_marks(
             e.snapshot(),
@@ -1004,7 +993,7 @@ mod tests {
             .map(|r| std::fs::read(r.path.as_ref().expect("path set")).unwrap())
             .collect();
         let chain_refs: Vec<&[u8]> = chain.iter().map(Vec::as_slice).collect();
-        let back = restore_checkpoint_chain(&template(), &chain_refs).unwrap();
+        let back = restore_checkpoint(&[template()], &chain_refs).unwrap();
         assert_eq!(back.total_events(), 30);
 
         // The manifest mirrors the frames, marks included.
@@ -1058,6 +1047,7 @@ mod tests {
                     session: 0,
                     tiering: None,
                 }),
+            None,
         );
         let probe = ckpt.probe();
         for round in 0..6u64 {
@@ -1121,7 +1111,7 @@ mod tests {
             .map(|f| std::fs::read(dir.join(&f.file)).unwrap())
             .collect();
         let refs: Vec<&[u8]> = segments.iter().map(Vec::as_slice).collect();
-        let back = restore_checkpoint_chain(&template(), &refs).unwrap();
+        let back = restore_checkpoint(&[template()], &refs).unwrap();
         assert_eq!(back.total_events(), e.total_events());
         assert_eq!(back.len(), e.len());
         for (key, counter) in e.iter() {
@@ -1163,6 +1153,7 @@ mod tests {
                     session: 0,
                     tiering: None,
                 }),
+            None,
         );
         let probe = ckpt.probe();
         for round in 0..6u64 {

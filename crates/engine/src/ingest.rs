@@ -1447,7 +1447,7 @@ mod tests {
 
     #[test]
     fn checkpointed_drain_cuts_a_restorable_chain_on_cadence() {
-        use crate::checkpoint::restore_checkpoint_chain;
+        use crate::checkpoint::restore_checkpoint;
         use crate::checkpointer::{BackgroundCheckpointer, CheckpointerConfig};
 
         let template = NelsonYuCounter::new(NyParams::new(0.2, 8).unwrap());
@@ -1475,6 +1475,7 @@ mod tests {
                 .with_every_events(2_000)
                 .with_max_deltas_per_base(8)
                 .with_retain_bytes(true),
+            None,
         );
         let mut cadence = CheckpointCadence::new(ckpt.config().every_events);
         let applied = q.drain_routed(&mut engine, None, |engine, applied| {
@@ -1505,7 +1506,7 @@ mod tests {
         // passed through (checked via event totals and a full replay of
         // the remaining batches on the restored engine).
         let chain = report.latest_chain().expect("bytes retained");
-        let back = restore_checkpoint_chain(&template, &chain).unwrap();
+        let back = restore_checkpoint(std::slice::from_ref(&template), &chain).unwrap();
         assert_eq!(
             back.total_events(),
             report.records.last().unwrap().events,

@@ -39,16 +39,15 @@
 //!    key→shard routing (SplitMix64 finalizer + Lemire range reduction),
 //!    dense per-shard slabs behind **copy-on-write `Arc`s with epoch
 //!    tracking**, per-shard deterministic RNG.
-//!    [`CounterEngine::apply_parallel`] fans a batch out one thread per
-//!    shard with states bit-identical to the sequential path.
 //! 3. **Snapshot/serve** ([`EngineSnapshot`]) — immutable, cheaply
 //!    cloneable read replicas. A freeze is `O(shards)` `Arc` clones — no
 //!    counter is copied; writers split dirty shards lazily (CoW), so a
 //!    freeze's true cost is `O(dirty shards)`, amortized into the writes
 //!    that follow. The cross-shard merged aggregate (Remark 2.4) folds on
 //!    demand on a reader thread, never on the freeze path.
-//! 4. **Checkpoint** ([`checkpoint_snapshot`] / [`checkpoint_delta`] /
-//!    [`restore_checkpoint_chain`]) — snapshots serialized through
+//! 4. **Checkpoint** ([`checkpoint`] / [`restore_checkpoint`] /
+//!    [`fold_checkpoint_delta`] / [`compact_checkpoint`]) — snapshots
+//!    serialized through
 //!    `ac-bitio`: [`StateCodec`] counter states plus Rice-coded key gaps
 //!    behind a versioned header that embeds the [`EngineConfig`] and
 //!    parameter fingerprint and refuses mismatched restores. Incremental
@@ -91,8 +90,8 @@
 //! ```
 //! use ac_core::{ApproxCounter, NelsonYuCounter, NyParams};
 //! use ac_engine::{
-//!     checkpoint_delta, checkpoint_snapshot, restore_checkpoint_chain, CounterEngine,
-//!     EngineConfig, IngestConfig, IngestQueue,
+//!     checkpoint, restore_checkpoint, CounterEngine, EngineConfig, IngestConfig,
+//!     IngestQueue,
 //! };
 //! use ac_randkit::Xoshiro256PlusPlus;
 //!
@@ -119,11 +118,12 @@
 //! assert!((merged.estimate() - 1.1e5).abs() / 1.1e5 < 0.5);
 //!
 //! // Checkpoint: a full base, then deltas priced at O(dirty data).
-//! let base = checkpoint_snapshot(&snap);
+//! // `None` tiers: an untiered (version-2) frame; `None` parent: full.
+//! let base = checkpoint(&snap, None, None).unwrap();
 //! engine.apply(&[(1, 1_000)]);
-//! let delta = checkpoint_delta(&engine.snapshot(), &base.header()).unwrap();
-//! let restored =
-//!     restore_checkpoint_chain(&template, &[base.bytes(), delta.bytes()]).unwrap();
+//! let delta = checkpoint(&engine.snapshot(), None, Some(&base.header())).unwrap();
+//! let ladder = [template];
+//! let restored = restore_checkpoint(&ladder, &[base.bytes(), delta.bytes()]).unwrap();
 //! assert_eq!(restored.counter(1).unwrap().state_parts(),
 //!            engine.counter(1).unwrap().state_parts());
 //! ```
@@ -137,7 +137,6 @@ mod checkpointer;
 mod error;
 mod ingest;
 mod manifest;
-mod pool;
 mod registry;
 mod ring;
 mod shard;
@@ -145,14 +144,9 @@ mod snapshot;
 mod store;
 
 pub use checkpoint::{
-    checkpoint_delta, checkpoint_delta_with, checkpoint_snapshot, checkpoint_snapshot_with,
-    checkpoint_snapshot_with_workers, checkpoint_snapshot_workers, combined_fingerprint,
-    compact_chain, compact_chain_with, compact_chain_with_workers, compact_chain_workers,
-    compact_snapshot, fold_checkpoint_delta, read_header, restore_checkpoint,
-    restore_checkpoint_chain, restore_checkpoint_chain_with, restore_checkpoint_chain_with_workers,
-    restore_checkpoint_chain_workers, restore_checkpoint_expecting, restore_checkpoint_with,
-    Checkpoint, CheckpointError, CheckpointHeader, CheckpointKind, CheckpointStats,
-    CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CHECKPOINT_VERSION_TIERED,
+    checkpoint, combined_fingerprint, compact_checkpoint, fold_checkpoint_delta, read_header,
+    restore_checkpoint, Checkpoint, CheckpointError, CheckpointHeader, CheckpointKind,
+    CheckpointStats, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CHECKPOINT_VERSION_TIERED,
 };
 pub use checkpointer::{
     BackgroundCheckpointer, CheckpointRecord, CheckpointerConfig, CheckpointerProbe,

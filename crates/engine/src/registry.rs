@@ -34,8 +34,9 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct EngineConfig {
-    /// Number of shards. More shards mean more parallelism on
-    /// [`CounterEngine::apply_parallel`] and smaller per-shard slabs; the
+    /// Number of shards. More shards mean more parallelism in the
+    /// [`Store`](crate::Store)'s per-shard apply workers and smaller
+    /// per-shard slabs; the
     /// key→shard partition (and therefore every counter's state) changes
     /// with this value, so treat it as part of the engine's identity.
     pub shards: usize,
@@ -302,7 +303,7 @@ pub(crate) fn fold_shards<C: ApproxCounter + Mergeable + Clone>(
 /// docs for the determinism and aggregation contracts, and for the
 /// surrounding layers: [`crate::IngestQueue`] feeds this type,
 /// [`CounterEngine::snapshot`] freezes it for readers,
-/// and [`crate::checkpoint_snapshot`] persists it.
+/// and [`crate::checkpoint`] persists it.
 #[derive(Debug, Clone)]
 pub struct CounterEngine<C> {
     /// Copy-on-write shard slabs; see the module docs.
@@ -457,40 +458,6 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
             shard.touch(self.epoch);
             shard.apply_one(&self.template, key, delta);
         }
-    }
-
-    /// Applies a batch with one thread per (touched) shard.
-    ///
-    /// The final state is bit-identical to [`CounterEngine::apply`] on the
-    /// same batch: the key→shard partition is deterministic, updates for
-    /// one shard stay in batch order, and each shard consumes only its own
-    /// RNG stream, so thread scheduling cannot leak into counter states.
-    /// Copy-on-write splits happen on this thread, before the spawn, so
-    /// the per-shard workers always own unique slabs.
-    pub fn apply_parallel(&mut self, batch: &[(u64, u64)])
-    where
-        C: Send + Sync,
-    {
-        let mut buckets: Vec<Vec<(u64, u64)>> = vec![Vec::new(); self.shards.len()];
-        for &(key, delta) in batch {
-            buckets[self.shard_of(key)].push((key, delta));
-        }
-        let template = &self.template;
-        let epoch = self.epoch;
-        std::thread::scope(|scope| {
-            for (arc, bucket) in self.shards.iter_mut().zip(&buckets) {
-                if bucket.is_empty() {
-                    continue;
-                }
-                let shard = Arc::make_mut(arc);
-                shard.touch(epoch);
-                scope.spawn(move || {
-                    for &(key, delta) in bucket {
-                        shard.apply_one(template, key, delta);
-                    }
-                });
-            }
-        });
     }
 
     /// The current estimate for `key`, or `None` if the key was never
@@ -652,7 +619,7 @@ impl CounterEngine<ac_core::CounterFamily> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ac_core::{ExactCounter, MorrisCounter, NelsonYuCounter, NyParams};
+    use ac_core::{ExactCounter, MorrisCounter};
     use ac_randkit::Xoshiro256PlusPlus;
 
     fn cfg(shards: usize) -> EngineConfig {
@@ -701,24 +668,6 @@ mod tests {
             "max shard load {}",
             stats.max_shard_keys
         );
-    }
-
-    #[test]
-    fn parallel_apply_is_bit_identical_to_sequential() {
-        let p = NyParams::new(0.2, 8).unwrap();
-        let template = NelsonYuCounter::new(p);
-        let mut seq = CounterEngine::new(template.clone(), cfg(8));
-        let mut par = CounterEngine::new(template, cfg(8));
-        let mut keygen = SplitMix64::new(9);
-        let batch: Vec<(u64, u64)> = (0..5_000)
-            .map(|_| (keygen.next_u64() % 500, 1 + keygen.next_u64() % 1_000))
-            .collect();
-        seq.apply(&batch);
-        par.apply_parallel(&batch);
-        for &(key, _) in &batch {
-            assert_eq!(seq.counter(key), par.counter(key), "key {key}");
-        }
-        assert_eq!(seq.total_events(), par.total_events());
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub(crate) fn route(salt: u64, shards: usize, key: u64) -> usize {
 /// key→slot. Each shard draws from its *own* [`Xoshiro256PlusPlus`],
 /// seeded from the engine seed and the shard id, which makes every
 /// shard's evolution deterministic and independent of how batches are
-/// interleaved across shards — the property that lets
-/// `apply_parallel` produce states identical to the sequential path.
+/// interleaved across shards — the property that lets the per-shard
+/// apply workers produce states identical to the sequential path.
 ///
 /// The `dirty_epoch` word records the engine freeze epoch during which
 /// the shard was last written. The registry compares it against snapshot

@@ -15,8 +15,7 @@
 //!   serving thread;
 //! * **the checkpoint layer serializes snapshots**, not live engines, so
 //!   durability rides the same freeze and the write path never stalls for
-//!   I/O (see [`crate::checkpoint_snapshot`] and
-//!   [`crate::checkpoint_delta`]).
+//!   I/O (see [`crate::checkpoint`]).
 //!
 //! The cross-shard merged aggregate (Remark 2.4) is *not* folded at
 //! freeze time. [`EngineSnapshot::merged_total`] computes it on demand,

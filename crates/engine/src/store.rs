@@ -43,7 +43,7 @@
 //! assert_eq!(report.stats.events, 100_000);
 //! ```
 
-use crate::checkpoint::{fold_delta, read_header, restore_checkpoint_chain_with_workers};
+use crate::checkpoint::{fold_checkpoint_delta, read_header, restore_checkpoint};
 use crate::checkpointer::{
     BackgroundCheckpointer, CheckpointerConfig, CheckpointerProbe, CheckpointerReport,
     CheckpointerStats,
@@ -780,7 +780,7 @@ impl Store {
                 if let Some(max) = opts.compact_max_chain_bytes {
                     ck_config = ck_config.with_max_chain_bytes(max);
                 }
-                BackgroundCheckpointer::spawn_with(
+                BackgroundCheckpointer::spawn(
                     ck_config,
                     tiering.as_ref().map(|t| t.templates.clone()),
                 )
@@ -1368,13 +1368,13 @@ fn recover(
         let Some((first, rest)) = segments.split_first() else {
             continue;
         };
-        let Ok(mut engine) = restore_checkpoint_chain_with_workers(&templates, &[first], 0) else {
+        let Ok(mut engine) = restore_checkpoint(&templates, &[first]) else {
             continue;
         };
         let mut tip = read_header(first).expect("a restored base has a valid header");
         let mut used = 1;
         for delta in rest {
-            let Ok(header) = fold_delta(&templates, &mut engine, &tip, delta, 0) else {
+            let Ok(header) = fold_checkpoint_delta(&mut engine, &templates, &tip, delta) else {
                 break;
             };
             tip = header;

@@ -16,9 +16,8 @@
 
 use ac_core::{ApproxCounter, CounterFamily, CounterSpec, NelsonYuCounter, NyParams, TierMove};
 use ac_engine::{
-    checkpoint_delta, checkpoint_snapshot, checkpoint_snapshot_with, fold_checkpoint_delta,
-    restore_checkpoint, restore_checkpoint_chain, restore_checkpoint_with, Checkpoint,
-    CounterEngine, EngineConfig, EngineSnapshot, ShardRouter,
+    checkpoint, fold_checkpoint_delta, restore_checkpoint, Checkpoint, CounterEngine, EngineConfig,
+    EngineSnapshot, ShardRouter,
 };
 use ac_randkit::{mix64, RandomSource, Xoshiro256PlusPlus, Zipf};
 use ac_stats::ks::ks_two_sample;
@@ -238,19 +237,20 @@ proptest! {
         let mut engine = CounterEngine::new(template.clone(), config);
         let mut frames: Vec<Checkpoint> = Vec::new();
         let mut replica: Option<CounterEngine<CounterFamily>> = None;
+        let one_rung = std::slice::from_ref(&template);
         for batch in &batches {
             engine.apply(batch);
             let snap = engine.snapshot();
             assert_total_matches_reference(&snap, &template, seed)?;
             let frame = match frames.last() {
-                None => checkpoint_snapshot(&snap),
-                Some(parent) => checkpoint_delta(&snap, &parent.header()).unwrap(),
+                None => checkpoint(&snap, None, None).unwrap(),
+                Some(parent) => checkpoint(&snap, None, Some(&parent.header())).unwrap(),
             };
             match (&mut replica, frames.last()) {
                 (Some(r), Some(parent)) => {
-                    fold_checkpoint_delta(r, &parent.header(), frame.bytes()).unwrap();
+                    fold_checkpoint_delta(r, one_rung, &parent.header(), frame.bytes()).unwrap();
                 }
-                _ => replica = Some(restore_checkpoint(&template, frame.bytes()).unwrap()),
+                _ => replica = Some(restore_checkpoint(one_rung, &[frame.bytes()]).unwrap()),
             }
             let folded = replica.as_mut().unwrap().snapshot();
             assert_total_matches_reference(&folded, &template, seed)?;
@@ -258,7 +258,7 @@ proptest! {
             frames.push(frame);
         }
         let chain: Vec<&[u8]> = frames.iter().map(|f| f.bytes()).collect();
-        let restored = restore_checkpoint_chain(&template, &chain).unwrap().snapshot();
+        let restored = restore_checkpoint(one_rung, &chain).unwrap().snapshot();
         assert_total_matches_reference(&restored, &template, seed)?;
         assert_same_total(&engine.snapshot(), &restored, seed)?;
 
@@ -281,8 +281,8 @@ proptest! {
             prop_assert_eq!(tiered, expected);
             prop_assert_eq!(a.next_u64(), b.next_u64());
 
-            let frame = checkpoint_snapshot_with(&snap, &templates);
-            let copy = restore_checkpoint_with(&templates, frame.bytes()).unwrap().snapshot();
+            let frame = checkpoint(&snap, Some(&templates), None).unwrap();
+            let copy = restore_checkpoint(&templates, &[frame.bytes()]).unwrap().snapshot();
             prop_assert_eq!(
                 copy.merged_estimate_tiered(ladder.len(), &mut rng(seed)).unwrap(),
                 tiered
@@ -323,9 +323,12 @@ fn an_engine_and_its_restored_copy_merge_to_equal_states() {
             .filter(|(_, c)| c.exact_count().is_none())
             .count();
         assert!(sampled >= 10, "seed {seed}: only {sampled} sampled keys");
-        let restored = restore_checkpoint(&template, checkpoint_snapshot(&snap).bytes())
-            .unwrap()
-            .snapshot();
+        let restored = restore_checkpoint(
+            std::slice::from_ref(&template),
+            &[checkpoint(&snap, None, None).unwrap().bytes()],
+        )
+        .unwrap()
+        .snapshot();
         let fold_seed = mix64(seed);
         assert_eq!(
             snap.merged_total(&mut rng(fold_seed)).unwrap(),

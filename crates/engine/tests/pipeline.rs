@@ -13,13 +13,13 @@ use ac_core::{
     CsurosCounter, ExactCounter, MorrisCounter, MorrisPlus, NelsonYuCounter, NyParams, StateCodec,
 };
 use ac_engine::{
-    checkpoint_delta, checkpoint_snapshot, restore_checkpoint, restore_checkpoint_chain,
-    restore_checkpoint_expecting, Checkpoint, CheckpointError, CounterEngine, EngineConfig,
+    checkpoint, fold_checkpoint_delta, restore_checkpoint, Checkpoint, CheckpointError,
+    CounterEngine, EngineConfig,
 };
 use proptest::prelude::*;
 
 /// Builds an engine over the given workload and checkpoints it.
-fn engine_and_checkpoint<C: StateCodec + Clone + Send + Sync + 'static>(
+fn engine_and_checkpoint<C: StateCodec + Clone + Send + Sync>(
     template: &C,
     shards: usize,
     seed: u64,
@@ -30,7 +30,7 @@ fn engine_and_checkpoint<C: StateCodec + Clone + Send + Sync + 'static>(
         EngineConfig::new().with_shards(shards).with_seed(seed),
     );
     engine.apply(events);
-    let ck = checkpoint_snapshot(&engine.snapshot());
+    let ck = checkpoint(&engine.snapshot(), None, None).unwrap();
     (engine, ck)
 }
 
@@ -42,14 +42,15 @@ fn encoded<C: StateCodec>(c: &C) -> BitVec {
 }
 
 /// The family-generic fidelity check.
-fn assert_restores_exactly<C: StateCodec + Clone + Send + Sync + 'static>(
+fn assert_restores_exactly<C: StateCodec + Clone + Send + Sync>(
     template: &C,
     shards: usize,
     seed: u64,
     events: &[(u64, u64)],
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let (engine, ck) = engine_and_checkpoint(template, shards, seed, events);
-    let restored = restore_checkpoint(template, ck.bytes()).expect("valid checkpoint");
+    let restored = restore_checkpoint(std::slice::from_ref(template), &[ck.bytes()])
+        .expect("valid checkpoint");
 
     prop_assert_eq!(restored.len(), engine.len());
     prop_assert_eq!(restored.total_events(), engine.total_events());
@@ -84,7 +85,7 @@ fn assert_restores_exactly<C: StateCodec + Clone + Send + Sync + 'static>(
 /// base + deltas chain cut along the way folds back to exactly what one
 /// final full checkpoint restores — and both restored engines continue
 /// the same RNG stream under a follow-up batch.
-fn assert_cow_and_chain_faithful<C: StateCodec + Clone + Send + Sync + 'static>(
+fn assert_cow_and_chain_faithful<C: StateCodec + Clone + Send + Sync>(
     template: &C,
     shards: usize,
     seed: u64,
@@ -116,10 +117,9 @@ fn assert_cow_and_chain_faithful<C: StateCodec + Clone + Send + Sync + 'static>(
             }
             // Extend the checkpoint chain from the CoW snapshot.
             let ck = match chain.last() {
-                None => checkpoint_snapshot(&snap_cow),
-                Some(parent) => {
-                    checkpoint_delta(&snap_cow, &parent.header()).expect("same engine lineage")
-                }
+                None => checkpoint(&snap_cow, None, None).unwrap(),
+                Some(parent) => checkpoint(&snap_cow, None, Some(&parent.header()))
+                    .expect("same engine lineage"),
             };
             chain.push(ck);
         }
@@ -130,7 +130,8 @@ fn assert_cow_and_chain_faithful<C: StateCodec + Clone + Send + Sync + 'static>(
         // the same prefix on a fresh engine to get the full-checkpoint
         // twin of that same moment.
         let segments: Vec<&[u8]> = chain.iter().map(Checkpoint::bytes).collect();
-        let mut via_chain = restore_checkpoint_chain(template, &segments).expect("intact chain");
+        let mut via_chain =
+            restore_checkpoint(std::slice::from_ref(template), &segments).expect("intact chain");
 
         // Rebuild the stream prefix up to (and including) the last frozen
         // batch on a fresh engine — freezes themselves never perturb
@@ -144,9 +145,13 @@ fn assert_cow_and_chain_faithful<C: StateCodec + Clone + Send + Sync + 'static>(
         for (batch, _) in &schedule[..=last_freeze] {
             at_freeze.apply(batch);
         }
-        let mut via_full =
-            restore_checkpoint(template, checkpoint_snapshot(&at_freeze.snapshot()).bytes())
-                .expect("valid full checkpoint");
+        let mut via_full = restore_checkpoint(
+            std::slice::from_ref(template),
+            &[checkpoint(&at_freeze.snapshot(), None, None)
+                .unwrap()
+                .bytes()],
+        )
+        .expect("valid full checkpoint");
 
         prop_assert_eq!(via_chain.len(), via_full.len());
         prop_assert_eq!(via_chain.total_events(), via_full.total_events());
@@ -277,7 +282,7 @@ proptest! {
         let bit = (flip % (bytes.len() as u64 * 8)) as usize;
         bytes[bit / 8] ^= 1 << (bit % 8);
         prop_assert!(
-            restore_checkpoint(&template, &bytes).is_err(),
+            restore_checkpoint(&[template], &[&bytes]).is_err(),
             "flipping bit {} went undetected",
             bit
         );
@@ -292,12 +297,12 @@ proptest! {
         let template = NelsonYuCounter::new(NyParams::new(0.2, 8).unwrap());
         let (mut engine, base) = engine_and_checkpoint(&template, 4, 5, &events);
         engine.apply(&extra);
-        let delta = checkpoint_delta(&engine.snapshot(), &base.header()).unwrap();
+        let delta = checkpoint(&engine.snapshot(), None, Some(&base.header())).unwrap();
         let mut bytes = delta.bytes().to_vec();
         let bit = (flip % (bytes.len() as u64 * 8)) as usize;
         bytes[bit / 8] ^= 1 << (bit % 8);
         prop_assert!(
-            restore_checkpoint_chain(&template, &[base.bytes(), &bytes]).is_err(),
+            restore_checkpoint(&[template], &[base.bytes(), &bytes]).is_err(),
             "flipping delta bit {} went undetected",
             bit
         );
@@ -311,7 +316,7 @@ proptest! {
         let template = NelsonYuCounter::new(NyParams::new(0.2, 8).unwrap());
         let (_, ck) = engine_and_checkpoint(&template, 3, 8, &events);
         let keep = (cut % ck.bytes().len() as u64) as usize;
-        let err = restore_checkpoint(&template, &ck.bytes()[..keep]).unwrap_err();
+        let err = restore_checkpoint(&[template], &[&ck.bytes()[..keep]]).unwrap_err();
         prop_assert!(
             matches!(err, CheckpointError::Truncated | CheckpointError::Corrupt { .. }),
             "unexpected error for {} kept bytes: {:?}",
@@ -328,37 +333,41 @@ fn mismatched_template_families_are_refused() {
     let (_, ck) = engine_and_checkpoint(&ny, 4, 1, &events);
 
     assert_eq!(
-        restore_checkpoint(&MorrisCounter::new(0.5).unwrap(), ck.bytes()).unwrap_err(),
+        restore_checkpoint(&[MorrisCounter::new(0.5).unwrap()], &[ck.bytes()]).unwrap_err(),
         CheckpointError::ScheduleMismatch
     );
     assert_eq!(
-        restore_checkpoint(&CsurosCounter::new(8).unwrap(), ck.bytes()).unwrap_err(),
+        restore_checkpoint(&[CsurosCounter::new(8).unwrap()], &[ck.bytes()]).unwrap_err(),
         CheckpointError::ScheduleMismatch
     );
     // Same family, different schedule: also refused.
     let other = NelsonYuCounter::new(NyParams::new(0.2, 9).unwrap());
     assert_eq!(
-        restore_checkpoint(&other, ck.bytes()).unwrap_err(),
+        restore_checkpoint(std::slice::from_ref(&other), &[ck.bytes()]).unwrap_err(),
         CheckpointError::ScheduleMismatch
     );
 }
 
 #[test]
 fn pinned_config_mismatch_is_refused() {
+    // The resident engine a delta folds into pins the config: a delta cut
+    // by an engine with another shard count or seed is refused.
     let template = ExactCounter::new();
+    let ladder = std::slice::from_ref(&template);
     let events: Vec<(u64, u64)> = (0..30u64).map(|k| (k, 2)).collect();
-    let (engine, ck) = engine_and_checkpoint(&template, 4, 7, &events);
-
-    let wrong_shards = EngineConfig::new().with_shards(5).with_seed(7);
-    assert!(matches!(
-        restore_checkpoint_expecting(&template, ck.bytes(), wrong_shards),
-        Err(CheckpointError::ConfigMismatch { .. })
-    ));
-    let wrong_seed = EngineConfig::new().with_shards(4).with_seed(8);
-    assert!(matches!(
-        restore_checkpoint_expecting(&template, ck.bytes(), wrong_seed),
-        Err(CheckpointError::ConfigMismatch { .. })
-    ));
-    let ok = restore_checkpoint_expecting(&template, ck.bytes(), engine.config()).unwrap();
-    assert_eq!(ok.total_events(), engine.total_events());
+    let (mut engine, ck) = engine_and_checkpoint(&template, 4, 7, &events);
+    let mut resident = restore_checkpoint(ladder, &[ck.bytes()]).unwrap();
+    for (shards, seed) in [(5, 7), (4, 8)] {
+        let (mut other, other_base) = engine_and_checkpoint(&template, shards, seed, &events);
+        other.apply(&events);
+        let delta = checkpoint(&other.snapshot(), None, Some(&other_base.header())).unwrap();
+        assert!(matches!(
+            fold_checkpoint_delta(&mut resident, ladder, &ck.header(), delta.bytes()),
+            Err(CheckpointError::ConfigMismatch { .. })
+        ));
+    }
+    engine.apply(&events);
+    let delta = checkpoint(&engine.snapshot(), None, Some(&ck.header())).unwrap();
+    fold_checkpoint_delta(&mut resident, ladder, &ck.header(), delta.bytes()).unwrap();
+    assert_eq!(resident.total_events(), engine.total_events());
 }

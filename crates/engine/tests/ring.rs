@@ -14,7 +14,7 @@
 
 use ac_core::CounterSpec;
 use ac_engine::{
-    checkpoint_snapshot, BackpressurePolicy, CounterEngine, EngineConfig, IngestConfig, IngestQueue,
+    checkpoint, BackpressurePolicy, CounterEngine, EngineConfig, IngestConfig, IngestQueue,
 };
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -272,8 +272,8 @@ proptest! {
         let expected: u64 = events.iter().map(|&(_, d)| d).sum();
         prop_assert_eq!(serial.total_events(), expected);
         prop_assert_eq!(legacy.total_events(), expected);
-        let a = checkpoint_snapshot(&legacy.snapshot());
-        let b = checkpoint_snapshot(&serial.snapshot());
+        let a = checkpoint(&legacy.snapshot(), None, None).unwrap();
+        let b = checkpoint(&serial.snapshot(), None, None).unwrap();
         prop_assert_eq!(
             a.bytes(),
             b.bytes(),
@@ -306,8 +306,8 @@ proptest! {
         let expected: u64 = events.iter().map(|&(_, d)| d).sum();
         prop_assert_eq!(routed.total_events(), expected);
         prop_assert_eq!(serial.total_events(), expected);
-        let a = checkpoint_snapshot(&serial.snapshot());
-        let b = checkpoint_snapshot(&routed.snapshot());
+        let a = checkpoint(&serial.snapshot(), None, None).unwrap();
+        let b = checkpoint(&routed.snapshot(), None, None).unwrap();
         prop_assert_eq!(
             a.bytes(),
             b.bytes(),

@@ -19,9 +19,8 @@ use ac_core::{
     MorrisPlus, NelsonYuCounter, NyParams, StateCodec,
 };
 use ac_engine::{
-    checkpoint_snapshot, compact_chain, restore_checkpoint, restore_checkpoint_chain,
-    CheckpointKind, CounterEngine, EngineConfig, EngineError, IngestConfig, Manifest, Store,
-    StoreOptions,
+    checkpoint, compact_checkpoint, read_header, restore_checkpoint, CheckpointKind, CounterEngine,
+    EngineConfig, EngineError, IngestConfig, Manifest, Store, StoreOptions,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -34,7 +33,7 @@ fn encoded<C: StateCodec>(c: &C) -> BitVec {
 
 /// The tentpole equivalence: spec-built enum dispatch vs monomorphized
 /// generic engine — states, estimates, checkpoint bytes, cross-restores.
-fn assert_runtime_matches_generic<C: StateCodec + Clone + Send + Sync + 'static>(
+fn assert_runtime_matches_generic<C: StateCodec + Clone + Send + Sync>(
     concrete: &C,
     spec: CounterSpec,
     shards: usize,
@@ -71,14 +70,16 @@ fn assert_runtime_matches_generic<C: StateCodec + Clone + Send + Sync + 'static>
 
     // Checkpoint bytes are identical — the durable format cannot tell
     // enum dispatch from monomorphization.
-    let ck_generic = checkpoint_snapshot(&generic.snapshot());
-    let ck_runtime = checkpoint_snapshot(&runtime.snapshot());
+    let ck_generic = checkpoint(&generic.snapshot(), None, None).unwrap();
+    let ck_runtime = checkpoint(&runtime.snapshot(), None, None).unwrap();
     prop_assert_eq!(ck_runtime.bytes(), ck_generic.bytes());
 
     // And each side restores the other's checkpoint.
-    let cross = restore_checkpoint(&family, ck_generic.bytes()).expect("cross-restore");
+    let cross = restore_checkpoint(std::slice::from_ref(&family), &[ck_generic.bytes()])
+        .expect("cross-restore");
     prop_assert_eq!(cross.total_events(), generic.total_events());
-    let back = restore_checkpoint(concrete, ck_runtime.bytes()).expect("cross-restore");
+    let back = restore_checkpoint(std::slice::from_ref(concrete), &[ck_runtime.bytes()])
+        .expect("cross-restore");
     prop_assert_eq!(back.total_events(), runtime.total_events());
     Ok(())
 }
@@ -232,7 +233,7 @@ fn restore_clean(dir: &Path, drop_tail: usize) -> CounterEngine<CounterFamily> {
         .map(|(p, _)| std::fs::read(p).unwrap())
         .collect();
     let refs: Vec<&[u8]> = segments.iter().map(Vec::as_slice).collect();
-    restore_checkpoint_chain(&family_template(), &refs).unwrap()
+    restore_checkpoint(&[family_template()], &refs).unwrap()
 }
 
 fn assert_store_matches_engine(store: &Store, engine: &CounterEngine<CounterFamily>) {
@@ -571,7 +572,9 @@ fn orphan_compacted_base_from_a_crashed_compactor_is_ignored() {
         .map(|(p, _)| std::fs::read(p).unwrap())
         .collect();
     let refs: Vec<&[u8]> = segments.iter().map(Vec::as_slice).collect();
-    let orphan = compact_chain(&family_template(), &refs).unwrap();
+    let tip = read_header(refs.last().unwrap()).unwrap();
+    let mut folded = restore_checkpoint(&[family_template()], &refs).unwrap();
+    let orphan = compact_checkpoint(&folded.snapshot().with_epoch(tip.epoch), None, &tip).unwrap();
     std::fs::write(dir.join("ckpt-000-c99999-full.bin"), orphan.bytes()).unwrap();
 
     let clean = restore_clean(&dir, 0);

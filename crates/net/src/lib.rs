@@ -23,7 +23,7 @@
 //!   pinned snapshot, epoch attached), and replication sessions.
 //! * **Replicating** ([`ReplicaNode`]): the primary cuts delta
 //!   checkpoint frames off its published snapshots and streams them to
-//!   replicas, which fold them through `restore_checkpoint_chain` and
+//!   replicas, which fold them through `fold_checkpoint_delta` and
 //!   acknowledge chain digests; a reconnect resumes from the last
 //!   acknowledged digest, or from a fresh full frame when compaction
 //!   has passed it.

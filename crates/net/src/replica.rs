@@ -327,14 +327,16 @@ fn fold_segment(
     let (engine, tip) = if header.kind == CheckpointKind::Full {
         // A full frame starts a fresh chain — the primary restarted the
         // stream (first contact, or compaction passed our ack).
-        let engine = restore_checkpoint(&inner.template, bytes).map_err(refused)?;
+        let ladder = std::slice::from_ref(&inner.template);
+        let engine = restore_checkpoint(ladder, &[bytes]).map_err(refused)?;
         let (engine, tip) = resident.insert((engine, header));
         (engine, tip)
     } else {
         let (engine, tip) = resident.as_mut().ok_or(NetError::Malformed {
             what: "delta segment before any base",
         })?;
-        *tip = fold_checkpoint_delta(engine, tip, bytes).map_err(refused)?;
+        let ladder = std::slice::from_ref(&inner.template);
+        *tip = fold_checkpoint_delta(engine, ladder, tip, bytes).map_err(refused)?;
         (engine, tip)
     };
     // Pin the folded snapshot to the primary's freeze epoch so merged

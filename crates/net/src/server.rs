@@ -24,8 +24,8 @@
 //!
 //! A cutter thread samples published snapshots and maintains one
 //! global chain of checkpoint segments — a full base, then deltas cut
-//! with [`checkpoint_delta`] (see [`ServerConfig`] for the cadence),
-//! compacted through [`compact_snapshot`] from the tip's own snapshot
+//! with [`checkpoint`] (see [`ServerConfig`] for the cadence),
+//! compacted through [`compact_checkpoint`] from the tip's own snapshot
 //! when the chain grows long. Replica connections stream the chain and
 //! resume from the last chain digest the replica acknowledged; a
 //! digest that fell out of the chain (compaction) triggers a full
@@ -43,8 +43,7 @@ use crate::wire::{Frame, Identity, Query, Reply, Role, NEW_PRODUCER, PROTO_VERSI
 use ac_bitio::{BitVec, BitWriter};
 use ac_core::StateCodec;
 use ac_engine::{
-    checkpoint_delta, checkpoint_snapshot, compact_snapshot, Checkpoint, CheckpointHeader, Store,
-    StoreReport, StoreWriter,
+    checkpoint, compact_checkpoint, Checkpoint, CheckpointHeader, Store, StoreReport, StoreWriter,
 };
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -761,9 +760,9 @@ fn cutter_loop(inner: &Arc<ServerInner>) {
             return;
         }
         let cut = match chain.tip {
-            None => Ok(checkpoint_snapshot(snap)),
+            None => checkpoint(snap, None, None),
             Some(tip) if cadence.due(enqueued, snap.epoch(), snap.total_events(), &tip) => {
-                checkpoint_delta(snap, &tip)
+                checkpoint(snap, None, Some(&tip))
             }
             Some(_) => continue,
         };
@@ -776,7 +775,7 @@ fn cutter_loop(inner: &Arc<ServerInner>) {
                 return Ok(());
             }
             let tip = chain.tip.expect("a segment was just cut");
-            let base = compact_snapshot(snap, &tip)?;
+            let base = compact_checkpoint(snap, None, &tip)?;
             chain.segments.clear();
             push_segment(&mut chain, base);
             chain.generation += 1;

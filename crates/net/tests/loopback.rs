@@ -3,7 +3,7 @@
 //! replication converging to the primary's chain digests.
 
 use ac_core::{ApproxCounter, CounterSpec};
-use ac_engine::{checkpoint_snapshot, read_header, CheckpointKind, IngestConfig, Store};
+use ac_engine::{checkpoint, read_header, CheckpointKind, IngestConfig, Store};
 use ac_net::wire::NEW_PRODUCER;
 use ac_net::{
     Frame, FrameConn, Identity, NetError, RefuseCode, ReplicaNode, Role, ServerConfig, StoreClient,
@@ -498,7 +498,7 @@ fn settled_checkpoint(server: &StoreServer, spec: CounterSpec) -> Vec<u8> {
         std::thread::sleep(Duration::from_millis(5));
     }
     let snap = reader.snapshot().clone().with_epoch(0);
-    checkpoint_snapshot(&snap).into_bytes()
+    checkpoint(&snap, None, None).unwrap().into_bytes()
 }
 
 #[test]

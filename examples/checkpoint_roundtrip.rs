@@ -16,10 +16,7 @@
 //! $ cargo run --release --example checkpoint_roundtrip -- chain-restore /tmp/ckpt-dir
 //! ```
 
-use approx_counting::engine::{
-    checkpoint_delta, checkpoint_snapshot, restore_checkpoint, restore_checkpoint_chain,
-    CounterEngine, EngineConfig,
-};
+use approx_counting::engine::{checkpoint, restore_checkpoint, CounterEngine, EngineConfig};
 use approx_counting::prelude::*;
 use std::path::Path;
 
@@ -119,7 +116,7 @@ fn main() {
         "write" => {
             let mut engine = reference_engine();
             let snap = engine.snapshot();
-            let ck = checkpoint_snapshot(&snap);
+            let ck = checkpoint(&snap, None, None).unwrap();
             std::fs::write(path, ck.bytes()).expect("write checkpoint");
             let s = ck.stats();
             println!(
@@ -134,7 +131,8 @@ fn main() {
         }
         "restore" => {
             let bytes = std::fs::read(path).expect("read checkpoint");
-            let restored = restore_checkpoint(&template(), &bytes).expect("restore checkpoint");
+            let restored =
+                restore_checkpoint(&[template()], &[&bytes]).expect("restore checkpoint");
             let checked = verify_matches(&restored, &reference_engine());
             println!(
                 "restored {checked} keys from {path} in a fresh process: \
@@ -147,18 +145,18 @@ fn main() {
             let [base_path, d1_path, d2_path] = chain_paths(dir);
 
             let mut engine = reference_engine();
-            let base = checkpoint_snapshot(&engine.snapshot());
+            let base = checkpoint(&engine.snapshot(), None, None).unwrap();
             std::fs::write(&base_path, base.bytes()).expect("write base");
 
             let [round1, round2] = delta_batches(&engine);
             engine.apply(&round1);
-            let d1 = checkpoint_delta(&engine.snapshot(), &base.header())
+            let d1 = checkpoint(&engine.snapshot(), None, Some(&base.header()))
                 .expect("delta against own base");
             std::fs::write(&d1_path, d1.bytes()).expect("write delta 1");
 
             engine.apply(&round2);
-            let d2 =
-                checkpoint_delta(&engine.snapshot(), &d1.header()).expect("delta against delta 1");
+            let d2 = checkpoint(&engine.snapshot(), None, Some(&d1.header()))
+                .expect("delta against delta 1");
             std::fs::write(&d2_path, d2.bytes()).expect("write delta 2");
 
             println!(
@@ -184,14 +182,13 @@ fn main() {
                 .map(|p| std::fs::read(p).expect("read chain segment"))
                 .collect();
             let refs: Vec<&[u8]> = segments.iter().map(Vec::as_slice).collect();
-            let restored = restore_checkpoint_chain(&template(), &refs).expect("restore chain");
+            let restored = restore_checkpoint(&[template()], &refs).expect("restore chain");
             let checked = verify_matches(&restored, &reference_engine_after_deltas());
 
             // A truncated final delta must be refused, never half-folded.
             let truncated = &segments[2][..segments[2].len() / 2];
-            let err =
-                restore_checkpoint_chain(&template(), &[&segments[0], &segments[1], truncated])
-                    .expect_err("truncated delta must not restore");
+            let err = restore_checkpoint(&[template()], &[&segments[0], &segments[1], truncated])
+                .expect_err("truncated delta must not restore");
             println!(
                 "restored {checked} keys from a base+2-delta chain in a fresh process: \
                  every state bit-identical; truncated delta rejected with `{err}`"

@@ -83,12 +83,12 @@ pub mod prelude {
         PromiseAnswer, PromiseDecider, StateCodec,
     };
     pub use ac_engine::{
-        checkpoint_delta, checkpoint_snapshot, restore_checkpoint, restore_checkpoint_chain,
-        restore_checkpoint_expecting, BackgroundCheckpointer, BackpressurePolicy, Checkpoint,
-        CheckpointError, CheckpointKind, CheckpointStats, CheckpointerConfig, CounterEngine,
-        EngineConfig, EngineError, EngineSnapshot, EngineStats, IngestConfig, IngestStats,
-        Manifest, ProducerMark, RecoveryReport, SendError, Store, StoreBuilder, StoreOptions,
-        StoreReader, StoreStats, StoreWriter,
+        checkpoint, compact_checkpoint, fold_checkpoint_delta, restore_checkpoint,
+        BackgroundCheckpointer, BackpressurePolicy, Checkpoint, CheckpointError, CheckpointKind,
+        CheckpointStats, CheckpointerConfig, CounterEngine, EngineConfig, EngineError,
+        EngineSnapshot, EngineStats, IngestConfig, IngestStats, Manifest, ProducerMark,
+        RecoveryReport, SendError, Store, StoreBuilder, StoreOptions, StoreReader, StoreStats,
+        StoreWriter,
     };
     pub use ac_net::{
         Identity, NetError, NetWriter, RefuseCode, RemoteReader, ReplicaConfig, ReplicaNode,
