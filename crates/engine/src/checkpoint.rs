@@ -851,6 +851,7 @@ fn parse_sections<C: StateCodec + Clone + Send + Sync>(
     header: &CheckpointHeader,
     workers: usize,
 ) -> Result<Vec<(usize, Shard<C>)>, CheckpointError> {
+    assert!(!templates.is_empty(), "need at least the default template");
     let expected_fingerprint = if header.version == CHECKPOINT_VERSION {
         templates[0].params_fingerprint()
     } else {
@@ -1111,7 +1112,6 @@ fn restore_with_workers<C: StateCodec + Clone + Send + Sync>(
     segments: &[&[u8]],
     workers: usize,
 ) -> Result<CounterEngine<C>, CheckpointError> {
-    assert!(!ladder.is_empty(), "need at least the default template");
     let (first, rest) = segments.split_first().ok_or(CheckpointError::BadChain {
         what: "empty chain",
     })?;
@@ -1166,6 +1166,10 @@ fn restore_with_workers<C: StateCodec + Clone + Send + Sync>(
 ///
 /// Everything [`restore_checkpoint`] returns for its second and later
 /// segments.
+///
+/// # Panics
+///
+/// Panics if `ladder` is empty.
 pub fn fold_checkpoint_delta<C: StateCodec + Clone + Send + Sync>(
     engine: &mut CounterEngine<C>,
     ladder: &[C],
