@@ -16,7 +16,7 @@
 //! gates.
 
 use ac_bench::{header, json::JsonObject, section, sized, verdict, write_json_report};
-use ac_core::{CounterSpec, NelsonYuCounter, NyParams};
+use ac_core::CounterSpec;
 use ac_engine::{
     checkpoint, compact_checkpoint, fold_checkpoint_delta, read_header, restore_checkpoint,
     Checkpoint, CheckpointKind, CounterEngine, EngineConfig, IngestConfig, Manifest, Store,
@@ -28,17 +28,13 @@ use std::time::Instant;
 const EPS: f64 = 0.2;
 const DELTA_LOG2: u32 = 8;
 
-fn template() -> NelsonYuCounter {
-    NelsonYuCounter::new(NyParams::new(EPS, DELTA_LOG2).unwrap())
-}
-
 fn engine_config() -> EngineConfig {
     EngineConfig::new().with_shards(32).with_seed(0xE15)
 }
 
 /// A full frame of `engine`'s state pinned to freeze epoch `epoch`: two
 /// engines with equal counters, RNG streams and totals give equal bytes.
-fn frame_at(engine: &mut CounterEngine<NelsonYuCounter>, epoch: u64) -> Checkpoint {
+fn frame_at(engine: &mut CounterEngine, epoch: u64) -> Checkpoint {
     checkpoint(&engine.snapshot().with_epoch(epoch), None, None).expect("full frame")
 }
 
@@ -114,11 +110,11 @@ fn main() {
     let keys = sized(1_000_000, 50_000) as u64;
     let max_chain = sized(16, 8);
     let reps = sized(3, 2);
-    let ladder = [template()];
+    let ladder = [spec()];
     println!("{keys} keys, NelsonYu(eps={EPS}, delta=2^-{DELTA_LOG2}), {cores} cores\n");
 
     // ----- the shared chain: one base + deltas over real traffic --------
-    let mut engine = CounterEngine::new(template(), engine_config());
+    let mut engine = CounterEngine::new(spec().build().unwrap(), engine_config());
     let seed_batch: Vec<(u64, u64)> = (0..keys).map(|k| (k, 1 + k % 7)).collect();
     engine.apply(&seed_batch);
     let snap = engine.snapshot();

@@ -1,16 +1,15 @@
-//! **E12** — the batched path at fleet scale: every counter family
-//! fast-forwards `increment_by(n)` in transition-count-proportional time
-//! (≥100× over the increment loop at `n = 10⁷`), and the `ac-engine`
-//! sharded registry sustains a million-key, ten-million-event workload
-//! whose cross-shard merged aggregate agrees with the exact event total
-//! within the configured `(ε, δ)`.
+//! **E12** — the batched path: every counter family fast-forwards
+//! `increment_by(n)` in transition-count-proportional time (≥100× over
+//! the increment loop at `n = 10⁷`). The engine that runs this path per
+//! key is measured by the stack benchmark (`registry.apply_events_per_s`)
+//! and its bookkeeping and merged aggregate are tested in
+//! `crates/engine/tests/fold.rs`.
 //!
 //! Emits `BENCH_engine.json` via `--json` (uploaded by CI).
 
 use ac_bench::{header, json::JsonObject, section, sized, verdict, write_json_report};
 use ac_core::{ApproxCounter, CsurosCounter, MorrisCounter, MorrisPlus, NelsonYuCounter, NyParams};
-use ac_engine::{CounterEngine, EngineConfig};
-use ac_randkit::{RandomSource, SplitMix64, Xoshiro256PlusPlus};
+use ac_randkit::Xoshiro256PlusPlus;
 use ac_sim::report::Table;
 use std::time::Instant;
 
@@ -55,10 +54,9 @@ where
 fn main() {
     header(
         "E12",
-        "batched fast-forward + sharded engine throughput",
+        "batched fast-forward",
         "increment_by(n) costs O(transitions), not O(n) coin flips, for every \
-         counter family; a sharded engine of per-key counters absorbs 1M keys / \
-         10M events and its merged aggregate matches the exact total within (eps, delta)",
+         counter family",
     );
 
     // ----- Part 1: per-family batched vs loop ---------------------------
@@ -133,95 +131,8 @@ fn main() {
     let fast_ok = min_speedup >= speedup_floor;
     println!("\nmin speedup {min_speedup:.0}x (floor {speedup_floor:.0}x at n = {n})");
 
-    // ----- Part 2: the sharded engine workload --------------------------
-    let keys = sized(1_000_000, 100_000) as u64;
-    let events_target = sized(10_000_000, 1_000_000) as u64;
-    section("ac-engine: sharded keyed workload");
-    println!(
-        "{keys} distinct keys, {events_target} increments, NelsonYu(eps=0.2, delta=2^-8) cells\n"
-    );
-
-    let eps = 0.2;
-    let engine_params = NyParams::new(eps, 8).unwrap();
-    let mut engine = CounterEngine::new(
-        NelsonYuCounter::new(engine_params),
-        EngineConfig::new().with_shards(32).with_seed(0xE12),
-    );
-
-    // Workload: every key is touched at least once, then the remaining
-    // budget lands on hashed keys with small per-pair deltas — the
-    // "many counters" regime where most counters see light traffic.
-    let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(keys as usize);
-    let mut remaining = events_target - keys;
-    for key in 0..keys {
-        pairs.push((key, 1));
-    }
-    let mut keygen = SplitMix64::new(0x5EED);
-    while remaining > 0 {
-        let key = keygen.next_u64() % keys;
-        let delta = (1 + keygen.next_u64() % 32).min(remaining);
-        pairs.push((key, delta));
-        remaining -= delta;
-    }
-
-    let start = Instant::now();
-    for chunk in pairs.chunks(1 << 16) {
-        engine.apply(chunk);
-    }
-    let apply_s = start.elapsed().as_secs_f64();
-    let stats = engine.stats();
-    assert_eq!(stats.events, events_target, "exact event bookkeeping");
-    assert_eq!(stats.keys as u64, keys, "every key materialized");
-    let events_per_sec = events_target as f64 / apply_s;
-    let pairs_per_sec = pairs.len() as f64 / apply_s;
-
-    let mut table = Table::new(vec!["metric", "value"]);
-    table.row(vec!["keys".into(), format!("{}", stats.keys)]);
-    table.row(vec!["events".into(), format!("{}", stats.events)]);
-    table.row(vec!["batch pairs".into(), format!("{}", pairs.len())]);
-    table.row(vec!["apply wall time".into(), format!("{apply_s:.3} s")]);
-    table.row(vec![
-        "throughput".into(),
-        format!(
-            "{:.1} M events/s ({:.2} M pairs/s)",
-            events_per_sec / 1e6,
-            pairs_per_sec / 1e6
-        ),
-    ]);
-    table.row(vec![
-        "counter state".into(),
-        format!(
-            "{} bits total ({:.1} bits/key)",
-            stats.state_bits_total,
-            stats.state_bits_total as f64 / stats.keys as f64
-        ),
-    ]);
-    table.row(vec![
-        "max shard load".into(),
-        format!("{} keys", stats.max_shard_keys),
-    ]);
-    print!("{}", table.to_markdown());
-
-    section("cross-shard aggregation (merge law)");
-    let mut merge_rng = Xoshiro256PlusPlus::seed_from_u64(0xE12_A66);
-    let start = Instant::now();
-    let total = engine.merged_total(&mut merge_rng).unwrap();
-    let merge_s = start.elapsed().as_secs_f64();
-    let exact = engine.total_events() as f64;
-    let rel = (total.estimate() - exact).abs() / exact;
-    let agg_ok = rel <= 2.0 * eps;
-    println!(
-        "merged {} counters in {:.3} s: estimate {:.3e} vs exact {:.3e} (rel err {:.4}, bound {})",
-        stats.keys,
-        merge_s,
-        total.estimate(),
-        exact,
-        rel,
-        2.0 * eps
-    );
-
     // ----- Report -------------------------------------------------------
-    let ok = fast_ok && agg_ok;
+    let ok = fast_ok;
     let family_rows = rows
         .iter()
         .map(|r| {
@@ -235,38 +146,19 @@ fn main() {
         .collect();
     let report = JsonObject::new()
         .str("experiment", "E12")
-        .str("title", "batched fast-forward + sharded engine throughput")
+        .str("title", "batched fast-forward")
         .bool("quick", ac_bench::quick_mode())
         .int("n_per_family", n)
         .rows("families", family_rows)
         .num("min_speedup", min_speedup)
         .num("speedup_floor", speedup_floor)
-        .obj(
-            "engine",
-            JsonObject::new()
-                .int("shards", stats.shards as u64)
-                .int("keys", keys)
-                .int("events", events_target)
-                .int("batch_pairs", pairs.len() as u64)
-                .num("apply_seconds", apply_s)
-                .num("events_per_second", events_per_sec)
-                .int("state_bits_total", stats.state_bits_total)
-                .num("bits_per_key", stats.bits_per_key())
-                .num("merge_seconds", merge_s)
-                .num("merged_estimate", total.estimate())
-                .num("exact_total", exact)
-                .num("relative_error", rel)
-                .num("epsilon", eps)
-                .bool("within_eps", agg_ok),
-        )
         .bool("reproduced", ok);
     write_json_report(&report);
 
     verdict(
         ok,
         "all counter families fast-forward in O(transitions) (>=100x over the \
-         loop) and the sharded engine's merged aggregate matches the exact \
-         total within (eps, delta)",
+         loop)",
     );
     if !ok {
         std::process::exit(1);

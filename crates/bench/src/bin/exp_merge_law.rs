@@ -13,23 +13,21 @@
 //! total and against the counter-by-counter fold. The population grows
 //! over several batches, so the heavy keys leave the exact epoch
 //! mid-life, and is then restored through a checkpoint, so the fold
-//! runs on the books a restore rebuilds. The report counts the counters
-//! one fold merges (`merged_counters`), which must equal the sampled
-//! keys: the exact ones only add to a sum.
+//! runs on the books a restore rebuilds. That a fold of this population
+//! merges exactly its sampled keys — the exact ones only add to a sum —
+//! is a unit test of the engine's fold (`registry::tests`).
 //!
 //! Emits `BENCH_merge_law.json` via `--json` (gated by CI).
 
 use ac_bench::{header, json::JsonObject, section, sized, verdict, write_json_report};
-use ac_bitio::{BitReader, BitWriter, MemoryAudit, StateBits};
 use ac_core::{
-    ApproxCounter, CoreError, Mergeable, MorrisCounter, NelsonYuCounter, NyParams, StateCodec,
+    ApproxCounter, CounterFamily, CounterSpec, MorrisCounter, NelsonYuCounter, NyParams,
 };
 use ac_engine::{checkpoint, restore_checkpoint, CounterEngine, EngineConfig, EngineSnapshot};
-use ac_randkit::{trial_seed, RandomSource, Xoshiro256PlusPlus};
+use ac_randkit::{trial_seed, Xoshiro256PlusPlus};
 use ac_sim::report::{sig, Table};
 use ac_stats::ks::{ks_two_sample, KsResult};
 use ac_stats::Summary;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Keys per many-counter population still in the exact epoch (counts
 /// 1..=50, far below NelsonYu(0.25, 2⁻⁸)'s exact-epoch length).
@@ -40,87 +38,13 @@ const SAMPLED_COUNTS: [u64; 4] = [6_000, 20_000, 60_000, 150_000];
 /// Batches each key's count is split over.
 const BATCHES: u64 = 4;
 
-/// `merge_from` calls made by [`Counted`] counters.
-static MERGES: AtomicU64 = AtomicU64::new(0);
-
-/// A Nelson–Yu counter that counts its merges, so the report can show
-/// how many counters one engine fold merges. Everything else delegates.
-#[derive(Debug, Clone, PartialEq)]
-struct Counted(NelsonYuCounter);
-
-impl StateBits for Counted {
-    fn state_bits(&self) -> u64 {
-        self.0.state_bits()
-    }
-
-    fn memory_audit(&self) -> MemoryAudit {
-        self.0.memory_audit()
-    }
-}
-
-impl ApproxCounter for Counted {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn increment(&mut self, rng: &mut dyn RandomSource) {
-        self.0.increment(rng);
-    }
-
-    fn increment_by(&mut self, n: u64, rng: &mut dyn RandomSource) {
-        self.0.increment_by(n, rng);
-    }
-
-    fn estimate(&self) -> f64 {
-        self.0.estimate()
-    }
-
-    fn peak_state_bits(&self) -> u64 {
-        self.0.peak_state_bits()
-    }
-
-    fn reset(&mut self) {
-        self.0.reset();
-    }
-
-    fn exact_count(&self) -> Option<u64> {
-        self.0.exact_count()
-    }
-}
-
-impl Mergeable for Counted {
-    fn merge_from(&mut self, other: &Self, rng: &mut dyn RandomSource) -> Result<(), CoreError> {
-        MERGES.fetch_add(1, Ordering::Relaxed);
-        self.0.merge_from(&other.0, rng)
-    }
-}
-
-impl StateCodec for Counted {
-    fn params_fingerprint(&self) -> u64 {
-        self.0.params_fingerprint()
-    }
-
-    fn encode_state(&self, w: &mut BitWriter<'_>) {
-        self.0.encode_state(w);
-    }
-
-    fn decode_state(&self, r: &mut BitReader<'_>) -> Result<Self, CoreError> {
-        self.0.decode_state(r).map(Counted)
-    }
-
-    fn encoded_state_bits(&self) -> u64 {
-        self.0.encoded_state_bits()
-    }
-}
-
 /// One many-counter population, sharded and seeded by `seed`: every
 /// key's count arrives split over [`BATCHES`] batches, so the sampled
 /// keys leave the exact epoch part-way through, and the frozen engine
 /// is then restored from a checkpoint.
-fn population(p: NyParams, seed: u64) -> EngineSnapshot<Counted> {
-    let template = Counted(NelsonYuCounter::new(p));
+fn population(p: NyParams, seed: u64) -> EngineSnapshot {
     let mut engine = CounterEngine::new(
-        template.clone(),
+        CounterFamily::NelsonYu(NelsonYuCounter::new(p)),
         EngineConfig::new().with_shards(16).with_seed(seed),
     );
     let counts: Vec<(u64, u64)> = (0..EXACT_KEYS)
@@ -141,7 +65,11 @@ fn population(p: NyParams, seed: u64) -> EngineSnapshot<Counted> {
         engine.apply(&batch);
     }
     let frame = checkpoint(&engine.snapshot(), None, None).unwrap();
-    restore_checkpoint(std::slice::from_ref(&template), &[frame.bytes()])
+    let spec = CounterSpec::NelsonYu {
+        eps: p.eps(),
+        delta_log2: p.delta_log2(),
+    };
+    restore_checkpoint(&[spec], &[frame.bytes()])
         .expect("the population restores")
         .snapshot()
 }
@@ -151,6 +79,14 @@ fn population(p: NyParams, seed: u64) -> EngineSnapshot<Counted> {
 /// carries the spread a KS test can see.
 fn progress(c: &NelsonYuCounter) -> f64 {
     c.level() as f64 + c.y() as f64 / (c.current_threshold() + 1) as f64
+}
+
+/// The Nelson–Yu counter a population holds.
+fn nelson_yu(c: &CounterFamily) -> &NelsonYuCounter {
+    match c {
+        CounterFamily::NelsonYu(c) => c,
+        _ => unreachable!("populations hold Nelson-Yu counters"),
+    }
 }
 
 fn ks_row(label: &str, ks: &KsResult, ok: bool) -> JsonObject {
@@ -275,16 +211,10 @@ fn main() {
         .filter(|(_, c)| c.exact_count().is_some())
         .count() as u64;
     let sampled_keys = keys - exact_keys;
-    MERGES.store(0, Ordering::Relaxed);
-    probe
-        .merged_total(&mut Xoshiro256PlusPlus::seed_from_u64(0xE5_C1))
-        .unwrap();
-    let merged_counters = MERGES.load(Ordering::Relaxed);
     println!(
-        "{keys} keys ({exact_keys} with an exact count), N = {total}, grown over {BATCHES} \
-         batches and restored from a checkpoint, {pop_trials} trials per side"
+        "{keys} keys ({exact_keys} with an exact count, {sampled_keys} sampled), N = {total}, \
+         grown over {BATCHES} batches and restored from a checkpoint, {pop_trials} trials per side"
     );
-    println!("one fold merges {merged_counters} counters ({sampled_keys} sampled keys)");
     let mut folded = Vec::with_capacity(pop_trials);
     let mut single = Vec::with_capacity(pop_trials);
     let mut pairwise = Vec::with_capacity(pop_trials);
@@ -292,8 +222,8 @@ fn main() {
     for i in 0..pop_trials {
         let i = i as u64;
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(trial_seed(0xE5_C0, i));
-        let merged = population(p, 3 * i).merged_total(&mut rng).unwrap().0;
-        folded.push(progress(&merged));
+        let merged = population(p, 3 * i).merged_total(&mut rng).unwrap();
+        folded.push(progress(nelson_yu(&merged)));
         folded_ratio.push(merged.estimate() / total as f64);
 
         let mut c = NelsonYuCounter::new(p);
@@ -302,7 +232,7 @@ fn main() {
 
         let mut reference = NelsonYuCounter::new(p);
         for (_, c) in population(p, 3 * i + 1).iter() {
-            reference.merge_from(&c.0, &mut rng).unwrap();
+            reference.merge_from(nelson_yu(c), &mut rng).unwrap();
         }
         pairwise.push(progress(&reference));
     }
@@ -340,7 +270,6 @@ fn main() {
                 .int("exact_count_keys", exact_keys)
                 .int("sampled_keys", sampled_keys)
                 .int("batches", BATCHES)
-                .int("merged_counters", merged_counters)
                 .int("total_events", total)
                 .num("mean_estimate_ratio", folded_ratio.mean())
                 .rows("ks", many),

@@ -18,8 +18,7 @@
 //! | `exp_many_counters` | E9 — the "many counters" deployment |
 //! | `exp_ablations` | E10 — constant `C`, α rounding, promise constant |
 //! | `exp_space_tail` | E11 — Theorem 2.3's doubly-exponential tail |
-//! | `exp_engine_throughput` | E12 — batched fast-forward speedups + the sharded `ac-engine` workload |
-//! | `exp_engine_pipeline` | E13 — the four-layer engine pipeline: ingest throughput, snapshot queries under concurrent writes, checkpoint size/restore fidelity |
+//! | `exp_engine_throughput` | E12 — batched fast-forward speedups |
 //! | `exp_tiering` | E14 — per-key accuracy tiers under a global bit budget: ceiling held all run, hot-key error beats every uniform allocation at equal bits |
 //! | `exp_durability` | E15 — durability lifecycle: shard-parallel checkpoint encode/restore (bit-identical), recovery time vs chain length with and without off-thread compaction, steady-state ingest with the compactor live |
 //!

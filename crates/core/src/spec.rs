@@ -3,14 +3,14 @@
 //! builds — one concrete type that behaves exactly like whichever family
 //! the spec named.
 //!
-//! The generic containers in this workspace (`CounterEngine<C>`, the
-//! checkpoint layer, the packed arrays) are monomorphized over a family
-//! chosen at compile time. A deployed service wants that choice in a
-//! *config file*: the same binary serving a Morris fleet today and a
-//! Nelson–Yu fleet tomorrow, and — crucially — able to reopen a
-//! checkpoint directory whose manifest says which family wrote it.
-//! [`CounterFamily`] makes `CounterEngine<CounterFamily>` exactly that
-//! runtime-selected engine.
+//! A deployed service wants the counter family in a *config file*: the
+//! same binary serving a Morris fleet today and a Nelson–Yu fleet
+//! tomorrow, and — crucially — able to reopen a checkpoint directory
+//! whose manifest says which family wrote it. The `ac-engine` crate's
+//! `CounterEngine` therefore holds [`CounterFamily`] counters, and its
+//! checkpoint functions take their tier ladders as [`CounterSpec`]s. The
+//! generic containers elsewhere in the workspace (the packed arrays, the
+//! sketches) stay monomorphized over a family chosen at compile time.
 //!
 //! ## Dispatch is invisible to the bits
 //!
@@ -18,12 +18,12 @@
 //! counter: the random draws, the state registers, the
 //! [`StateCodec`] encoding, and the
 //! [`params_fingerprint`](StateCodec::params_fingerprint) are those of
-//! the inner family, bit for bit. A `CounterEngine<CounterFamily>` fed a
-//! stream therefore produces states — and checkpoint *bytes* — identical
-//! to the monomorphized `CounterEngine<MorrisCounter>` (etc.) fed the
-//! same stream, and either side can restore the other's checkpoints.
-//! Property tests in `ac-engine` pin this equivalence for all five
-//! families.
+//! the inner family, bit for bit. A spec-built counter fed a stream of
+//! increments and merges therefore holds the states, estimates and
+//! encoded bytes of the concrete counter fed the same stream from an
+//! equal RNG, and leaves the RNG at the same word. A property test in
+//! this module pins that for all five families, so checkpoint bytes
+//! written through the family are the concrete counters' bytes.
 
 use crate::params::morris_a;
 use crate::{
@@ -708,5 +708,71 @@ mod tests {
         let back = template.decode_state(&mut BitReader::new(&v)).unwrap();
         assert!(matches!(back, CounterFamily::NelsonYu(_)));
         assert_eq!(back.estimate(), c.estimate());
+    }
+
+    /// Encoded registers of a counter: the bit-level state oracle.
+    fn encoded<C: StateCodec>(c: &C) -> BitVec {
+        let mut v = BitVec::new();
+        c.encode_state(&mut BitWriter::new(&mut v));
+        v
+    }
+
+    /// A spec-built [`CounterFamily`] against the concrete counter, both
+    /// fed `ops` from equal RNGs: `(false, n)` is `increment_by(n)`,
+    /// `(true, n)` merges in a fresh counter of the same family that
+    /// counted `n`. After every step the two agree on fingerprint,
+    /// encoded state and estimate; at the end both RNGs sit at the same
+    /// word.
+    fn assert_family_matches<C: StateCodec + Mergeable + Clone>(
+        concrete: &C,
+        spec: CounterSpec,
+        seed: u64,
+        ops: &[(bool, u64)],
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let fresh_family = spec.build().expect("valid spec");
+        let (mut a, mut b) = (concrete.clone(), fresh_family.clone());
+        let mut rng_a = Xoshiro256PlusPlus::seed_from_u64(seed);
+        let mut rng_b = Xoshiro256PlusPlus::seed_from_u64(seed);
+        for &(merge, n) in ops {
+            if merge {
+                let (mut other_a, mut other_b) = (concrete.clone(), fresh_family.clone());
+                other_a.increment_by(n, &mut rng_a);
+                other_b.increment_by(n, &mut rng_b);
+                a.merge_from(&other_a, &mut rng_a).expect("same schedule");
+                b.merge_from(&other_b, &mut rng_b).expect("same schedule");
+            } else {
+                a.increment_by(n, &mut rng_a);
+                b.increment_by(n, &mut rng_b);
+            }
+            proptest::prop_assert_eq!(b.params_fingerprint(), a.params_fingerprint(), "{}", spec);
+            proptest::prop_assert_eq!(encoded(&b), encoded(&a), "{}: state", spec);
+            proptest::prop_assert_eq!(b.estimate(), a.estimate(), "{}: estimate", spec);
+        }
+        proptest::prop_assert_eq!(rng_b.next_u64(), rng_a.next_u64(), "{}: RNG stream", spec);
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// Dispatch is invisible to the bits, for all five families:
+        /// the runtime-selected counter is the concrete counter.
+        #[test]
+        fn runtime_family_matches_generic_engine_for_all_families(
+            seed in 0u64..100_000,
+            ops in proptest::collection::vec(
+                (proptest::arbitrary::any::<bool>(), 1u64..50_000), 1..40),
+        ) {
+            assert_family_matches(&ExactCounter::new(), CounterSpec::Exact, seed, &ops)?;
+            assert_family_matches(
+                &MorrisCounter::new(0.25).unwrap(), CounterSpec::Morris { a: 0.25 }, seed, &ops)?;
+            assert_family_matches(
+                &MorrisPlus::new(0.2, 8).unwrap(),
+                CounterSpec::MorrisPlus { eps: 0.2, delta_log2: 8 }, seed, &ops)?;
+            assert_family_matches(
+                &NelsonYuCounter::new(NyParams::new(0.2, 8).unwrap()),
+                CounterSpec::NelsonYu { eps: 0.2, delta_log2: 8 }, seed, &ops)?;
+            assert_family_matches(
+                &CsurosCounter::new(8).unwrap(),
+                CounterSpec::Csuros { mantissa_bits: 8 }, seed, &ops)?;
+        }
     }
 }

@@ -43,7 +43,7 @@
 use crate::ingest::{IngestQueue, LaneBatch, PairTap, ProducerRing};
 use crate::registry::CounterEngine;
 use crate::shard::Shard;
-use ac_core::ApproxCounter;
+use ac_core::CounterFamily;
 use std::sync::mpsc;
 use std::sync::Arc;
 
@@ -71,13 +71,13 @@ fn cut_burst(rings: &[Arc<ProducerRing>], burst_batches: u64) -> Cuts {
 /// Pops shard `slot`'s lanes up to the cuts (producer-id order) and
 /// applies them, returning the events applied and — when `collect` — the
 /// applied pairs for the tap.
-fn apply_lanes<C: ApproxCounter + Clone>(
+fn apply_lanes(
     queue: &IngestQueue,
-    shard: &mut Arc<Shard<C>>,
+    shard: &mut Arc<Shard>,
     slot: usize,
     epoch: u64,
     cuts: &[(Arc<ProducerRing>, u64)],
-    template: &C,
+    template: &CounterFamily,
     collect: bool,
 ) -> (u64, Vec<(u64, u64)>) {
     let mut batches: Vec<LaneBatch> = Vec::new();
@@ -116,7 +116,7 @@ fn finish_burst(queue: &IngestQueue, cuts: &[(Arc<ProducerRing>, u64)], events: 
     queue.note_applied_events(events);
 }
 
-fn assert_same_partition<C: ApproxCounter + Clone>(queue: &IngestQueue, engine: &CounterEngine<C>) {
+fn assert_same_partition(queue: &IngestQueue, engine: &CounterEngine) {
     assert_eq!(
         queue.router(),
         engine.router(),
@@ -125,10 +125,8 @@ fn assert_same_partition<C: ApproxCounter + Clone>(queue: &IngestQueue, engine: 
 }
 
 /// The drain loop behind [`IngestQueue::drain_into`].
-pub(crate) fn drain_serial<C: ApproxCounter + Clone>(
-    queue: &IngestQueue,
-    engine: &mut CounterEngine<C>,
-) -> u64 {
+#[cfg(test)]
+pub(crate) fn drain_serial(queue: &IngestQueue, engine: &mut CounterEngine) -> u64 {
     assert_same_partition(queue, engine);
     let burst_batches = queue.config().burst_batches as u64;
     let mut applied = 0u64;
@@ -159,27 +157,27 @@ pub(crate) fn drain_serial<C: ApproxCounter + Clone>(
 /// One burst's unit of work for a shard worker: the shard (moved out of
 /// the engine for the burst), the epoch to stamp, and the per-producer
 /// sequence cuts bounding the lane sweep.
-struct LaneJob<C> {
+struct LaneJob {
     slot: usize,
-    shard: Arc<Shard<C>>,
+    shard: Arc<Shard>,
     epoch: u64,
     cuts: Cuts,
 }
 
 /// A lane worker's reply: the shard back, the events it applied this
 /// burst, and (when collecting) the applied pairs for the tap.
-struct LaneDone<C> {
+struct LaneDone {
     slot: usize,
-    shard: Arc<Shard<C>>,
+    shard: Arc<Shard>,
     events: u64,
     tapped: Vec<(u64, u64)>,
 }
 
-fn lane_worker<C: ApproxCounter + Clone>(
+fn lane_worker(
     queue: IngestQueue,
-    jobs: mpsc::Receiver<LaneJob<C>>,
-    done: mpsc::Sender<LaneDone<C>>,
-    template: C,
+    jobs: mpsc::Receiver<LaneJob>,
+    done: mpsc::Sender<LaneDone>,
+    template: CounterFamily,
     collect: bool,
 ) {
     while let Ok(LaneJob {
@@ -208,15 +206,14 @@ fn lane_worker<C: ApproxCounter + Clone>(
 /// The drain loop behind [`IngestQueue::drain_routed`]. See the module
 /// docs for the burst protocol; a `tap` turns on per-shard pair
 /// collection.
-pub(crate) fn drain_threaded<C, F>(
+pub(crate) fn drain_threaded<F>(
     queue: &IngestQueue,
-    engine: &mut CounterEngine<C>,
+    engine: &mut CounterEngine,
     mut tap: Option<PairTap<'_>>,
     mut hook: F,
 ) -> u64
 where
-    C: ApproxCounter + Clone + Send + Sync,
-    F: FnMut(&mut CounterEngine<C>, u64),
+    F: FnMut(&mut CounterEngine, u64),
 {
     assert_same_partition(queue, engine);
     let shards = engine.shards().len();
@@ -226,10 +223,10 @@ where
     let mut applied = 0u64;
 
     std::thread::scope(|scope| {
-        let (done_tx, done_rx) = mpsc::channel::<LaneDone<C>>();
-        let job_txs: Vec<mpsc::Sender<LaneJob<C>>> = (0..shards)
+        let (done_tx, done_rx) = mpsc::channel::<LaneDone>();
+        let job_txs: Vec<mpsc::Sender<LaneJob>> = (0..shards)
             .map(|_| {
-                let (tx, rx) = mpsc::channel::<LaneJob<C>>();
+                let (tx, rx) = mpsc::channel::<LaneJob>();
                 let done = done_tx.clone();
                 let template = template.clone();
                 let queue = queue.clone();
@@ -278,7 +275,7 @@ where
                 .expect("lane worker alive");
             }
 
-            let mut dones: Vec<LaneDone<C>> = (0..shards)
+            let mut dones: Vec<LaneDone> = (0..shards)
                 .map(|_| done_rx.recv().expect("lane worker reply"))
                 .collect();
             dones.sort_unstable_by_key(|d| d.slot);

@@ -47,11 +47,13 @@
 //! from the snapshot its tip was cut from (or from a restore of the
 //! chain, pinned to the tip's epoch).
 //!
-//! These four functions are the whole API. Each takes the tier ladder
-//! (rung 0 = default template): `None` tiers write version-2 frames,
-//! `Some` write version 3, and restores read the version from each
-//! header. Large engines encode and decode their shard sections on
-//! scoped threads, one per core; the bytes never depend on it.
+//! These four functions are the whole API. Each takes the tier ladder as
+//! [`CounterSpec`]s (rung 0 = the default family) and builds its
+//! templates once per call: `None` tiers write version-2 frames, `Some`
+//! write version 3, and restores read the version from each header. A
+//! spec that does not build is a [`CheckpointError::State`]. Large
+//! engines encode and decode their shard sections on scoped threads, one
+//! per core; the bytes never depend on it.
 //!
 //! Corruption behavior mid-chain: every segment carries its own header
 //! and payload checksums, verified before parsing, so a truncated or
@@ -69,15 +71,15 @@ use ac_bitio::frame::{
     begin_indexed_section, decode_sorted_keys, encode_sorted_keys, end_section,
     read_indexed_section,
 };
-use ac_bitio::{BitReader, BitVec, BitWriter};
-use ac_core::{CoreError, StateCodec};
+use ac_bitio::{BitReader, BitVec, BitWriter, StateBits};
+use ac_core::{CoreError, CounterFamily, CounterSpec, StateCodec};
 use ac_randkit::Xoshiro256PlusPlus;
 use std::fmt;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// `"ACKP"` — approximate-counting checkpoint.
-pub const CHECKPOINT_MAGIC: u32 = 0x4143_4B50;
+pub(crate) const CHECKPOINT_MAGIC: u32 = 0x4143_4B50;
 
 /// Base format version (2: copy-on-write epochs, delta frames, chained
 /// headers; version-1 buffers are refused with a typed error). Written
@@ -92,7 +94,7 @@ pub const CHECKPOINT_VERSION: u16 = 2;
 /// [`combined_fingerprint`]. Written by [`checkpoint`] given a tier
 /// ladder; version-2 frames restore through the same ladder with every
 /// key in tier 0.
-pub const CHECKPOINT_VERSION_TIERED: u16 = 3;
+pub(crate) const CHECKPOINT_VERSION_TIERED: u16 = 3;
 
 /// Domain separation for the ladder fingerprint fold, so a one-tier
 /// ladder's combined fingerprint can never collide with the bare
@@ -104,8 +106,7 @@ const LADDER_FINGERPRINT_SALT: u64 = 0x7143_A90F_5EED_11E5;
 /// parameter fingerprint. Restoring with a ladder that differs in any
 /// tier's family or parameters — or in tier order — is refused up front
 /// as a [`CheckpointError::ScheduleMismatch`].
-#[must_use]
-pub fn combined_fingerprint<C: StateCodec>(templates: &[C]) -> u64 {
+pub(crate) fn combined_fingerprint(templates: &[CounterFamily]) -> u64 {
     templates.iter().fold(LADDER_FINGERPRINT_SALT, |acc, t| {
         ac_randkit::mix64(acc ^ t.params_fingerprint())
     })
@@ -191,7 +192,7 @@ fn chain_digest(header_sum: u64, payload_sum: u64) -> u64 {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum CheckpointError {
-    /// The buffer does not start with [`CHECKPOINT_MAGIC`].
+    /// The buffer does not start with the checkpoint magic (`"ACKP"`).
     BadMagic,
     /// The format version is not one this build reads.
     UnsupportedVersion {
@@ -226,7 +227,8 @@ pub enum CheckpointError {
         /// Human-readable description.
         what: &'static str,
     },
-    /// A counter state failed its family's validity checks on decode.
+    /// A counter state failed its family's validity checks on decode, or
+    /// a ladder spec did not build.
     State(CoreError),
 }
 
@@ -445,7 +447,8 @@ where
 ///
 /// # Errors
 ///
-/// Only a delta can fail:
+/// [`CheckpointError::State`] when `tiers` is empty or one of its specs
+/// does not build. Otherwise only a delta can fail:
 ///
 /// * [`CheckpointError::ScheduleMismatch`] — the parent was written by a
 ///   different counter family or parameter schedule;
@@ -463,14 +466,15 @@ where
 ///
 /// # Panics
 ///
-/// Panics if `tiers` is `Some` but empty, or if `tiers` is `None` and
-/// the engine carries non-default tier tags — version 2 has nowhere to
-/// put them.
-pub fn checkpoint<C: StateCodec + Clone + Send + Sync>(
-    snap: &EngineSnapshot<C>,
-    tiers: Option<&[C]>,
+/// Panics if `tiers` is `None` and the engine carries non-default tier
+/// tags — version 2 has nowhere to put them.
+pub fn checkpoint(
+    snap: &EngineSnapshot,
+    tiers: Option<&[CounterSpec]>,
     parent: Option<&CheckpointHeader>,
 ) -> Result<Checkpoint, CheckpointError> {
+    let templates = tiers.map(build_ladder).transpose()?;
+    let tiers = templates.as_deref();
     let Some(parent) = parent else {
         return Ok(write_full(snap, tiers, 0, 0));
     };
@@ -497,12 +501,27 @@ pub fn checkpoint<C: StateCodec + Clone + Send + Sync>(
     ))
 }
 
+/// Builds a spec ladder's templates, rung 0 the default family. An empty
+/// ladder or a spec that does not build is refused.
+fn build_ladder(ladder: &[CounterSpec]) -> Result<Vec<CounterFamily>, CheckpointError> {
+    if ladder.is_empty() {
+        return Err(CoreError::InvalidState {
+            what: "a tier ladder needs at least the default spec",
+        }
+        .into());
+    }
+    Ok(ladder
+        .iter()
+        .map(CounterSpec::build)
+        .collect::<Result<_, _>>()?)
+}
+
 /// Refuses a `header` (a delta's parent, or a chain tip to compact)
 /// that another schedule or engine wrote. A tiered frame may follow a
 /// version-2 one, which carries the bare default-template fingerprint.
-fn check_lineage<C: StateCodec + Clone>(
-    snap: &EngineSnapshot<C>,
-    tiers: Option<&[C]>,
+fn check_lineage(
+    snap: &EngineSnapshot,
+    tiers: Option<&[CounterFamily]>,
     header: &CheckpointHeader,
 ) -> Result<(), CheckpointError> {
     let fingerprint_ok = match tiers {
@@ -549,12 +568,7 @@ impl SectionTally {
 /// into a fresh vector on a worker thread splices into the frame
 /// byte-identically to one encoded in place — the property the parallel
 /// encoder rests on.
-fn encode_section_into<C: StateCodec + Clone>(
-    v: &mut BitVec,
-    shard: &Shard<C>,
-    idx: usize,
-    tiered: bool,
-) -> SectionTally {
+fn encode_section_into(v: &mut BitVec, shard: &Shard, idx: usize, tiered: bool) -> SectionTally {
     let mut tally = SectionTally::default();
     let section = begin_indexed_section(v, idx as u64);
     // Per-shard preamble: count, exact events, RNG state.
@@ -567,7 +581,7 @@ fn encode_section_into<C: StateCodec + Clone>(
         }
     }
     // Keys sorted ascending, gap-coded; states follow in key order.
-    let mut entries: Vec<(u64, &C, u8)> = shard.entries_tagged().collect();
+    let mut entries: Vec<(u64, &CounterFamily, u8)> = shard.entries_tagged().collect();
     entries.sort_unstable_by_key(|&(key, _, _)| key);
     let keys: Vec<u64> = entries.iter().map(|&(key, _, _)| key).collect();
     tally.keys = keys.len() as u64;
@@ -624,9 +638,9 @@ fn encode_section_into<C: StateCodec + Clone>(
 /// encoded into their own vectors by [`fan_out`] and spliced in order
 /// with [`BitVec::append`], so checksums, chain digests, and every
 /// committed byte are the same for every worker count.
-fn write_checkpoint<C: StateCodec + Clone + Send + Sync>(
-    snap: &EngineSnapshot<C>,
-    templates: Option<&[C]>,
+fn write_checkpoint(
+    snap: &EngineSnapshot,
+    templates: Option<&[CounterFamily]>,
     kind: CheckpointKind,
     parent_chain: u64,
     indices: &[usize],
@@ -732,9 +746,9 @@ fn write_checkpoint<C: StateCodec + Clone + Send + Sync>(
 
 /// [`write_checkpoint`] of every shard: a full frame, or with a nonzero
 /// `parent_chain` a compacted base.
-fn write_full<C: StateCodec + Clone + Send + Sync>(
-    snap: &EngineSnapshot<C>,
-    templates: Option<&[C]>,
+fn write_full(
+    snap: &EngineSnapshot,
+    templates: Option<&[CounterFamily]>,
     parent_chain: u64,
     workers: usize,
 ) -> Checkpoint {
@@ -824,10 +838,10 @@ pub fn read_header(bytes: &[u8]) -> Result<CheckpointHeader, CheckpointError> {
 /// One decoded shard section body. `tiers` is parallel to `entries`
 /// when any key carries a non-default tier, and empty otherwise (the
 /// all-default case costs nothing).
-struct ShardSection<C> {
+struct ShardSection {
     rng: Xoshiro256PlusPlus,
     events: u64,
-    entries: Vec<(u64, C)>,
+    entries: Vec<(u64, CounterFamily)>,
     tiers: Vec<u8>,
 }
 
@@ -845,12 +859,12 @@ struct ShardSection<C> {
 /// threads (0 = auto, 1 = serial) since sections are self-contained.
 /// Errors keep the serial path's precedence: the first failing section
 /// in frame order names the error.
-fn parse_sections<C: StateCodec + Clone + Send + Sync>(
-    templates: &[C],
+fn parse_sections(
+    templates: &[CounterFamily],
     bytes: &[u8],
     header: &CheckpointHeader,
     workers: usize,
-) -> Result<Vec<(usize, Shard<C>)>, CheckpointError> {
+) -> Result<Vec<(usize, Shard)>, CheckpointError> {
     assert!(!templates.is_empty(), "need at least the default template");
     let expected_fingerprint = if header.version == CHECKPOINT_VERSION {
         templates[0].params_fingerprint()
@@ -966,13 +980,13 @@ fn parse_sections<C: StateCodec + Clone + Send + Sync>(
 /// and its end), performing every structural check the serial parser
 /// did: count plausibility, RNG validity, key decodability, tier-tag
 /// canonicality, per-state validity, and the exact section length.
-fn parse_one_section<C: StateCodec + Clone>(
-    templates: &[C],
+fn parse_one_section(
+    templates: &[CounterFamily],
     v: &BitVec,
     header: &CheckpointHeader,
     section_start: u64,
     section_len: u64,
-) -> Result<ShardSection<C>, CheckpointError> {
+) -> Result<ShardSection, CheckpointError> {
     let mut r = BitReader::at(v, section_start);
     let count = ac_bitio::codes::try_decode_delta0(&mut r).ok_or(CheckpointError::Corrupt {
         what: "undecodable shard key count",
@@ -1079,7 +1093,7 @@ fn parse_one_section<C: StateCodec + Clone>(
 /// loses or duplicates anything is refused.
 ///
 /// `ladder` supplies the family and parameter schedule (rung 0 = the
-/// default template; its registers are ignored). Each segment's version
+/// default family). Each segment's version
 /// is read from its header: a version-2 segment must carry rung 0's
 /// fingerprint and restores every key at tier 0, a version-3 segment
 /// must carry the whole ladder's. A chain that straddles the moment
@@ -1093,25 +1107,22 @@ fn parse_one_section<C: StateCodec + Clone>(
 /// chain, a full frame mid-chain, a parent-digest mismatch, or a
 /// non-monotone epoch. Each segment's checksums are verified
 /// independently, so a corrupt or truncated delta names itself rather
-/// than poisoning the fold.
-///
-/// # Panics
-///
-/// Panics if `ladder` is empty.
-pub fn restore_checkpoint<C: StateCodec + Clone + Send + Sync>(
-    ladder: &[C],
+/// than poisoning the fold. An empty `ladder`, or a spec in it that does
+/// not build, is a [`CheckpointError::State`].
+pub fn restore_checkpoint(
+    ladder: &[CounterSpec],
     segments: &[&[u8]],
-) -> Result<CounterEngine<C>, CheckpointError> {
-    restore_with_workers(ladder, segments, 0)
+) -> Result<CounterEngine, CheckpointError> {
+    restore_with_workers(&build_ladder(ladder)?, segments, 0)
 }
 
-/// [`restore_checkpoint`] with an explicit decode worker count (0 =
-/// auto, 1 = serial).
-fn restore_with_workers<C: StateCodec + Clone + Send + Sync>(
-    ladder: &[C],
+/// [`restore_checkpoint`] through built templates, with an explicit
+/// decode worker count (0 = auto, 1 = serial).
+fn restore_with_workers(
+    ladder: &[CounterFamily],
     segments: &[&[u8]],
     workers: usize,
-) -> Result<CounterEngine<C>, CheckpointError> {
+) -> Result<CounterEngine, CheckpointError> {
     let (first, rest) = segments.split_first().ok_or(CheckpointError::BadChain {
         what: "empty chain",
     })?;
@@ -1128,7 +1139,7 @@ fn restore_with_workers<C: StateCodec + Clone + Send + Sync>(
     // parse_sections proved a full frame holds exactly `shards` strictly
     // increasing in-range indices, so the sections are the shards in
     // order.
-    let shards: Vec<Shard<C>> = parse_sections(ladder, first, &base, workers)?
+    let shards: Vec<Shard> = parse_sections(ladder, first, &base, workers)?
         .into_iter()
         .map(|(_, shard)| shard)
         .collect();
@@ -1165,24 +1176,21 @@ fn restore_with_workers<C: StateCodec + Clone + Send + Sync>(
 /// # Errors
 ///
 /// Everything [`restore_checkpoint`] returns for its second and later
-/// segments.
-///
-/// # Panics
-///
-/// Panics if `ladder` is empty.
-pub fn fold_checkpoint_delta<C: StateCodec + Clone + Send + Sync>(
-    engine: &mut CounterEngine<C>,
-    ladder: &[C],
+/// segments, including the ladder errors.
+pub fn fold_checkpoint_delta(
+    engine: &mut CounterEngine,
+    ladder: &[CounterSpec],
     tip: &CheckpointHeader,
     delta: &[u8],
 ) -> Result<CheckpointHeader, CheckpointError> {
-    fold_with_workers(engine, ladder, tip, delta, 0)
+    fold_with_workers(engine, &build_ladder(ladder)?, tip, delta, 0)
 }
 
-/// [`fold_checkpoint_delta`] with an explicit decode worker count.
-fn fold_with_workers<C: StateCodec + Clone + Send + Sync>(
-    engine: &mut CounterEngine<C>,
-    ladder: &[C],
+/// [`fold_checkpoint_delta`] through built templates, with an explicit
+/// decode worker count.
+fn fold_with_workers(
+    engine: &mut CounterEngine,
+    ladder: &[CounterFamily],
     tip: &CheckpointHeader,
     bytes: &[u8],
     workers: usize,
@@ -1262,18 +1270,21 @@ fn fold_with_workers<C: StateCodec + Clone + Send + Sync>(
 /// # Errors
 ///
 /// [`CheckpointError::ScheduleMismatch`] / [`CheckpointError::ConfigMismatch`]
-/// when `tip` belongs to a different schedule or engine, and
+/// when `tip` belongs to a different schedule or engine,
 /// [`CheckpointError::BadChain`] when `snap` is not the tip's snapshot
-/// (its epoch, keys or events differ).
+/// (its epoch, keys or events differ), and the ladder errors of
+/// [`checkpoint`].
 ///
 /// # Panics
 ///
 /// As [`checkpoint`].
-pub fn compact_checkpoint<C: StateCodec + Clone + Send + Sync>(
-    snap: &EngineSnapshot<C>,
-    tiers: Option<&[C]>,
+pub fn compact_checkpoint(
+    snap: &EngineSnapshot,
+    tiers: Option<&[CounterSpec]>,
     tip: &CheckpointHeader,
 ) -> Result<Checkpoint, CheckpointError> {
+    let templates = tiers.map(build_ladder).transpose()?;
+    let tiers = templates.as_deref();
     check_lineage(snap, tiers, tip)?;
     if tip.epoch != snap.epoch()
         || tip.keys != snap.len() as u64
@@ -1290,9 +1301,7 @@ pub fn compact_checkpoint<C: StateCodec + Clone + Send + Sync>(
 mod tests {
     use super::*;
     use ac_bitio::StateBits;
-    use ac_core::{
-        ApproxCounter, CsurosCounter, ExactCounter, MorrisCounter, NelsonYuCounter, NyParams,
-    };
+    use ac_core::ApproxCounter;
     use ac_randkit::{RandomSource, SplitMix64};
 
     fn cfg() -> EngineConfig {
@@ -1302,12 +1311,48 @@ mod tests {
         }
     }
 
-    fn ny_template() -> NelsonYuCounter {
-        NelsonYuCounter::new(NyParams::new(0.2, 8).unwrap())
+    fn ny_spec() -> CounterSpec {
+        CounterSpec::NelsonYu {
+            eps: 0.2,
+            delta_log2: 8,
+        }
     }
 
-    fn ny_engine(n_keys: u64) -> CounterEngine<NelsonYuCounter> {
-        let mut e = CounterEngine::new(ny_template(), cfg());
+    /// The five families, one spec each.
+    fn every_family() -> [CounterSpec; 5] {
+        [
+            CounterSpec::Exact,
+            CounterSpec::Morris { a: 0.25 },
+            CounterSpec::MorrisPlus {
+                eps: 0.2,
+                delta_log2: 8,
+            },
+            ny_spec(),
+            CounterSpec::Csuros { mantissa_bits: 8 },
+        ]
+    }
+
+    fn engine_of(spec: &CounterSpec, config: EngineConfig) -> CounterEngine {
+        CounterEngine::new(spec.build().unwrap(), config)
+    }
+
+    /// A ladder's templates, for the worker-count internals.
+    fn built(ladder: &[CounterSpec]) -> Vec<CounterFamily> {
+        build_ladder(ladder).unwrap()
+    }
+
+    /// The family-generic "bit-identical persistent state" oracle:
+    /// re-encode a counter and compare the code words (covers every
+    /// serialized register; instrumentation like peak bits is
+    /// deliberately outside).
+    fn encoded(c: &CounterFamily) -> BitVec {
+        let mut v = BitVec::new();
+        c.encode_state(&mut BitWriter::new(&mut v));
+        v
+    }
+
+    fn ny_engine(n_keys: u64) -> CounterEngine {
+        let mut e = engine_of(&ny_spec(), cfg());
         let mut gen = SplitMix64::new(3);
         let batch: Vec<(u64, u64)> = (0..n_keys)
             .map(|k| (k * 97 + 13, 1 + gen.next_u64() % 5_000))
@@ -1316,55 +1361,53 @@ mod tests {
         e
     }
 
-    fn checkpoint_of<C: StateCodec + Clone + Send + Sync>(e: &mut CounterEngine<C>) -> Checkpoint {
+    fn checkpoint_of(e: &mut CounterEngine) -> Checkpoint {
         full(&e.snapshot())
     }
 
-    fn full<C: StateCodec + Clone + Send + Sync>(snap: &EngineSnapshot<C>) -> Checkpoint {
+    fn full(snap: &EngineSnapshot) -> Checkpoint {
         checkpoint(snap, None, None).unwrap()
     }
 
     /// Restores an untiered chain: a one-rung ladder.
-    fn restore<C: StateCodec + Clone + Send + Sync>(
-        template: &C,
-        segments: &[&[u8]],
-    ) -> Result<CounterEngine<C>, CheckpointError> {
-        restore_checkpoint(std::slice::from_ref(template), segments)
+    fn restore(spec: &CounterSpec, segments: &[&[u8]]) -> Result<CounterEngine, CheckpointError> {
+        restore_checkpoint(std::slice::from_ref(spec), segments)
     }
 
     /// The compacted base of `segments`, decoded and re-encoded by
     /// exactly `workers` claim loops: the chain restored through
     /// `ladder`, pinned to the tip's epoch, written citing the tip.
-    fn compact_with_workers<C: StateCodec + Clone + Send + Sync>(
-        ladder: &[C],
-        tiers: Option<&[C]>,
+    fn compact_with_workers(
+        ladder: &[CounterSpec],
+        tiers: Option<&[CounterSpec]>,
         segments: &[&[u8]],
         workers: usize,
     ) -> Result<Checkpoint, CheckpointError> {
         let tip = read_header(segments.last().expect("a non-empty chain"))?;
-        let mut engine = restore_with_workers(ladder, segments, workers)?;
+        let mut engine = restore_with_workers(&built(ladder), segments, workers)?;
         let snap = engine.snapshot().with_epoch(tip.epoch);
-        Ok(write_full(&snap, tiers, tip.chain, workers))
+        let tiers = tiers.map(built);
+        Ok(write_full(&snap, tiers.as_deref(), tip.chain, workers))
     }
 
-    fn compacted_base<C: StateCodec + Clone + Send + Sync>(
-        template: &C,
+    fn compacted_base(
+        spec: &CounterSpec,
         segments: &[&[u8]],
     ) -> Result<Checkpoint, CheckpointError> {
-        compact_with_workers(std::slice::from_ref(template), None, segments, 0)
+        compact_with_workers(std::slice::from_ref(spec), None, segments, 0)
     }
 
     #[test]
     fn round_trip_preserves_every_counter_bit_for_bit() {
         let mut e = ny_engine(1_000);
         let ck = checkpoint_of(&mut e);
-        let back = restore(&ny_template(), &[ck.bytes()]).unwrap();
+        let back = restore(&ny_spec(), &[ck.bytes()]).unwrap();
         assert_eq!(back.len(), e.len());
         assert_eq!(back.total_events(), e.total_events());
         assert_eq!(back.config(), e.config());
         for (key, counter) in e.iter() {
             let restored = back.counter(key).expect("key present");
-            assert_eq!(restored.state_parts(), counter.state_parts(), "key {key}");
+            assert_eq!(encoded(restored), encoded(counter), "key {key}");
             assert_eq!(restored.estimate(), counter.estimate());
             assert_eq!(restored.state_bits(), counter.state_bits());
         }
@@ -1377,7 +1420,7 @@ mod tests {
         // states ride in the checkpoint.
         let mut original = ny_engine(300);
         let ck = checkpoint_of(&mut original);
-        let mut restored = restore(&ny_template(), &[ck.bytes()]).unwrap();
+        let mut restored = restore(&ny_spec(), &[ck.bytes()]).unwrap();
 
         let follow_up: Vec<(u64, u64)> = (0..500u64).map(|k| (k * 31, 40 + k)).collect();
         original.apply(&follow_up);
@@ -1387,8 +1430,8 @@ mod tests {
             // Compare persistent registers: the peak-bits high-water mark
             // is instrumentation (reset by restore), not state.
             assert_eq!(
-                original.counter(key).map(NelsonYuCounter::state_parts),
-                restored.counter(key).map(NelsonYuCounter::state_parts),
+                original.counter(key).map(encoded),
+                restored.counter(key).map(encoded),
                 "key {key}"
             );
         }
@@ -1448,13 +1491,13 @@ mod tests {
             base.bytes().len()
         );
 
-        let back = restore(&ny_template(), &[base.bytes(), delta.bytes()]).unwrap();
+        let back = restore(&ny_spec(), &[base.bytes(), delta.bytes()]).unwrap();
         assert_eq!(back.len(), e.len());
         assert_eq!(back.total_events(), e.total_events());
         for (key, counter) in e.iter() {
             assert_eq!(
-                back.counter(key).map(NelsonYuCounter::state_parts),
-                Some(counter.state_parts()),
+                back.counter(key).map(encoded),
+                Some(encoded(counter)),
                 "key {key}"
             );
         }
@@ -1469,7 +1512,7 @@ mod tests {
         e.apply(&[(13, 1), (7, 7), (999_983, 3)]);
         let d2 = checkpoint(&e.snapshot(), None, Some(&d1.header())).unwrap();
 
-        let mut back = restore(&ny_template(), &[base.bytes(), d1.bytes(), d2.bytes()]).unwrap();
+        let mut back = restore(&ny_spec(), &[base.bytes(), d1.bytes(), d2.bytes()]).unwrap();
         assert_eq!(back.total_events(), e.total_events());
         // The restored engine continues the exact random stream.
         let follow_up: Vec<(u64, u64)> = (0..300u64).map(|k| (k * 7, 11 + k)).collect();
@@ -1477,8 +1520,8 @@ mod tests {
         back.apply(&follow_up);
         for &(key, _) in &follow_up {
             assert_eq!(
-                e.counter(key).map(NelsonYuCounter::state_parts),
-                back.counter(key).map(NelsonYuCounter::state_parts),
+                e.counter(key).map(encoded),
+                back.counter(key).map(encoded),
                 "key {key}"
             );
         }
@@ -1492,7 +1535,7 @@ mod tests {
         let delta = checkpoint(&e.snapshot(), None, Some(&base.header())).unwrap();
         assert_eq!(delta.stats().shards_written, 0);
         assert_eq!(delta.stats().keys, 0);
-        let back = restore(&ny_template(), &[base.bytes(), delta.bytes()]).unwrap();
+        let back = restore(&ny_spec(), &[base.bytes(), delta.bytes()]).unwrap();
         assert_eq!(back.total_events(), e.total_events());
     }
 
@@ -1503,11 +1546,11 @@ mod tests {
         e.apply(&[(13, 2)]);
         let delta = checkpoint(&e.snapshot(), None, Some(&base.header())).unwrap();
         assert_eq!(
-            restore(&ny_template(), &[delta.bytes()]).unwrap_err(),
+            restore(&ny_spec(), &[delta.bytes()]).unwrap_err(),
             CheckpointError::DeltaWithoutBase
         );
         assert_eq!(
-            restore(&ny_template(), &[delta.bytes()]).unwrap_err(),
+            restore(&ny_spec(), &[delta.bytes()]).unwrap_err(),
             CheckpointError::DeltaWithoutBase
         );
     }
@@ -1520,7 +1563,7 @@ mod tests {
         let d1 = checkpoint(&e.snapshot(), None, Some(&base.header())).unwrap();
         e.apply(&[(14, 2)]);
         let d2 = checkpoint(&e.snapshot(), None, Some(&d1.header())).unwrap();
-        let t = ny_template();
+        let t = ny_spec();
 
         // Skipping a link: d2 cites d1, not base.
         assert_eq!(
@@ -1554,7 +1597,7 @@ mod tests {
         let base = checkpoint_of(&mut e);
         e.apply(&[(13, 50), (14, 60)]);
         let delta = checkpoint(&e.snapshot(), None, Some(&base.header())).unwrap();
-        let t = ny_template();
+        let t = ny_spec();
         for keep in [0, 10, PAYLOAD_BYTE, delta.bytes().len() - 1] {
             let err = restore(&t, &[base.bytes(), &delta.bytes()[..keep]]).unwrap_err();
             assert!(
@@ -1572,16 +1615,19 @@ mod tests {
         let mut e = ny_engine(100);
         let _ = checkpoint_of(&mut e);
         // Wrong schedule.
-        let mut other =
-            CounterEngine::new(NelsonYuCounter::new(NyParams::new(0.1, 8).unwrap()), cfg());
+        let wrong = CounterSpec::NelsonYu {
+            eps: 0.1,
+            delta_log2: 8,
+        };
+        let mut other = engine_of(&wrong, cfg());
         let other_ck = checkpoint_of(&mut other);
         assert_eq!(
             checkpoint(&e.snapshot(), None, Some(&other_ck.header())).unwrap_err(),
             CheckpointError::ScheduleMismatch
         );
         // Wrong config.
-        let mut bigger = CounterEngine::new(
-            ny_template(),
+        let mut bigger = engine_of(
+            &ny_spec(),
             EngineConfig {
                 shards: 8,
                 seed: 11,
@@ -1607,7 +1653,7 @@ mod tests {
     fn rejects_bad_magic_and_truncation() {
         let mut e = ny_engine(20);
         let ck = checkpoint_of(&mut e);
-        let template = ny_template();
+        let template = ny_spec();
 
         let mut bad = ck.bytes().to_vec();
         bad[0] ^= 0xFF;
@@ -1639,7 +1685,7 @@ mod tests {
         // base and the tiered versions.
         bytes[4] = bytes[4].wrapping_add(2);
         assert!(matches!(
-            restore(&ny_template(), &[&bytes]),
+            restore(&ny_spec(), &[&bytes]),
             Err(CheckpointError::UnsupportedVersion { .. })
         ));
     }
@@ -1649,13 +1695,16 @@ mod tests {
         let mut e = ny_engine(25);
         let ck = checkpoint_of(&mut e);
         // Same family, different parameters.
-        let wrong_eps = NelsonYuCounter::new(NyParams::new(0.1, 8).unwrap());
+        let wrong_eps = CounterSpec::NelsonYu {
+            eps: 0.1,
+            delta_log2: 8,
+        };
         assert_eq!(
             restore(&wrong_eps, &[ck.bytes()]).unwrap_err(),
             CheckpointError::ScheduleMismatch
         );
         // Different family altogether.
-        let morris = MorrisCounter::new(0.5).unwrap();
+        let morris = CounterSpec::Morris { a: 0.5 };
         assert_eq!(
             restore(&morris, &[ck.bytes()]).unwrap_err(),
             CheckpointError::ScheduleMismatch
@@ -1666,12 +1715,12 @@ mod tests {
     fn rejects_pinned_config_mismatch() {
         // A resident engine pins its config: a delta cut by an engine
         // with another shard count is refused before it is parsed.
-        let template = ny_template();
+        let template = ny_spec();
         let mut e = ny_engine(25);
         let base = checkpoint_of(&mut e);
         let mut resident = restore(&template, &[base.bytes()]).unwrap();
-        let mut wrong = CounterEngine::new(
-            template.clone(),
+        let mut wrong = engine_of(
+            &template,
             EngineConfig {
                 shards: 8,
                 seed: 11,
@@ -1702,55 +1751,72 @@ mod tests {
         // epoch(64) parent(64) → keys starts at bit 344 = byte 43.
         bytes[43] ^= 1;
         assert!(matches!(
-            restore(&ny_template(), &[&bytes]),
+            restore(&ny_spec(), &[&bytes]),
             Err(CheckpointError::Corrupt { .. })
         ));
     }
 
     #[test]
     fn empty_engine_checkpoints_and_restores() {
-        let p = NyParams::new(0.3, 6).unwrap();
-        let mut e = CounterEngine::new(NelsonYuCounter::new(p), cfg());
+        let spec = CounterSpec::NelsonYu {
+            eps: 0.3,
+            delta_log2: 6,
+        };
+        let mut e = engine_of(&spec, cfg());
         let ck = checkpoint_of(&mut e);
-        let back = restore(&NelsonYuCounter::new(p), &[ck.bytes()]).unwrap();
+        let back = restore(&spec, &[ck.bytes()]).unwrap();
         assert!(back.is_empty());
         assert_eq!(back.total_events(), 0);
     }
 
     #[test]
     fn every_family_round_trips() {
-        /// The family-generic "bit-identical persistent state" oracle:
-        /// re-encode both counters and compare the code words (covers
-        /// every serialized register; instrumentation like peak bits is
-        /// deliberately outside).
-        fn encoded<C: StateCodec>(c: &C) -> BitVec {
-            let mut v = BitVec::new();
-            c.encode_state(&mut BitWriter::new(&mut v));
-            v
-        }
-
-        fn drive<C: StateCodec + Clone + Send + Sync + std::fmt::Debug>(template: C) {
-            let mut e = CounterEngine::new(template.clone(), cfg());
+        for spec in every_family() {
+            let mut e = engine_of(&spec, cfg());
             let mut gen = SplitMix64::new(21);
             let batch: Vec<(u64, u64)> = (0..400u64)
                 .map(|k| (k, 1 + gen.next_u64() % 2_000))
                 .collect();
             e.apply(&batch);
             let ck = checkpoint_of(&mut e);
-            let back = restore(&template, &[ck.bytes()]).unwrap();
+            let back = restore(&spec, &[ck.bytes()]).unwrap();
             for (key, counter) in e.iter() {
                 let restored = back.counter(key).expect("key present");
-                assert_eq!(encoded(restored), encoded(counter), "key {key}");
-                assert_eq!(restored.estimate(), counter.estimate(), "key {key}");
-                assert_eq!(restored.state_bits(), counter.state_bits(), "key {key}");
+                assert_eq!(encoded(restored), encoded(counter), "{spec}: key {key}");
+                assert_eq!(restored.estimate(), counter.estimate(), "{spec}: key {key}");
+                assert_eq!(
+                    restored.state_bits(),
+                    counter.state_bits(),
+                    "{spec}: key {key}"
+                );
             }
             assert_eq!(back.total_events(), e.total_events());
         }
-        drive(ExactCounter::new());
-        drive(MorrisCounter::new(0.25).unwrap());
-        drive(ac_core::MorrisPlus::new(0.2, 8).unwrap());
-        drive(NelsonYuCounter::new(NyParams::new(0.2, 8).unwrap()));
-        drive(CsurosCounter::new(8).unwrap());
+    }
+
+    #[test]
+    fn bad_spec_ladders_are_typed_errors() {
+        let mut e = ny_engine(20);
+        let snap = e.snapshot();
+        let ck = full(&snap);
+        let bad = CounterSpec::NelsonYu {
+            eps: 2.0,
+            delta_log2: 8,
+        };
+        let refused = |r: Result<_, CheckpointError>| matches!(r, Err(CheckpointError::State(_)));
+        assert!(refused(restore(&bad, &[ck.bytes()]).map(|_| ())));
+        assert!(refused(restore_checkpoint(&[], &[ck.bytes()]).map(|_| ())));
+        assert!(refused(checkpoint(&snap, Some(&[bad]), None).map(|_| ())));
+        assert!(refused(checkpoint(&snap, Some(&[]), None).map(|_| ())));
+        assert!(refused(
+            compact_checkpoint(&snap, Some(&[ny_spec(), bad]), &ck.header()).map(|_| ())
+        ));
+        let mut resident = restore(&ny_spec(), &[ck.bytes()]).unwrap();
+        e.apply(&[(13, 2)]);
+        let delta = checkpoint(&e.snapshot(), None, Some(&ck.header())).unwrap();
+        assert!(refused(
+            fold_checkpoint_delta(&mut resident, &[bad], &ck.header(), delta.bytes()).map(|_| ())
+        ));
     }
 
     #[test]
@@ -1758,9 +1824,7 @@ mod tests {
         // Dense keys, light per-key traffic — the fleet-scale workload.
         // Keys + states must land within 2× of counter_state_bits plus
         // framing (the acceptance bound the pipeline bench also checks).
-        let p = NyParams::new(0.2, 8).unwrap();
-        let mut e =
-            CounterEngine::new(NelsonYuCounter::new(p), EngineConfig { shards: 8, seed: 2 });
+        let mut e = engine_of(&ny_spec(), EngineConfig { shards: 8, seed: 2 });
         let mut gen = SplitMix64::new(4);
         let batch: Vec<(u64, u64)> = (0..20_000u64)
             .map(|k| (k, 1 + gen.next_u64() % 32))
@@ -1786,14 +1850,14 @@ mod tests {
 
     // ---- version 3: tiered checkpoints ------------------------------
 
-    use ac_core::{CounterFamily, TierMove, TierPolicy};
+    use ac_core::{TierMove, TierPolicy};
 
     /// A family engine with every fourth key migrated off the default
     /// rung, plus the ladder it was tiered against.
-    fn tiered_engine(n_keys: u64) -> (CounterEngine<CounterFamily>, Vec<CounterFamily>) {
+    fn tiered_engine(n_keys: u64) -> (CounterEngine, Vec<CounterSpec>) {
         let policy = TierPolicy::default_ladder();
-        let templates = policy.templates().unwrap();
-        let mut e = CounterEngine::new(templates[0].clone(), cfg());
+        let templates = policy.specs().to_vec();
+        let mut e = engine_of(&templates[0], cfg());
         let mut gen = SplitMix64::new(17);
         let batch: Vec<(u64, u64)> = (0..n_keys)
             .map(|k| (k * 71 + 5, 1 + gen.next_u64() % 3_000))
@@ -1818,7 +1882,7 @@ mod tests {
         assert_eq!(ck.header().version, CHECKPOINT_VERSION_TIERED);
         assert_eq!(
             ck.header().params_fingerprint,
-            combined_fingerprint(&templates)
+            combined_fingerprint(&built(&templates))
         );
 
         let mut back = restore_checkpoint(&templates, &[ck.bytes()]).unwrap();
@@ -1860,14 +1924,14 @@ mod tests {
     #[test]
     fn v2_chain_restores_into_a_tiered_ladder_at_the_default_tier() {
         let policy = TierPolicy::default_ladder();
-        let templates = policy.templates().unwrap();
-        let mut e = CounterEngine::new(templates[0].clone(), cfg());
+        let templates = policy.specs();
+        let mut e = engine_of(&templates[0], cfg());
         let batch: Vec<(u64, u64)> = (0..300u64).map(|k| (k * 13, 5 + k)).collect();
         e.apply(&batch);
         let ck = checkpoint_of(&mut e);
         assert_eq!(ck.header().version, CHECKPOINT_VERSION);
 
-        let back = restore_checkpoint(&templates, &[ck.bytes()]).unwrap();
+        let back = restore_checkpoint(templates, &[ck.bytes()]).unwrap();
         assert_eq!(back.len(), e.len());
         let counts = back.tier_counts();
         assert_eq!(counts[0], e.len() as u64, "every key on the default rung");
@@ -1877,8 +1941,8 @@ mod tests {
     #[test]
     fn tiered_delta_extends_a_pre_tiering_v2_base() {
         let policy = TierPolicy::default_ladder();
-        let templates = policy.templates().unwrap();
-        let mut e = CounterEngine::new(templates[0].clone(), cfg());
+        let templates = policy.specs();
+        let mut e = engine_of(&templates[0], cfg());
         let batch: Vec<(u64, u64)> = (0..500u64).map(|k| (k * 7 + 1, 2 + k % 90)).collect();
         e.apply(&batch);
         let base = checkpoint_of(&mut e);
@@ -1896,10 +1960,10 @@ mod tests {
         e.apply_migrations(policy.specs(), &moves).unwrap();
         let more: Vec<(u64, u64)> = (0..200u64).map(|k| (k * 7 + 1, 3)).collect();
         e.apply(&more);
-        let delta = checkpoint(&e.snapshot(), Some(&templates), Some(&base.header())).unwrap();
+        let delta = checkpoint(&e.snapshot(), Some(templates), Some(&base.header())).unwrap();
         assert_eq!(delta.header().version, CHECKPOINT_VERSION_TIERED);
 
-        let back = restore_checkpoint(&templates, &[base.bytes(), delta.bytes()]).unwrap();
+        let back = restore_checkpoint(templates, &[base.bytes(), delta.bytes()]).unwrap();
         assert_eq!(back.len(), e.len());
         assert_eq!(back.total_events(), e.total_events());
         assert_eq!(back.stats().tier_keys, e.stats().tier_keys);
@@ -1983,22 +2047,18 @@ mod tests {
 
     /// Builds a family engine plus a `rounds`-delta chain over it, with
     /// traffic seeded by `seed`.
-    fn chain_of<C: StateCodec + Clone + Send + Sync>(
-        template: &C,
-        seed: u64,
-        rounds: usize,
-    ) -> (CounterEngine<C>, Vec<Checkpoint>) {
-        let (e, frames, _) = chain_with_tip(template, seed, rounds);
+    fn chain_of(spec: &CounterSpec, seed: u64, rounds: usize) -> (CounterEngine, Vec<Checkpoint>) {
+        let (e, frames, _) = chain_with_tip(spec, seed, rounds);
         (e, frames)
     }
 
     /// [`chain_of`], plus the snapshot the tip frame was cut from.
-    fn chain_with_tip<C: StateCodec + Clone + Send + Sync>(
-        template: &C,
+    fn chain_with_tip(
+        spec: &CounterSpec,
         seed: u64,
         rounds: usize,
-    ) -> (CounterEngine<C>, Vec<Checkpoint>, EngineSnapshot<C>) {
-        let mut e = CounterEngine::new(template.clone(), cfg());
+    ) -> (CounterEngine, Vec<Checkpoint>, EngineSnapshot) {
+        let mut e = engine_of(spec, cfg());
         let mut gen = SplitMix64::new(seed);
         let batch: Vec<(u64, u64)> = (0..300u64)
             .map(|k| (k * 13 + 7, 1 + gen.next_u64() % 700))
@@ -2020,11 +2080,11 @@ mod tests {
 
     /// Folds `segments[1..]` one delta at a time onto a restore of
     /// `segments[0]`, the way a replica receives them.
-    fn fold_one_by_one<C: StateCodec + Clone + Send + Sync>(
-        template: &C,
+    fn fold_one_by_one(
+        spec: &CounterSpec,
         segments: &[&[u8]],
-    ) -> (CounterEngine<C>, CheckpointHeader) {
-        let ladder = std::slice::from_ref(template);
+    ) -> (CounterEngine, CheckpointHeader) {
+        let ladder = std::slice::from_ref(spec);
         let mut engine = restore_checkpoint(ladder, &[segments[0]]).unwrap();
         let mut tip = read_header(segments[0]).unwrap();
         for segment in &segments[1..] {
@@ -2040,14 +2100,12 @@ mod tests {
     /// [`restore_checkpoint`] builds from the whole chain: same epoch clock, same
     /// snapshot bytes (states, RNG streams, totals), and the same
     /// evolution under a follow-up batch.
-    fn assert_fold_matches_chain_restore<C>(
-        template: C,
+    fn assert_fold_matches_chain_restore(
+        template: CounterSpec,
         seed: u64,
         rounds: usize,
         compact_at: usize,
-    ) where
-        C: StateCodec + Clone + Send + Sync,
-    {
+    ) {
         let (_, frames, _) = chain_with_tip(&template, seed, rounds);
         let mut segments: Vec<Vec<u8>> = frames.iter().map(|f| f.bytes().to_vec()).collect();
         if compact_at <= rounds {
@@ -2077,15 +2135,15 @@ mod tests {
 
     /// Asserts a refused fold left `engine` and `tip` exactly as they
     /// were: same epoch clock, same snapshot bytes.
-    fn assert_fold_refused<C: StateCodec + Clone + Send + Sync>(
-        engine: &mut CounterEngine<C>,
+    fn assert_fold_refused(
+        engine: &mut CounterEngine,
         tip: &CheckpointHeader,
         delta: &[u8],
     ) -> CheckpointError {
         let before = full(&engine.snapshot().with_epoch(0)).into_bytes();
         let (epoch, tip_before) = (engine.epoch(), *tip);
         let ladder = [engine.template().clone()];
-        let err = fold_checkpoint_delta(engine, &ladder, tip, delta).unwrap_err();
+        let err = fold_with_workers(engine, &ladder, tip, delta, 0).unwrap_err();
         assert_eq!(engine.epoch(), epoch, "refused fold moved the epoch clock");
         assert_eq!(*tip, tip_before);
         let after = full(&engine.snapshot().with_epoch(0)).into_bytes();
@@ -2095,11 +2153,7 @@ mod tests {
 
     /// The tentpole encode oracle: any worker count must commit the very
     /// same frame bytes the serial encoder does.
-    fn assert_parallel_encode_identical<C: StateCodec + Clone + Send + Sync>(
-        template: C,
-        seed: u64,
-        workers: usize,
-    ) {
+    fn assert_parallel_encode_identical(template: CounterSpec, seed: u64, workers: usize) {
         let (mut e, _) = chain_of(&template, seed, 0);
         let snap = e.snapshot();
         let serial = write_full(&snap, None, 0, 1);
@@ -2112,10 +2166,7 @@ mod tests {
     /// snapshot, its payload is exactly a full checkpoint of the
     /// serially folded chain, its header pins the folded tip, and it
     /// restores to the same state the chain does.
-    fn assert_compaction_matches_serial_fold<C>(template: C, seed: u64, rounds: usize)
-    where
-        C: StateCodec + Clone + Send + Sync,
-    {
+    fn assert_compaction_matches_serial_fold(template: CounterSpec, seed: u64, rounds: usize) {
         let (_, frames, tip_snap) = chain_with_tip(&template, seed, rounds);
         let segments: Vec<&[u8]> = frames.iter().map(Checkpoint::bytes).collect();
         let ladder = std::slice::from_ref(&template);
@@ -2127,7 +2178,7 @@ mod tests {
         let from_snap =
             compact_checkpoint(&tip_snap, None, &frames.last().unwrap().header()).unwrap();
         assert_eq!(serial.bytes(), from_snap.bytes(), "snapshot compaction");
-        let mut folded = restore_with_workers(ladder, &segments, 1).unwrap();
+        let mut folded = restore_with_workers(&built(ladder), &segments, 1).unwrap();
         let replayed = write_full(&folded.snapshot(), None, 0, 1);
         assert_eq!(
             &serial.bytes()[PAYLOAD_BYTE..],
@@ -2145,21 +2196,16 @@ mod tests {
     #[test]
     fn parallel_encode_is_bit_identical_for_every_family() {
         for workers in [0, 2, 3, 16] {
-            assert_parallel_encode_identical(ExactCounter::new(), 40, workers);
-            assert_parallel_encode_identical(MorrisCounter::new(0.25).unwrap(), 41, workers);
-            assert_parallel_encode_identical(
-                ac_core::MorrisPlus::new(0.2, 8).unwrap(),
-                42,
-                workers,
-            );
-            assert_parallel_encode_identical(ny_template(), 43, workers);
-            assert_parallel_encode_identical(CsurosCounter::new(8).unwrap(), 44, workers);
+            for (seed, spec) in (40..).zip(every_family()) {
+                assert_parallel_encode_identical(spec, seed, workers);
+            }
         }
     }
 
     #[test]
     fn parallel_encode_is_bit_identical_for_tiered_frames() {
-        let (mut e, templates) = tiered_engine(800);
+        let (mut e, specs) = tiered_engine(800);
+        let templates = built(&specs);
         let snap = e.snapshot();
         let serial = write_full(&snap, Some(&templates), 0, 1);
         for workers in [0, 2, 5, 8] {
@@ -2170,10 +2216,10 @@ mod tests {
 
     #[test]
     fn parallel_restore_matches_serial_restore_over_a_chain() {
-        let template = ny_template();
+        let template = ny_spec();
         let (e, frames) = chain_of(&template, 77, 3);
         let segments: Vec<&[u8]> = frames.iter().map(Checkpoint::bytes).collect();
-        let ladder = std::slice::from_ref(&template);
+        let ladder = &built(std::slice::from_ref(&template));
         let serial = restore_with_workers(ladder, &segments, 1).unwrap();
         assert_eq!(serial.total_events(), e.total_events());
         for workers in [0, 2, 4, 8] {
@@ -2193,7 +2239,7 @@ mod tests {
 
     #[test]
     fn compacted_base_chains_the_inflight_delta_through_the_alias_rule() {
-        let template = ny_template();
+        let template = ny_spec();
         let (mut e, frames) = chain_of(&template, 5, 2);
         let segments: Vec<&[u8]> = frames.iter().map(Checkpoint::bytes).collect();
         let cbase = compacted_base(&template, &segments).unwrap();
@@ -2217,8 +2263,8 @@ mod tests {
         assert_eq!(via_alias.len(), via_history.len());
         for (key, counter) in via_history.iter() {
             assert_eq!(
-                via_alias.counter(key).map(NelsonYuCounter::state_parts),
-                Some(counter.state_parts()),
+                via_alias.counter(key).map(encoded),
+                Some(encoded(counter)),
                 "key {key}"
             );
         }
@@ -2226,7 +2272,7 @@ mod tests {
 
     #[test]
     fn alias_rule_accepts_only_the_delta_cut_against_the_folded_tip() {
-        let template = ny_template();
+        let template = ny_spec();
         let (mut e, frames) = chain_of(&template, 6, 1);
         let segments: Vec<&[u8]> = frames.iter().map(Checkpoint::bytes).collect();
         let cbase = compacted_base(&template, &segments).unwrap();
@@ -2274,7 +2320,7 @@ mod tests {
         }
         assert_eq!(serial.header().version, CHECKPOINT_VERSION_TIERED);
         let mut folded = restore_checkpoint(&templates, &segments).unwrap();
-        let replayed = write_full(&folded.snapshot(), Some(&templates), 0, 1);
+        let replayed = write_full(&folded.snapshot(), Some(&built(&templates)), 0, 1);
         assert_eq!(
             &serial.bytes()[PAYLOAD_BYTE..],
             &replayed.bytes()[PAYLOAD_BYTE..]
@@ -2296,14 +2342,14 @@ mod tests {
         );
         // The cut frame itself still refuses to restore.
         assert_eq!(
-            restore(&ny_template(), &[header_only]).unwrap_err(),
+            restore(&ny_spec(), &[header_only]).unwrap_err(),
             CheckpointError::Truncated
         );
     }
 
     #[test]
     fn fold_refuses_bad_deltas_and_leaves_the_engine_untouched() {
-        let template = ny_template();
+        let template = ny_spec();
         let (_, frames) = chain_of(&template, 9, 2);
         let mut engine = restore(&template, &[frames[0].bytes()]).unwrap();
         let tip = frames[0].header();
@@ -2340,8 +2386,8 @@ mod tests {
         // than the frame it names: shard 0's writes between the two
         // epochs are counted in the delta's totals but carried by no
         // section, so the fold would lose them.
-        let template = ExactCounter::new();
-        let mut e = CounterEngine::new(template.clone(), cfg());
+        let template = CounterSpec::Exact;
+        let mut e = engine_of(&template, cfg());
         let key_in = |shard: usize| (0u64..).find(|&k| e.shard_of(k) == shard).unwrap();
         let (k0, k1) = (key_in(0), key_in(1));
         e.apply(&[(k0, 3), (k1, 4)]);
@@ -2368,7 +2414,7 @@ mod tests {
 
     #[test]
     fn snapshot_compaction_refuses_a_snapshot_that_is_not_the_tip() {
-        let template = ny_template();
+        let template = ny_spec();
         let (mut e, frames, snap) = chain_with_tip(&template, 3, 2);
         let tip = frames.last().unwrap().header();
         let not_tip = CheckpointError::BadChain {
@@ -2420,12 +2466,9 @@ mod tests {
             seed in 1u64..100_000,
             workers in 2usize..9,
         ) {
-            assert_parallel_encode_identical(ExactCounter::new(), seed, workers);
-            assert_parallel_encode_identical(MorrisCounter::new(0.25).unwrap(), seed, workers);
-            assert_parallel_encode_identical(
-                ac_core::MorrisPlus::new(0.2, 8).unwrap(), seed, workers);
-            assert_parallel_encode_identical(ny_template(), seed, workers);
-            assert_parallel_encode_identical(CsurosCounter::new(8).unwrap(), seed, workers);
+            for spec in every_family() {
+                assert_parallel_encode_identical(spec, seed, workers);
+            }
         }
 
         #[test]
@@ -2433,12 +2476,9 @@ mod tests {
             seed in 1u64..100_000,
             rounds in 1usize..4,
         ) {
-            assert_compaction_matches_serial_fold(ExactCounter::new(), seed, rounds);
-            assert_compaction_matches_serial_fold(MorrisCounter::new(0.25).unwrap(), seed, rounds);
-            assert_compaction_matches_serial_fold(
-                ac_core::MorrisPlus::new(0.2, 8).unwrap(), seed, rounds);
-            assert_compaction_matches_serial_fold(ny_template(), seed, rounds);
-            assert_compaction_matches_serial_fold(CsurosCounter::new(8).unwrap(), seed, rounds);
+            for spec in every_family() {
+                assert_compaction_matches_serial_fold(spec, seed, rounds);
+            }
         }
 
         #[test]
@@ -2448,14 +2488,9 @@ mod tests {
             // Past `rounds` means "no compaction".
             compact_at in 0usize..7,
         ) {
-            assert_fold_matches_chain_restore(ExactCounter::new(), seed, rounds, compact_at);
-            assert_fold_matches_chain_restore(
-                MorrisCounter::new(0.25).unwrap(), seed, rounds, compact_at);
-            assert_fold_matches_chain_restore(
-                ac_core::MorrisPlus::new(0.2, 8).unwrap(), seed, rounds, compact_at);
-            assert_fold_matches_chain_restore(ny_template(), seed, rounds, compact_at);
-            assert_fold_matches_chain_restore(
-                CsurosCounter::new(8).unwrap(), seed, rounds, compact_at);
+            for spec in every_family() {
+                assert_fold_matches_chain_restore(spec, seed, rounds, compact_at);
+            }
         }
     }
 }

@@ -3,11 +3,10 @@
 //! chain, so the appliers' only durability cost is the `O(shards)` freeze
 //! itself.
 //!
-//! The applier loop (a
-//! [`IngestQueue::drain_routed`](crate::IngestQueue::drain_routed) burst
-//! hook on a [`CheckpointCadence`](crate::CheckpointCadence), as the
-//! [`Store`](crate::Store) runs it) cuts a copy-on-write snapshot at a
-//! burst boundary every [`CheckpointerConfig::every_events`] applied
+//! The [`Store`](crate::Store)'s applier loop (a burst hook of the
+//! routed ingest drain, on an event cadence) cuts a copy-on-write
+//! snapshot at a burst boundary every
+//! [`CheckpointerConfig::every_events`] applied
 //! events and hands it over a channel — nanoseconds of work. This thread
 //! serializes it on its own time: the first snapshot (and every
 //! [`CheckpointerConfig::max_deltas_per_base`]-th thereafter) becomes a
@@ -60,7 +59,7 @@ use crate::checkpoint::{
 use crate::ingest::ProducerMark;
 use crate::manifest::{Manifest, ManifestFrame, ManifestInfo};
 use crate::snapshot::EngineSnapshot;
-use ac_core::StateCodec;
+use ac_core::CounterSpec;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,48 +71,47 @@ use std::time::{Duration, Instant};
 /// Background checkpointer construction parameters. Construct with the
 /// builder surface: `CheckpointerConfig::new().with_every_events(…)`.
 #[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub struct CheckpointerConfig {
+pub(crate) struct CheckpointerConfig {
     /// Applied-event cadence between snapshot submissions (read by the
-    /// applier's [`CheckpointCadence`](crate::CheckpointCadence) hook; the
-    /// checkpointer itself serializes whatever it is handed).
-    pub every_events: u64,
+    /// applier's cadence hook; the checkpointer itself serializes
+    /// whatever it is handed).
+    pub(crate) every_events: u64,
     /// After this many deltas, the next frame is a fresh full checkpoint
     /// (bounds chain length, and therefore worst-case restore work and
     /// the blast radius of a lost segment).
-    pub max_deltas_per_base: usize,
+    pub(crate) max_deltas_per_base: usize,
     /// When set, each frame is also written to
     /// `<directory>/ckpt-<session>-<seq>-<kind>.bin`.
-    pub directory: Option<PathBuf>,
+    pub(crate) directory: Option<PathBuf>,
     /// Keep each frame's bytes in its [`CheckpointRecord`] (the
     /// in-memory chain lets tests and benches fold the chain back
     /// without disk). **Off by default**: retained buffers accumulate
     /// for the checkpointer's whole lifetime, which is an unbounded
     /// memory cost for a long-running service.
-    pub retain_bytes: bool,
+    pub(crate) retain_bytes: bool,
     /// When set (together with [`CheckpointerConfig::directory`]), the
     /// writer maintains the directory's store manifest; see the module
     /// docs.
-    pub manifest: Option<ManifestInfo>,
+    pub(crate) manifest: Option<ManifestInfo>,
     /// When set, a background compactor folds the live chain into a
     /// fresh full frame whenever the chain holds more than this many
     /// frames (base included). Requires a directory *and* manifest;
     /// see the module docs.
-    pub compact_max_chain_len: Option<usize>,
+    pub(crate) compact_max_chain_len: Option<usize>,
     /// When set, the compactor also triggers whenever the live chain's
     /// frame files exceed this many bytes in total.
-    pub compact_max_chain_bytes: Option<u64>,
+    pub(crate) compact_max_chain_bytes: Option<u64>,
     /// How long superseded frame files linger on disk after a
     /// compaction commit stops referencing them. `Duration::ZERO`
     /// (default) prunes them immediately.
-    pub retention: Duration,
+    pub(crate) retention: Duration,
 }
 
 impl CheckpointerConfig {
     /// The default configuration (full frame every 15 deltas, 1M-event
     /// cadence, no directory, bytes not retained).
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             every_events: 1_000_000,
             max_deltas_per_base: 15,
@@ -128,28 +126,28 @@ impl CheckpointerConfig {
 
     /// Sets the applied-event cadence between snapshots.
     #[must_use]
-    pub fn with_every_events(mut self, every_events: u64) -> Self {
+    pub(crate) fn with_every_events(mut self, every_events: u64) -> Self {
         self.every_events = every_events;
         self
     }
 
     /// Sets how many deltas may follow a base before rebasing.
     #[must_use]
-    pub fn with_max_deltas_per_base(mut self, max: usize) -> Self {
+    pub(crate) fn with_max_deltas_per_base(mut self, max: usize) -> Self {
         self.max_deltas_per_base = max;
         self
     }
 
     /// Writes each frame to a file under `dir`.
     #[must_use]
-    pub fn with_directory(mut self, dir: impl Into<PathBuf>) -> Self {
+    pub(crate) fn with_directory(mut self, dir: impl Into<PathBuf>) -> Self {
         self.directory = Some(dir.into());
         self
     }
 
     /// Keeps (or drops) each frame's bytes in its record.
     #[must_use]
-    pub fn with_retain_bytes(mut self, retain: bool) -> Self {
+    pub(crate) fn with_retain_bytes(mut self, retain: bool) -> Self {
         self.retain_bytes = retain;
         self
     }
@@ -157,7 +155,7 @@ impl CheckpointerConfig {
     /// Maintains the durability directory's store manifest (requires
     /// [`CheckpointerConfig::with_directory`] to have any effect).
     #[must_use]
-    pub fn with_manifest(mut self, info: ManifestInfo) -> Self {
+    pub(crate) fn with_manifest(mut self, info: ManifestInfo) -> Self {
         self.manifest = Some(info);
         self
     }
@@ -166,7 +164,7 @@ impl CheckpointerConfig {
     /// frames (base included); see the module docs. Only effective
     /// together with a directory and manifest.
     #[must_use]
-    pub fn with_max_chain_len(mut self, max: usize) -> Self {
+    pub(crate) fn with_max_chain_len(mut self, max: usize) -> Self {
         self.compact_max_chain_len = Some(max);
         self
     }
@@ -175,7 +173,7 @@ impl CheckpointerConfig {
     /// total bytes; see the module docs. Only effective together with a
     /// directory and manifest.
     #[must_use]
-    pub fn with_max_chain_bytes(mut self, max: u64) -> Self {
+    pub(crate) fn with_max_chain_bytes(mut self, max: u64) -> Self {
         self.compact_max_chain_bytes = Some(max);
         self
     }
@@ -184,7 +182,7 @@ impl CheckpointerConfig {
     /// compaction commit stops referencing them (a grace window for
     /// external backup tooling). The default is immediate pruning.
     #[must_use]
-    pub fn with_retention(mut self, ttl: Duration) -> Self {
+    pub(crate) fn with_retention(mut self, ttl: Duration) -> Self {
         self.retention = ttl;
         self
     }
@@ -218,16 +216,16 @@ pub struct CheckpointRecord {
     pub write_seconds: f64,
     /// Where the frame landed on disk, when a directory is configured.
     pub path: Option<PathBuf>,
-    /// The frame itself, when [`CheckpointerConfig::retain_bytes`] is on.
+    /// The frame itself, when the checkpointer keeps frame bytes in
+    /// memory (the [`Store`](crate::Store) does not).
     pub bytes: Option<Vec<u8>>,
-    /// Per-producer applied sequence marks that rode in with the
-    /// snapshot ([`BackgroundCheckpointer::submit_with_marks`]); empty
-    /// for plain [`BackgroundCheckpointer::submit`] submissions.
+    /// Per-producer applied sequence marks at the snapshot's freeze —
+    /// the exactly-once replay cursor; empty when none rode along.
     pub producer_marks: Vec<ProducerMark>,
 }
 
-/// Everything the checkpointer produced, returned by
-/// [`BackgroundCheckpointer::finish`].
+/// Everything the checkpointer produced, returned when it finishes (a
+/// durable [`Store`](crate::Store)'s close report carries it).
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct CheckpointerReport {
@@ -323,30 +321,27 @@ pub struct CheckpointerStats {
 /// for stats from threads that do not own the checkpointer (the `Store`
 /// facade hands the checkpointer to its applier thread and keeps a probe).
 #[derive(Debug, Clone)]
-pub struct CheckpointerProbe {
+pub(crate) struct CheckpointerProbe {
     totals: Arc<Totals>,
 }
 
 impl CheckpointerProbe {
     /// Diagnostics snapshot; cheap, safe to call from any thread.
-    #[must_use]
-    pub fn stats(&self) -> CheckpointerStats {
+    pub(crate) fn stats(&self) -> CheckpointerStats {
         totals_stats(&self.totals)
     }
 }
 
 /// One unit of work for the writer thread.
-struct Submission<C> {
-    snap: EngineSnapshot<C>,
+struct Submission {
+    snap: EngineSnapshot,
     marks: Vec<ProducerMark>,
 }
 
 /// A chain handed to the compactor thread: the live chain's manifest
-/// frames (base first) at the moment the trigger fired, plus the
-/// untiered template the fold restores against.
-struct CompactJob<C> {
+/// frames (base first) at the moment the trigger fired.
+struct CompactJob {
     frames: Vec<ManifestFrame>,
-    template: C,
     session: u64,
     seq: u64,
 }
@@ -369,14 +364,17 @@ struct CompactOutcome {
     nanos: u64,
 }
 
-fn compactor_loop<C: StateCodec + Clone + Send + Sync>(
+/// The compactor thread: folds each job's chain through the tier ladder
+/// `tiers`, or through the one-rung ladder `[spec]` when untiered.
+fn compactor_loop(
     dir: &Path,
-    templates: Option<&[C]>,
-    jobs: &Receiver<CompactJob<C>>,
+    tiers: Option<&[CounterSpec]>,
+    spec: &CounterSpec,
+    jobs: &Receiver<CompactJob>,
     results: &Sender<Option<CompactOutcome>>,
 ) {
     while let Ok(job) = jobs.recv() {
-        let outcome = run_compaction(dir, templates, &job);
+        let outcome = run_compaction(dir, tiers, spec, &job);
         if results.send(outcome).is_err() {
             break;
         }
@@ -386,10 +384,11 @@ fn compactor_loop<C: StateCodec + Clone + Send + Sync>(
 /// Folds one chain into a compacted base file. Any failure (a frame
 /// file already gone, a corrupt segment, an I/O error) yields `None`:
 /// the old chain stays authoritative and nothing was published.
-fn run_compaction<C: StateCodec + Clone + Send + Sync>(
+fn run_compaction(
     dir: &Path,
-    templates: Option<&[C]>,
-    job: &CompactJob<C>,
+    tiers: Option<&[CounterSpec]>,
+    spec: &CounterSpec,
+    job: &CompactJob,
 ) -> Option<CompactOutcome> {
     let start = Instant::now();
     let tip = job.frames.last()?;
@@ -399,14 +398,14 @@ fn run_compaction<C: StateCodec + Clone + Send + Sync>(
         buffers.push(std::fs::read(dir.join(&frame.file)).ok()?);
     }
     let segments: Vec<&[u8]> = buffers.iter().map(Vec::as_slice).collect();
-    let ladder = templates.unwrap_or(std::slice::from_ref(&job.template));
+    let ladder = tiers.unwrap_or(std::slice::from_ref(spec));
     let folded_tip = read_header(segments.last()?).ok()?;
     let mut engine = restore_checkpoint(ladder, &segments).ok()?;
     // Pin the base to the folded tip's epoch: the restored engine's own
     // clock sits past it, and a base claiming a *newer* epoch would make
     // deltas cut against the tip unchainable.
     let snap = engine.snapshot().with_epoch(folded_tip.epoch);
-    let ck = compact_checkpoint(&snap, templates, &folded_tip).ok()?;
+    let ck = compact_checkpoint(&snap, tiers, &folded_tip).ok()?;
     let header = ck.header();
     let name = format!("ckpt-{:03}-c{:05}-full.bin", job.session, job.seq);
     let path = dir.join(&name);
@@ -529,36 +528,35 @@ fn prune_stale_frames(dir: &Path, live: &HashSet<&str>, retention: Duration) -> 
 /// one checkpointer therefore still persists every frame, but produces
 /// chains that restore each lineage only from its own full frames.
 #[derive(Debug)]
-pub struct BackgroundCheckpointer<C: StateCodec + Clone + Send + Sync + 'static> {
-    tx: Sender<Submission<C>>,
+pub(crate) struct BackgroundCheckpointer {
+    tx: Sender<Submission>,
     handle: JoinHandle<Vec<CheckpointRecord>>,
     totals: Arc<Totals>,
     config: CheckpointerConfig,
 }
 
-impl<C: StateCodec + Clone + Send + Sync + 'static> BackgroundCheckpointer<C> {
-    /// Starts the writer thread. `templates` is the tier ladder (rung 0
-    /// = default) for a **tiered** engine: frames are serialized against
+impl BackgroundCheckpointer {
+    /// Starts the writer thread. `tiers` is the spec ladder (rung 0 =
+    /// default) for a **tiered** engine: frames are serialized against
     /// it, so snapshots carrying tier tags land as version-3 frames
     /// instead of panicking the writer. `None` is the plain version-2
-    /// writer.
+    /// writer; its compactor restores through the manifest's spec.
     ///
     /// # Panics
     ///
-    /// Panics if `every_events` is zero, if `templates` is `Some` but
-    /// empty, or, in [`BackgroundCheckpointer::finish`], if a configured
+    /// Panics if `every_events` is zero, if `tiers` is `Some` but empty,
+    /// or, in [`BackgroundCheckpointer::finish`], if a configured
     /// directory or manifest turns out not to be writable or belongs to
     /// a different deployment (durability failures are not swallowed;
     /// the `Store` facade pre-validates both to return typed errors
     /// instead).
-    #[must_use]
-    pub fn spawn(config: CheckpointerConfig, templates: Option<Vec<C>>) -> Self {
+    pub(crate) fn spawn(config: CheckpointerConfig, tiers: Option<Vec<CounterSpec>>) -> Self {
         assert!(config.every_events > 0, "cadence must be positive");
         assert!(
-            templates.as_ref().is_none_or(|t| !t.is_empty()),
-            "a tier ladder needs at least the default template"
+            tiers.as_ref().is_none_or(|t| !t.is_empty()),
+            "a tier ladder needs at least the default spec"
         );
-        let (tx, rx) = channel::<Submission<C>>();
+        let (tx, rx) = channel::<Submission>();
         let totals = Arc::new(Totals::default());
         let thread_totals = Arc::clone(&totals);
         let thread_config = config.clone();
@@ -574,18 +572,20 @@ impl<C: StateCodec + Clone + Send + Sync + 'static> BackgroundCheckpointer<C> {
             let mut deltas_since_base = 0usize;
             // Compaction needs on-disk frames and a manifest to swap.
             let compaction = match (&thread_config.directory, &thread_config.manifest) {
-                (Some(dir), Some(_))
+                (Some(dir), Some(info))
                     if thread_config.compact_max_chain_len.is_some()
                         || thread_config.compact_max_chain_bytes.is_some() =>
                 {
-                    let (job_tx, job_rx) = channel::<CompactJob<C>>();
+                    let (job_tx, job_rx) = channel::<CompactJob>();
                     let (result_tx, result_rx) = channel::<Option<CompactOutcome>>();
                     let compactor_dir = dir.clone();
-                    let compactor_templates = templates.clone();
+                    let compactor_tiers = tiers.clone();
+                    let spec = info.spec;
                     let handle = std::thread::spawn(move || {
                         compactor_loop(
                             &compactor_dir,
-                            compactor_templates.as_deref(),
+                            compactor_tiers.as_deref(),
+                            &spec,
                             &job_rx,
                             &result_tx,
                         );
@@ -619,8 +619,8 @@ impl<C: StateCodec + Clone + Send + Sync + 'static> BackgroundCheckpointer<C> {
                     }
                 }
                 let start = Instant::now();
-                let tiers = templates.as_deref();
-                let full = |snap: &EngineSnapshot<C>| {
+                let tiers = tiers.as_deref();
+                let full = |snap: &EngineSnapshot| {
                     checkpoint(snap, tiers, None).expect("a full frame has no parent to refuse")
                 };
                 let (ck, kind) = match &parent {
@@ -734,7 +734,6 @@ impl<C: StateCodec + Clone + Send + Sync + 'static> BackgroundCheckpointer<C> {
                         if over_len || over_bytes {
                             let job = CompactJob {
                                 frames: chain.iter().map(|(f, _)| f.clone()).collect(),
-                                template: snap.template.clone(),
                                 session,
                                 seq: compact_seq,
                             };
@@ -781,14 +780,14 @@ impl<C: StateCodec + Clone + Send + Sync + 'static> BackgroundCheckpointer<C> {
     }
 
     /// The configuration (the drain loop reads the cadence from here).
-    #[must_use]
-    pub fn config(&self) -> &CheckpointerConfig {
+    pub(crate) fn config(&self) -> &CheckpointerConfig {
         &self.config
     }
 
     /// Hands a frozen snapshot to the writer thread. Never blocks on
     /// serialization; the snapshot is `O(shards)` of `Arc`s.
-    pub fn submit(&self, snap: EngineSnapshot<C>) {
+    #[cfg(test)]
+    pub(crate) fn submit(&self, snap: EngineSnapshot) {
         self.submit_with_marks(snap, Vec::new());
     }
 
@@ -796,7 +795,7 @@ impl<C: StateCodec + Clone + Send + Sync + 'static> BackgroundCheckpointer<C> {
     /// sequence marks at the snapshot's freeze, recorded in the frame's
     /// [`CheckpointRecord`] and manifest line — the exactly-once replay
     /// cursor a recovered store reports.
-    pub fn submit_with_marks(&self, snap: EngineSnapshot<C>, marks: Vec<ProducerMark>) {
+    pub(crate) fn submit_with_marks(&self, snap: EngineSnapshot, marks: Vec<ProducerMark>) {
         self.totals.submitted.fetch_add(1, Ordering::Relaxed);
         self.tx
             .send(Submission { snap, marks })
@@ -804,15 +803,14 @@ impl<C: StateCodec + Clone + Send + Sync + 'static> BackgroundCheckpointer<C> {
     }
 
     /// Diagnostics snapshot; cheap, safe to call from any thread.
-    #[must_use]
-    pub fn stats(&self) -> CheckpointerStats {
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> CheckpointerStats {
         totals_stats(&self.totals)
     }
 
     /// A cloneable read-only stats handle that outlives ownership
     /// transfers of the checkpointer itself.
-    #[must_use]
-    pub fn probe(&self) -> CheckpointerProbe {
+    pub(crate) fn probe(&self) -> CheckpointerProbe {
         CheckpointerProbe {
             totals: Arc::clone(&self.totals),
         }
@@ -824,8 +822,7 @@ impl<C: StateCodec + Clone + Send + Sync + 'static> BackgroundCheckpointer<C> {
     /// # Panics
     ///
     /// Propagates a writer-thread panic (e.g. an unwritable directory).
-    #[must_use]
-    pub fn finish(self) -> CheckpointerReport {
+    pub(crate) fn finish(self) -> CheckpointerReport {
         drop(self.tx);
         let records = self.handle.join().expect("checkpointer thread");
         CheckpointerReport { records }
@@ -837,10 +834,22 @@ mod tests {
     use super::*;
     use crate::checkpoint::restore_checkpoint;
     use crate::registry::{CounterEngine, EngineConfig};
-    use ac_core::{NelsonYuCounter, NyParams};
+    use ac_bitio::{BitVec, BitWriter};
+    use ac_core::{CounterFamily, StateCodec};
 
-    fn template() -> NelsonYuCounter {
-        NelsonYuCounter::new(NyParams::new(0.2, 8).unwrap())
+    const SPEC: CounterSpec = CounterSpec::NelsonYu {
+        eps: 0.2,
+        delta_log2: 8,
+    };
+
+    fn template() -> CounterFamily {
+        SPEC.build().unwrap()
+    }
+
+    fn encoded(c: &CounterFamily) -> BitVec {
+        let mut v = BitVec::new();
+        c.encode_state(&mut BitWriter::new(&mut v));
+        v
     }
 
     fn small_cfg() -> CheckpointerConfig {
@@ -878,12 +887,12 @@ mod tests {
         // The newest chain folds back to the engine at its last freeze.
         let chain = report.latest_chain().expect("bytes retained");
         assert_eq!(chain.len(), 2, "last full + one delta");
-        let back = restore_checkpoint(&[template()], &chain).unwrap();
+        let back = restore_checkpoint(&[SPEC], &chain).unwrap();
         assert_eq!(back.total_events(), e.total_events());
         for (key, counter) in e.iter() {
             assert_eq!(
-                back.counter(key).map(NelsonYuCounter::state_parts),
-                Some(counter.state_parts()),
+                back.counter(key).map(encoded),
+                Some(encoded(counter)),
                 "key {key}"
             );
         }
@@ -921,7 +930,7 @@ mod tests {
             ]
         );
         let chain = report.latest_chain().expect("bytes retained");
-        let back = restore_checkpoint(&[template()], &chain).unwrap();
+        let back = restore_checkpoint(&[SPEC], &chain).unwrap();
         assert_eq!(back.total_events(), 30, "latest chain is the twin's");
     }
 
@@ -949,8 +958,6 @@ mod tests {
 
     #[test]
     fn writes_frames_and_manifest_to_a_directory() {
-        use ac_core::CounterSpec;
-
         let dir = std::env::temp_dir().join(format!(
             "ac-ckpt-test-{}-{:?}",
             std::process::id(),
@@ -958,10 +965,7 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let spec = CounterSpec::NelsonYu {
-            eps: 0.2,
-            delta_log2: 8,
-        };
+        let spec = SPEC;
         let config = EngineConfig::new().with_shards(2).with_seed(4);
         let mut e = CounterEngine::new(template(), config);
         let ckpt = BackgroundCheckpointer::spawn(
@@ -993,7 +997,7 @@ mod tests {
             .map(|r| std::fs::read(r.path.as_ref().expect("path set")).unwrap())
             .collect();
         let chain_refs: Vec<&[u8]> = chain.iter().map(Vec::as_slice).collect();
-        let back = restore_checkpoint(&[template()], &chain_refs).unwrap();
+        let back = restore_checkpoint(&[SPEC], &chain_refs).unwrap();
         assert_eq!(back.total_events(), 30);
 
         // The manifest mirrors the frames, marks included.
@@ -1019,8 +1023,6 @@ mod tests {
 
     #[test]
     fn compactor_folds_the_chain_rewrites_the_manifest_and_prunes() {
-        use ac_core::CounterSpec;
-
         let dir = std::env::temp_dir().join(format!(
             "ac-ckpt-compact-{}-{:?}",
             std::process::id(),
@@ -1028,10 +1030,7 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let spec = CounterSpec::NelsonYu {
-            eps: 0.2,
-            delta_log2: 8,
-        };
+        let spec = SPEC;
         let config = EngineConfig::new().with_shards(4).with_seed(21);
         let mut e = CounterEngine::new(template(), config);
         // A high rebase budget keeps the cadence from cutting fresh
@@ -1111,13 +1110,13 @@ mod tests {
             .map(|f| std::fs::read(dir.join(&f.file)).unwrap())
             .collect();
         let refs: Vec<&[u8]> = segments.iter().map(Vec::as_slice).collect();
-        let back = restore_checkpoint(&[template()], &refs).unwrap();
+        let back = restore_checkpoint(&[SPEC], &refs).unwrap();
         assert_eq!(back.total_events(), e.total_events());
         assert_eq!(back.len(), e.len());
         for (key, counter) in e.iter() {
             assert_eq!(
-                back.counter(key).map(NelsonYuCounter::state_parts),
-                Some(counter.state_parts()),
+                back.counter(key).map(encoded),
+                Some(encoded(counter)),
                 "key {key}"
             );
         }
@@ -1126,8 +1125,6 @@ mod tests {
 
     #[test]
     fn retention_ttl_keeps_superseded_frames_until_they_age_out() {
-        use ac_core::CounterSpec;
-
         let dir = std::env::temp_dir().join(format!(
             "ac-ckpt-retention-{}-{:?}",
             std::process::id(),
@@ -1135,10 +1132,7 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let spec = CounterSpec::NelsonYu {
-            eps: 0.2,
-            delta_log2: 8,
-        };
+        let spec = SPEC;
         let config = EngineConfig::new().with_shards(2).with_seed(3);
         let mut e = CounterEngine::new(template(), config);
         let ckpt = BackgroundCheckpointer::spawn(

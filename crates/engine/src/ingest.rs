@@ -11,8 +11,8 @@
 //!
 //! A full batch is routed once, on the producer's thread while it is
 //! cache-hot: each pair goes to its shard through the engine's
-//! [`ShardRouter`] (the queue is built with
-//! [`CounterEngine::router`](crate::CounterEngine::router)), and each
+//! [`ShardRouter`] (the queue is built with [`CounterEngine::router`]),
+//! and each
 //! shard's slice is pushed into that shard's **lane** — a bounded
 //! single-producer/single-consumer ring owned by this producer
 //! ([`ring_batches`](IngestConfig::ring_batches) slots, power-of-two,
@@ -86,7 +86,6 @@
 
 use crate::registry::{CounterEngine, ShardRouter};
 use crate::ring::{Doorbell, SpscRing};
-use ac_core::ApproxCounter;
 use ac_randkit::BuildSplitMix64;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -98,7 +97,8 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct Batch {
-    /// Id of the [`IngestProducer`] that flushed the batch.
+    /// Id of the producer ([`StoreWriter`](crate::StoreWriter)) that
+    /// flushed the batch.
     pub producer: u64,
     /// 1-based position in that producer's accepted stream.
     pub seq: u64,
@@ -131,22 +131,24 @@ pub enum BackpressurePolicy {
     /// Drop the refused batch, count it in
     /// [`IngestStats::dropped_batches`], and keep going.
     DropNewest,
-    /// Refuse loudly: [`IngestProducer::try_send`] returns the batch
-    /// inside [`SendError::Full`] and auto-flush retains the buffer, so
-    /// the caller decides what to do with the data.
+    /// Refuse loudly:
+    /// [`StoreWriter::try_send`](crate::StoreWriter::try_send) returns
+    /// the batch inside [`SendError::Full`] and auto-flush retains the
+    /// buffer, so the caller decides what to do with the data.
     Fail,
 }
 
 /// A batch the queue would not accept, returned *with the data* so the
 /// caller owns the retry/shed decision. Produced by
-/// [`IngestProducer::try_send`] / [`IngestProducer::send`] /
-/// [`IngestProducer::resubmit`] and re-exported through the
-/// [`Store`](crate::Store) writer surface.
+/// [`StoreWriter::try_send`](crate::StoreWriter::try_send) /
+/// [`StoreWriter::send`](crate::StoreWriter::send) /
+/// [`StoreWriter::resubmit`](crate::StoreWriter::resubmit).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SendError {
     /// The producer's ring had no free slot. Retrying after the applier
-    /// catches up (or [`IngestProducer::send`], which parks) will
+    /// catches up (or [`StoreWriter::send`](crate::StoreWriter::send),
+    /// which parks) will
     /// succeed; the batch is returned untouched.
     Full(Batch),
     /// The queue is closed; no retry can ever succeed. The batch is
@@ -163,7 +165,8 @@ impl SendError {
         }
     }
 
-    /// Recovers the rejected batch (for [`IngestProducer::resubmit`] or
+    /// Recovers the rejected batch (for
+    /// [`StoreWriter::resubmit`](crate::StoreWriter::resubmit) or
     /// external spill).
     #[must_use]
     pub fn into_batch(self) -> Batch {
@@ -409,7 +412,7 @@ pub struct IngestStats {
 /// (producer, shard), drained in bursts. Cheap to clone (all clones share
 /// the same lanes).
 #[derive(Debug, Clone)]
-pub struct IngestQueue {
+pub(crate) struct IngestQueue {
     inner: Arc<Inner>,
 }
 
@@ -424,7 +427,7 @@ impl IngestQueue {
     ///
     /// Panics if any capacity is zero.
     #[must_use]
-    pub fn new(config: IngestConfig, router: ShardRouter) -> Self {
+    pub(crate) fn new(config: IngestConfig, router: ShardRouter) -> Self {
         assert!(config.ring_batches > 0, "queue capacity must be positive");
         assert!(config.batch_pairs > 0, "batch size must be positive");
         assert!(config.burst_batches > 0, "burst batches must be positive");
@@ -444,7 +447,7 @@ impl IngestQueue {
 
     /// The configuration.
     #[must_use]
-    pub fn config(&self) -> IngestConfig {
+    pub(crate) fn config(&self) -> IngestConfig {
         self.inner.config
     }
 
@@ -458,7 +461,7 @@ impl IngestQueue {
     /// own batch buffer and publishes into its own lanes, so producers
     /// never contend with each other.
     #[must_use]
-    pub fn producer(&self) -> IngestProducer {
+    pub(crate) fn producer(&self) -> IngestProducer {
         self.producer_resuming(0)
     }
 
@@ -476,7 +479,7 @@ impl IngestQueue {
     /// same, so a remote client can keep replaying against one cursor
     /// across any number of server restarts.
     #[must_use]
-    pub fn producer_resuming(&self, start_seq: u64) -> IngestProducer {
+    pub(crate) fn producer_resuming(&self, start_seq: u64) -> IngestProducer {
         let ring_batches = self.inner.config.ring_batches;
         let ring = Arc::new(ProducerRing {
             lanes: (0..self.inner.router.shards())
@@ -505,16 +508,10 @@ impl IngestQueue {
     /// Closes the queue: producers' further flushes are refused, and
     /// appliers drain what remains, then observe end-of-stream.
     /// Idempotent.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.inner.closed.store(true, Ordering::SeqCst);
         self.inner.ready.notify();
         self.inner.space.notify();
-    }
-
-    /// True once [`IngestQueue::close`] has run.
-    #[must_use]
-    pub fn is_closed(&self) -> bool {
-        self.inner.closed.load(Ordering::SeqCst)
     }
 
     /// A moment-in-time snapshot of every producer's lanes (the `Arc`s
@@ -593,7 +590,8 @@ impl IngestQueue {
     /// # Panics
     ///
     /// Panics if the queue's router does not match `engine`'s partition.
-    pub fn drain_into<C: ApproxCounter + Clone>(&self, engine: &mut CounterEngine<C>) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn drain_into(&self, engine: &mut CounterEngine) -> u64 {
         crate::applier::drain_serial(self, engine)
     }
 
@@ -625,15 +623,14 @@ impl IngestQueue {
     /// # Panics
     ///
     /// Panics if the queue's router does not match `engine`'s partition.
-    pub fn drain_routed<C, F>(
+    pub(crate) fn drain_routed<F>(
         &self,
-        engine: &mut CounterEngine<C>,
+        engine: &mut CounterEngine,
         tap: Option<PairTap<'_>>,
         hook: F,
     ) -> u64
     where
-        C: ApproxCounter + Clone + Send + Sync,
-        F: FnMut(&mut CounterEngine<C>, u64),
+        F: FnMut(&mut CounterEngine, u64),
     {
         crate::applier::drain_threaded(self, engine, tap, hook)
     }
@@ -642,7 +639,7 @@ impl IngestQueue {
     /// Read from a drain hook (burst boundary) these are exact; read from
     /// elsewhere they are a moment-in-time snapshot.
     #[must_use]
-    pub fn applied_marks(&self) -> Vec<ProducerMark> {
+    pub(crate) fn applied_marks(&self) -> Vec<ProducerMark> {
         let registry = self.inner.registry.lock().expect("ingest registry lock");
         registry
             .iter()
@@ -665,7 +662,7 @@ impl IngestQueue {
     /// Applied is read first, so a racing enqueue can only inflate the
     /// lag — a zero is never spurious.
     #[must_use]
-    pub fn pending_events(&self) -> u64 {
+    pub(crate) fn pending_events(&self) -> u64 {
         let applied = self.inner.totals.applied_events.load(Ordering::SeqCst);
         let enqueued = self.inner.totals.enqueued_events.load(Ordering::SeqCst);
         enqueued.saturating_sub(applied)
@@ -675,7 +672,7 @@ impl IngestQueue {
     /// [`EngineStats::with_ingest`](crate::EngineStats::with_ingest) for a
     /// whole-pipeline summary.
     #[must_use]
-    pub fn stats(&self) -> IngestStats {
+    pub(crate) fn stats(&self) -> IngestStats {
         let depth = {
             let registry = self.inner.registry.lock().expect("ingest registry lock");
             registry.iter().map(|r| r.depth()).sum()
@@ -698,7 +695,7 @@ impl IngestQueue {
 /// `every_events` boundary, catching up (without firing repeatedly) when
 /// one burst jumps several boundaries at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointCadence {
+pub(crate) struct CheckpointCadence {
     every: u64,
     due: u64,
 }
@@ -710,7 +707,7 @@ impl CheckpointCadence {
     ///
     /// Panics if `every_events` is zero.
     #[must_use]
-    pub fn new(every_events: u64) -> Self {
+    pub(crate) fn new(every_events: u64) -> Self {
         assert!(every_events > 0, "cadence must be positive");
         Self {
             every: every_events,
@@ -720,7 +717,7 @@ impl CheckpointCadence {
 
     /// True when `applied` has crossed the next boundary; advances the
     /// boundary past `applied` so each crossing fires exactly once.
-    pub fn is_due(&mut self, applied: u64) -> bool {
+    pub(crate) fn is_due(&mut self, applied: u64) -> bool {
         if applied < self.due {
             return false;
         }
@@ -737,7 +734,7 @@ impl CheckpointCadence {
 /// unique producer id; its accepted batches are numbered 1, 2, 3, … (see
 /// the module docs on provenance).
 #[derive(Debug)]
-pub struct IngestProducer {
+pub(crate) struct IngestProducer {
     inner: Arc<Inner>,
     /// This producer's lanes (`inner.registry[id]`).
     ring: Arc<ProducerRing>,
@@ -764,14 +761,14 @@ pub struct IngestProducer {
 impl IngestProducer {
     /// This producer's id.
     #[must_use]
-    pub fn id(&self) -> u64 {
+    pub(crate) fn id(&self) -> u64 {
         self.id
     }
 
     /// The sequence number of the last batch this producer had accepted
     /// into its lanes (0 before the first).
     #[must_use]
-    pub fn last_seq(&self) -> u64 {
+    pub(crate) fn last_seq(&self) -> u64 {
         self.next_seq - 1
     }
 
@@ -781,7 +778,7 @@ impl IngestProducer {
     /// with a full lane, the buffer is retained and keeps growing until
     /// a [`IngestProducer::try_send`] / [`IngestProducer::send`] call
     /// can surface the refusal).
-    pub fn record(&mut self, key: u64, delta: u64) {
+    pub(crate) fn record(&mut self, key: u64, delta: u64) {
         if delta == 0 {
             return;
         }
@@ -806,14 +803,8 @@ impl IngestProducer {
 
     /// Pairs buffered in the batch under construction.
     #[must_use]
-    pub fn pending_pairs(&self) -> usize {
+    pub(crate) fn pending_pairs(&self) -> usize {
         self.pairs.len()
-    }
-
-    /// Events (sum of deltas) buffered in the batch under construction.
-    #[must_use]
-    pub fn pending_events(&self) -> u64 {
-        self.events
     }
 
     /// Returns — and resets — the events this producer has had refused
@@ -822,7 +813,7 @@ impl IngestProducer {
     /// whose outcome nobody sees; callers that promised losslessness
     /// check this after flushing. Provably always 0 under
     /// [`BackpressurePolicy::Fail`].
-    pub fn take_refused_events(&mut self) -> u64 {
+    pub(crate) fn take_refused_events(&mut self) -> u64 {
         std::mem::take(&mut self.refused_events)
     }
 
@@ -836,7 +827,7 @@ impl IngestProducer {
     /// the batch, so nothing is lost: hold it and
     /// [`resubmit`](IngestProducer::resubmit) later, or shed it
     /// deliberately.
-    pub fn try_send(&mut self) -> Result<(), SendError> {
+    pub(crate) fn try_send(&mut self) -> Result<(), SendError> {
         self.submit(false)
     }
 
@@ -848,7 +839,7 @@ impl IngestProducer {
     ///
     /// [`SendError::Closed`] (with the batch) if the queue closes before
     /// a slot frees up.
-    pub fn send(&mut self) -> Result<(), SendError> {
+    pub(crate) fn send(&mut self) -> Result<(), SendError> {
         self.submit(true)
     }
 
@@ -866,7 +857,7 @@ impl IngestProducer {
     ///
     /// Panics if `batch` came from a different producer — sequence
     /// provenance is per-producer and cannot be transplanted.
-    pub fn resubmit(&mut self, batch: Batch) -> Result<(), SendError> {
+    pub(crate) fn resubmit(&mut self, batch: Batch) -> Result<(), SendError> {
         assert_eq!(
             batch.producer, self.id,
             "resubmit: batch belongs to producer {} not {}",
@@ -899,7 +890,7 @@ impl IngestProducer {
     /// applied mark past batches still in flight to keep the numbering
     /// gapless, which would corrupt the exactly-once cursor. Callers
     /// own batch formation, so they filter empties before numbering.
-    pub fn submit_batch(&mut self, mut pairs: Vec<(u64, u64)>) -> Result<u64, SendError> {
+    pub(crate) fn submit_batch(&mut self, mut pairs: Vec<(u64, u64)>) -> Result<u64, SendError> {
         self.submit(true)?;
         pairs.retain(|&(_, delta)| delta != 0);
         assert!(
@@ -1090,8 +1081,12 @@ impl Drop for IngestProducer {
 mod tests {
     use super::*;
     use crate::registry::EngineConfig;
-    use ac_core::{ExactCounter, NelsonYuCounter, NyParams};
+    use ac_core::{CounterFamily, CounterSpec};
     use std::thread;
+
+    fn exact() -> CounterFamily {
+        CounterSpec::Exact.build().unwrap()
+    }
 
     fn small(ring_batches: usize, batch_pairs: usize, policy: BackpressurePolicy) -> IngestConfig {
         IngestConfig::new()
@@ -1115,7 +1110,7 @@ mod tests {
     ) -> IngestQueue {
         IngestQueue::new(
             small(ring_batches, batch_pairs, policy),
-            ShardRouter::new(one_shard()),
+            CounterEngine::new(exact(), one_shard()).router(),
         )
     }
 
@@ -1271,7 +1266,7 @@ mod tests {
         let err = p.send().expect_err("send after close must fail, not hang");
         assert!(!err.is_full());
         assert_eq!(err.batch().events(), 1, "the data comes back");
-        let mut engine = CounterEngine::new(ExactCounter::new(), one_shard());
+        let mut engine = CounterEngine::new(exact(), one_shard());
         assert_eq!(q.drain_into(&mut engine), 0, "closed and empty");
         // Dropping the handle flushes its partial batch by policy; after
         // close the refusal is counted instead.
@@ -1284,7 +1279,7 @@ mod tests {
 
     #[test]
     fn sequence_marks_track_enqueue_and_apply() {
-        let mut engine = CounterEngine::new(ExactCounter::new(), EngineConfig::default());
+        let mut engine = CounterEngine::new(exact(), EngineConfig::default());
         let q = IngestQueue::new(small(16, 2, BackpressurePolicy::Block), engine.router());
         let mut p = q.producer();
         for key in 0..6u64 {
@@ -1324,10 +1319,15 @@ mod tests {
     fn drain_matches_direct_apply_bit_for_bit() {
         // Single producer + serial drain == engine.apply on the same
         // stream: the lossless determinism contract.
-        let p = NyParams::new(0.25, 8).unwrap();
+        let template = CounterSpec::NelsonYu {
+            eps: 0.25,
+            delta_log2: 8,
+        }
+        .build()
+        .unwrap();
         let cfg = EngineConfig::new().with_shards(4).with_seed(7);
-        let mut direct = CounterEngine::new(NelsonYuCounter::new(p), cfg);
-        let mut piped = CounterEngine::new(NelsonYuCounter::new(p), cfg);
+        let mut direct = CounterEngine::new(template.clone(), cfg);
+        let mut piped = CounterEngine::new(template, cfg);
 
         // Capacity must hold every batch: this single-threaded test only
         // drains after close, so a tight bound would park the producer.
@@ -1365,7 +1365,7 @@ mod tests {
         // 4 producer threads, one serial drain thread, tiny lanes:
         // nothing lost under the blocking policy, and the engine's exact
         // event count equals the producers' submissions.
-        let mut engine = CounterEngine::new(ExactCounter::new(), EngineConfig::default());
+        let mut engine = CounterEngine::new(exact(), EngineConfig::default());
         let q = IngestQueue::new(small(2, 8, BackpressurePolicy::Block), engine.router());
         let per_producer = 5_000u64;
         let producers = 4u64;
@@ -1412,7 +1412,7 @@ mod tests {
         for key in 0..20u64 {
             p.record(key, 1);
         }
-        let engine = CounterEngine::new(ExactCounter::new(), EngineConfig::default());
+        let engine = CounterEngine::new(exact(), EngineConfig::default());
         let stats = engine.stats().with_ingest(&q.stats());
         assert_eq!(stats.queue_depth, 4, "bounded at lane capacity");
         assert_eq!(stats.dropped_batches, q.stats().dropped_batches);
@@ -1450,9 +1450,12 @@ mod tests {
         use crate::checkpoint::restore_checkpoint;
         use crate::checkpointer::{BackgroundCheckpointer, CheckpointerConfig};
 
-        let template = NelsonYuCounter::new(NyParams::new(0.2, 8).unwrap());
+        let spec = CounterSpec::NelsonYu {
+            eps: 0.2,
+            delta_log2: 8,
+        };
         let mut engine = CounterEngine::new(
-            template.clone(),
+            spec.build().unwrap(),
             EngineConfig::new().with_shards(4).with_seed(3),
         );
         // Capacity must hold every batch: this test drains only after
@@ -1506,7 +1509,7 @@ mod tests {
         // passed through (checked via event totals and a full replay of
         // the remaining batches on the restored engine).
         let chain = report.latest_chain().expect("bytes retained");
-        let back = restore_checkpoint(std::slice::from_ref(&template), &chain).unwrap();
+        let back = restore_checkpoint(&[spec], &chain).unwrap();
         assert_eq!(
             back.total_events(),
             report.records.last().unwrap().events,

@@ -7,35 +7,27 @@
 //! hot path. This crate is that deployment, split into explicit layers:
 //!
 //! ```text
-//!  producers ──► ingest ──► registry/shards ──► snapshot ──► checkpoint
-//!               (queue)       (write path)      (serve)      (durable)
+//!  writers ──► ingest ──► engine/shards ──► snapshot ──► checkpoint
+//!             (lanes)      (write path)      (serve)      (durable)
 //! ```
 //!
-//! 1. **Ingest** ([`IngestQueue`] / [`IngestProducer`]) — coalesces
-//!    per-key increments into batches so producers never block on shard
-//!    application — and never contend with each other: each producer
-//!    routes a flushed batch once, at send time, into its own lock-free
-//!    SPSC lane per shard (sized by [`IngestConfig::ring_batches`],
-//!    rounded to a power of two), with parking/unparking on eventcount
-//!    doorbells instead of a shared `Condvar`. Batched updates are the
-//!    first-class operation (after the amortized-complexity view of
+//! 1. **Ingest** (inside the [`Store`]) — each [`StoreWriter`] coalesces
+//!    per-key increments into batches and routes a flushed batch once,
+//!    at send time, into its own lock-free SPSC lane per shard (sized by
+//!    [`IngestConfig::ring_batches`]), so writers never block on shard
+//!    application and never contend with each other. Batched updates are
+//!    the first-class operation (after the amortized-complexity view of
 //!    Aden-Ali, Han, Nelson, Yu 2022): a coalesced `(key, delta)` costs
 //!    one transition-count-proportional `increment_by`, not `delta` coin
 //!    flips. Backpressure is a [`BackpressurePolicy`]: `Block` parks the
-//!    producer (lossless, default), `DropNewest` sheds and counts, and
-//!    `Fail` makes refusal a value — [`IngestProducer::try_send`] /
-//!    [`StoreWriter::try_send`] return [`SendError::Full`] *carrying the
-//!    rejected batch*, so silent loss is impossible. Diagnostics surface
-//!    through [`EngineStats::with_ingest`]. The queue is built with the
-//!    engine's partition ([`IngestQueue::new`] takes
-//!    [`CounterEngine::router`]), so the drain thread is just a burst
-//!    coordinator and each persistent shard worker drains its own lanes
-//!    with zero dispatch copies ([`IngestQueue::drain_routed`]). Its
-//!    burst hook runs with the engine quiescent, which is where snapshot
-//!    publication and the background checkpointer ride (on a
-//!    [`CheckpointCadence`]); [`IngestQueue::drain_into`] applies the
-//!    same bursts serially on the calling thread, as the reference.
+//!    writer (lossless, default), `DropNewest` sheds and counts, and
+//!    `Fail` makes refusal a value — [`StoreWriter::try_send`] returns
+//!    [`SendError::Full`] *carrying the rejected batch*, so silent loss
+//!    is impossible. One worker per shard drains its own lanes; between
+//!    bursts the engine is quiescent, which is where snapshot publication
+//!    and the background checkpoint writer ride.
 //! 2. **Write** ([`CounterEngine`]) — slab ownership and batched apply:
+//!    one runtime-selected counter family per engine ([`CounterSpec`]),
 //!    key→shard routing (SplitMix64 finalizer + Lemire range reduction),
 //!    dense per-shard slabs behind **copy-on-write `Arc`s with epoch
 //!    tracking**, per-shard deterministic RNG.
@@ -47,25 +39,25 @@
 //!    demand on a reader thread, never on the freeze path.
 //! 4. **Checkpoint** ([`checkpoint`] / [`restore_checkpoint`] /
 //!    [`fold_checkpoint_delta`] / [`compact_checkpoint`]) — snapshots
-//!    serialized through
-//!    `ac-bitio`: [`StateCodec`] counter states plus Rice-coded key gaps
-//!    behind a versioned header that embeds the [`EngineConfig`] and
-//!    parameter fingerprint and refuses mismatched restores. Incremental
-//!    **delta frames** serialize only shards dirtied since a parent
-//!    checkpoint (parents are identified by chained checksums, so a delta
-//!    can never land on the wrong base), and the
-//!    [`BackgroundCheckpointer`] writes the base + deltas chain on its
-//!    own thread. A restored engine continues the *exact* random stream
-//!    (shard RNG states ride along), and a million counters persist at
-//!    ~their summed `state_bits`, not a million fixed-width records.
+//!    serialized through `ac-bitio`: each family's `StateCodec` counter
+//!    states plus Rice-coded key gaps behind a versioned header that
+//!    embeds the [`EngineConfig`] and parameter fingerprint and refuses
+//!    mismatched restores. Each function takes its tier ladder as
+//!    [`CounterSpec`]s. Incremental **delta frames** serialize only
+//!    shards dirtied since a parent checkpoint (parents are identified by
+//!    chained checksums, so a delta can never land on the wrong base),
+//!    and the [`Store`] writes the base + deltas chain on its own thread.
+//!    A restored engine continues the *exact* random stream (shard RNG
+//!    states ride along), and a million counters persist at ~their summed
+//!    `state_bits`, not a million fixed-width records.
 //!
 //! ## The `Store` service facade
 //!
 //! The **[`Store`]** puts all four layers under one roof: one builder, a
-//! *runtime*-selected counter family ([`CounterSpec`] /
-//! [`CounterFamily`], bit-identical to the monomorphized engine),
-//! cloneable writer/reader handles, and crash recovery from an on-disk
-//! [`Manifest`]. Start here; the layers stay public as the expert API.
+//! *runtime*-selected counter family ([`CounterSpec`]), cloneable
+//! writer/reader handles, and crash recovery from an on-disk
+//! [`Manifest`]. Start here; the engine, its snapshots and the checkpoint
+//! functions stay public as the expert API.
 //!
 //! ```
 //! use ac_engine::{CounterSpec, Store};
@@ -85,29 +77,18 @@
 //! // and reports each producer's last applied sequence number.
 //! ```
 //!
-//! ## The expert API, layer by layer
+//! ## The expert API: engine → snapshot → checkpoint → restore
 //!
 //! ```
-//! use ac_core::{ApproxCounter, NelsonYuCounter, NyParams};
-//! use ac_engine::{
-//!     checkpoint, restore_checkpoint, CounterEngine, EngineConfig, IngestConfig,
-//!     IngestQueue,
-//! };
+//! use ac_core::ApproxCounter;
+//! use ac_engine::{checkpoint, restore_checkpoint, CounterEngine, CounterSpec, EngineConfig};
 //! use ac_randkit::Xoshiro256PlusPlus;
 //!
-//! let template = NelsonYuCounter::new(NyParams::new(0.2, 8).unwrap());
-//! let mut engine = CounterEngine::new(template.clone(), EngineConfig::default());
+//! let spec = CounterSpec::NelsonYu { eps: 0.2, delta_log2: 8 };
+//! let mut engine = CounterEngine::new(spec.build().unwrap(), EngineConfig::default());
 //!
-//! // Ingest: coalesce, batch, and route to the engine's shards; the
-//! // drain applies to the write layer.
-//! let queue = IngestQueue::new(IngestConfig::default(), engine.router());
-//! let mut producer = queue.producer();
-//! producer.record(1, 50_000);
-//! producer.record(2, 10_000);
-//! producer.record(1, 50_000); // coalesces with the first pair
-//! producer.send().unwrap(); // or try_send() for the nonblocking path
-//! queue.close();
-//! queue.drain_into(&mut engine);
+//! // Write: batched (key, delta) pairs, one increment_by each.
+//! engine.apply(&[(1, 50_000), (2, 10_000), (1, 50_000)]);
 //!
 //! // Snapshot: an O(shards) freeze; lock-free reads; the merged
 //! // aggregate folds on demand, off the freeze path.
@@ -122,10 +103,11 @@
 //! let base = checkpoint(&snap, None, None).unwrap();
 //! engine.apply(&[(1, 1_000)]);
 //! let delta = checkpoint(&engine.snapshot(), None, Some(&base.header())).unwrap();
-//! let ladder = [template];
-//! let restored = restore_checkpoint(&ladder, &[base.bytes(), delta.bytes()]).unwrap();
-//! assert_eq!(restored.counter(1).unwrap().state_parts(),
-//!            engine.counter(1).unwrap().state_parts());
+//!
+//! // Restore: the chain through its spec ladder (rung 0 = default).
+//! let restored = restore_checkpoint(&[spec], &[base.bytes(), delta.bytes()]).unwrap();
+//! assert_eq!(restored.estimate(1), engine.estimate(1));
+//! assert_eq!(restored.total_events(), engine.total_events());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -139,33 +121,28 @@ mod ingest;
 mod manifest;
 mod registry;
 mod ring;
+#[cfg(test)]
+mod ring_tests;
 mod shard;
 mod snapshot;
 mod store;
 
 pub use checkpoint::{
-    checkpoint, combined_fingerprint, compact_checkpoint, fold_checkpoint_delta, read_header,
-    restore_checkpoint, Checkpoint, CheckpointError, CheckpointHeader, CheckpointKind,
-    CheckpointStats, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CHECKPOINT_VERSION_TIERED,
+    checkpoint, compact_checkpoint, fold_checkpoint_delta, read_header, restore_checkpoint,
+    Checkpoint, CheckpointError, CheckpointHeader, CheckpointKind, CheckpointStats,
+    CHECKPOINT_VERSION,
 };
-pub use checkpointer::{
-    BackgroundCheckpointer, CheckpointRecord, CheckpointerConfig, CheckpointerProbe,
-    CheckpointerReport, CheckpointerStats,
-};
+pub use checkpointer::{CheckpointRecord, CheckpointerReport, CheckpointerStats};
 pub use error::EngineError;
-pub use ingest::{
-    BackpressurePolicy, Batch, CheckpointCadence, IngestConfig, IngestProducer, IngestQueue,
-    IngestStats, ProducerMark, SendError,
-};
-pub use manifest::{Manifest, ManifestFrame, ManifestInfo, ManifestTiering, MANIFEST_FILE};
-pub use registry::{CounterEngine, EngineConfig, EngineStats, ShardRouter};
+pub use ingest::{BackpressurePolicy, Batch, IngestConfig, IngestStats, ProducerMark, SendError};
+pub use manifest::{Manifest, ManifestFrame, ManifestTiering};
+pub use registry::{CounterEngine, EngineConfig, EngineStats};
 pub use snapshot::EngineSnapshot;
 pub use store::{
     RecoveryReport, Store, StoreBuilder, StoreOptions, StoreReader, StoreReport, StoreStats,
     StoreWriter,
 };
 
-// The serialization contract checkpoints are written against — and the
-// runtime family selection the store builds on — re-exported so engine
-// users need not depend on `ac-core` directly for them.
-pub use ac_core::{CounterFamily, CounterSpec, StateCodec};
+// The runtime family selection the store and the checkpoint ladders take,
+// re-exported so engine users need not depend on `ac-core` for it.
+pub use ac_core::CounterSpec;

@@ -1,6 +1,6 @@
 //! The on-disk store manifest: a small, append-only, line-checksummed
 //! index of a durability directory, written by the
-//! [`BackgroundCheckpointer`](crate::BackgroundCheckpointer) and read by
+//! [`BackgroundCheckpointer`](crate::checkpointer::BackgroundCheckpointer) and read by
 //! `Store::open` to discover what a directory holds without parsing every
 //! frame.
 //!
@@ -52,7 +52,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// File name of the manifest inside a durability directory.
-pub const MANIFEST_FILE: &str = "store.manifest";
+pub(crate) const MANIFEST_FILE: &str = "store.manifest";
 
 /// The tiering identity a manifest header pins for a tiered store: the
 /// ladder's specs (rung 0 = default) and the global bit budget. Part of
@@ -72,16 +72,16 @@ pub struct ManifestTiering {
 /// files are namespaced per session so restarted stores never clobber
 /// earlier frames).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ManifestInfo {
+pub(crate) struct ManifestInfo {
     /// The runtime family specification recorded in the header.
-    pub spec: CounterSpec,
+    pub(crate) spec: CounterSpec,
     /// The engine configuration recorded in the header.
-    pub config: EngineConfig,
+    pub(crate) config: EngineConfig,
     /// This writer session's number (0 for the first; `Store::open`
     /// continues at [`Manifest::next_session`]).
-    pub session: u64,
+    pub(crate) session: u64,
     /// The tier ladder and budget, for a tiered store.
-    pub tiering: Option<ManifestTiering>,
+    pub(crate) tiering: Option<ManifestTiering>,
 }
 
 /// One frame line of the manifest.
@@ -444,7 +444,7 @@ impl Manifest {
     /// Atomically replaces the whole manifest with `frames` under the
     /// same header — the compaction commit point. The new text is
     /// written to a temp file, fsynced, then renamed over
-    /// [`MANIFEST_FILE`] (and the directory fsynced), so readers see
+    /// the manifest file (and the directory fsynced), so readers see
     /// either the old chain or the new one in full; a crash anywhere
     /// before the rename leaves the old manifest — and the chain it
     /// lists — untouched and valid.

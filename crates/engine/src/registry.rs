@@ -25,7 +25,7 @@
 use crate::checkpointer::CheckpointerStats;
 use crate::ingest::{IngestStats, ProducerMark};
 use crate::shard::{route, Shard};
-use ac_core::{ApproxCounter, CoreError, Mergeable};
+use ac_core::{ApproxCounter, CoreError, CounterFamily, CounterSpec, Mergeable, TierMove};
 use ac_randkit::{RandomSource, SplitMix64};
 use std::sync::Arc;
 
@@ -77,60 +77,32 @@ impl Default for EngineConfig {
 }
 
 /// The key→shard partition of an engine, as a standalone copyable value:
-/// the routing salt (derived from the config seed exactly as the engine
-/// derives it) plus the shard count, applied through the same SplitMix64
-/// finalizer + Lemire range reduction as [`CounterEngine::shard_of`].
-///
-/// This is what lets *producers* route pairs at send time — the
-/// ingest layer ([`IngestQueue::new`](crate::IngestQueue::new)) hashes
-/// each key once, where the data is cache-hot, instead of paying a second
-/// pass on the drain thread. Two routers are interchangeable iff
-/// they compare equal; [`CounterEngine::router`] is the canonical way to
-/// obtain the router matching an engine.
+/// the routing salt plus the shard count, applied through the same
+/// SplitMix64 finalizer + Lemire range reduction as
+/// [`CounterEngine::shard_of`]. Producers route pairs with it at send
+/// time, so each key is hashed once, where the data is cache-hot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardRouter {
+pub(crate) struct ShardRouter {
     salt: u64,
     shards: usize,
 }
 
 impl ShardRouter {
-    /// Derives the router every engine built from `config` uses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.shards` is zero.
-    #[must_use]
-    pub fn new(config: EngineConfig) -> Self {
-        assert!(config.shards > 0, "router needs at least one shard");
-        let (salt, _) = salt_for(config.seed);
-        Self {
-            salt,
-            shards: config.shards,
-        }
-    }
-
     /// The shard count this router partitions keys over.
-    #[must_use]
-    pub fn shards(&self) -> usize {
+    pub(crate) fn shards(&self) -> usize {
         self.shards
     }
 
     /// The shard `key` routes to — identical to
-    /// [`CounterEngine::shard_of`] on any engine with the same config.
+    /// [`CounterEngine::shard_of`] on the engine the router came from.
     #[inline]
-    #[must_use]
-    pub fn shard_of(&self, key: u64) -> usize {
+    pub(crate) fn shard_of(&self, key: u64) -> usize {
         route(self.salt, self.shards, key)
-    }
-
-    pub(crate) fn from_parts(salt: u64, shards: usize) -> Self {
-        Self { salt, shards }
     }
 }
 
 /// The routing salt and per-shard seeder derived from `seed` — engine
-/// construction, checkpoint restore, and [`ShardRouter::new`] must all
-/// derive them identically.
+/// construction and checkpoint restore must derive them identically.
 fn salt_for(seed: u64) -> (u64, SplitMix64) {
     let mut seeder = SplitMix64::new(seed);
     let salt = seeder.next_u64();
@@ -236,22 +208,35 @@ impl EngineStats {
 /// without the parameter check `merge_from` makes: every caller folds
 /// clones of one template (per tier, in a tiered fold).
 #[derive(Debug, Clone)]
-pub(crate) struct Fold<C> {
-    acc: C,
+pub(crate) struct Fold {
+    acc: CounterFamily,
     pending: u64,
+    /// Counters merged so far: what the `O(sampled keys)` bound counts.
+    #[cfg(test)]
+    pub(crate) merges: u64,
 }
 
-impl<C: ApproxCounter + Mergeable + Clone> Fold<C> {
+impl Fold {
     /// A fold whose running aggregate starts at `start`.
-    pub(crate) fn onto(start: C) -> Self {
+    pub(crate) fn onto(start: CounterFamily) -> Self {
         Self {
             acc: start,
             pending: 0,
+            #[cfg(test)]
+            merges: 0,
         }
     }
 
     /// Merges the sampled counter `c` into the running aggregate.
-    pub(crate) fn merge(&mut self, c: &C, rng: &mut dyn RandomSource) -> Result<(), CoreError> {
+    pub(crate) fn merge(
+        &mut self,
+        c: &CounterFamily,
+        rng: &mut dyn RandomSource,
+    ) -> Result<(), CoreError> {
+        #[cfg(test)]
+        {
+            self.merges += 1;
+        }
         self.acc.merge_from(c, rng)
     }
 
@@ -262,7 +247,7 @@ impl<C: ApproxCounter + Mergeable + Clone> Fold<C> {
 
     /// The folded counter: the running aggregate with the summed exact
     /// counts applied.
-    pub(crate) fn finish(mut self, rng: &mut dyn RandomSource) -> C {
+    pub(crate) fn finish(mut self, rng: &mut dyn RandomSource) -> CounterFamily {
         if self.pending > 0 {
             self.acc.increment_by(self.pending, rng);
         }
@@ -275,11 +260,21 @@ impl<C: ApproxCounter + Mergeable + Clone> Fold<C> {
 /// shard, then the shards' exact sums land in one `increment_by`. Costs
 /// `O(sampled keys + shards)` and is a pure function of the shards'
 /// contents and `rng`, whatever order the keys arrived in.
-pub(crate) fn fold_shards<C: ApproxCounter + Mergeable + Clone>(
-    template: &C,
-    shards: &[Arc<Shard<C>>],
+pub(crate) fn fold_shards(
+    template: &CounterFamily,
+    shards: &[Arc<Shard>],
     rng: &mut dyn RandomSource,
-) -> Result<C, CoreError> {
+) -> Result<CounterFamily, CoreError> {
+    Ok(merge_shards(template, shards, rng)?.finish(rng))
+}
+
+/// The fold [`fold_shards`] finishes: every shard's sampled counters
+/// merged onto `template`, every exact sum counted.
+fn merge_shards(
+    template: &CounterFamily,
+    shards: &[Arc<Shard>],
+    rng: &mut dyn RandomSource,
+) -> Result<Fold, CoreError> {
     let mut fold = Fold::onto(template.clone());
     for shard in shards {
         debug_assert!(shard.books_match_scan(), "merged-aggregate books drifted");
@@ -290,25 +285,26 @@ pub(crate) fn fold_shards<C: ApproxCounter + Mergeable + Clone>(
             fold.count(n);
         }
     }
-    Ok(fold.finish(rng))
+    Ok(fold)
 }
 
 /// A hash-sharded registry of per-key approximate counters — the write
 /// layer of the engine pipeline.
 ///
 /// Every key's counter is cloned on first touch from a template (reset at
-/// construction), lives entirely within one shard, and advances through
-/// the family's batched
+/// construction) — a [`CounterFamily`], so the family is chosen at
+/// runtime by a [`CounterSpec`] — lives entirely within one shard, and
+/// advances through the family's batched
 /// [`increment_by`](ApproxCounter::increment_by) fast path. See the crate
 /// docs for the determinism and aggregation contracts, and for the
-/// surrounding layers: [`crate::IngestQueue`] feeds this type,
-/// [`CounterEngine::snapshot`] freezes it for readers,
-/// and [`crate::checkpoint`] persists it.
+/// surrounding layers: the [`Store`](crate::Store)'s ingest lanes feed
+/// this type, [`CounterEngine::snapshot`] freezes it for readers, and
+/// [`crate::checkpoint`] persists it.
 #[derive(Debug, Clone)]
-pub struct CounterEngine<C> {
+pub struct CounterEngine {
     /// Copy-on-write shard slabs; see the module docs.
-    shards: Vec<Arc<Shard<C>>>,
-    template: C,
+    shards: Vec<Arc<Shard>>,
+    template: CounterFamily,
     config: EngineConfig,
     /// Salt for the key→shard hash, derived from the config seed.
     salt: u64,
@@ -320,14 +316,14 @@ pub struct CounterEngine<C> {
     last_freeze_ns: u64,
 }
 
-impl<C: ApproxCounter + Clone> CounterEngine<C> {
+impl CounterEngine {
     /// Creates an engine whose counters are clones of `template` (reset
     /// before use, so a previously-used counter is a valid template).
     ///
     /// # Panics
     ///
     /// Panics if `config.shards` is zero.
-    pub fn new(template: C, config: EngineConfig) -> Self {
+    pub fn new(template: CounterFamily, config: EngineConfig) -> Self {
         assert!(config.shards > 0, "engine needs at least one shard");
         let mut template = template;
         template.reset();
@@ -350,9 +346,9 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
     /// config; `epoch` resumes the freeze-epoch clock from the restored
     /// checkpoint so subsequent deltas stay correctly ordered.
     pub(crate) fn from_restored(
-        template: C,
+        template: CounterFamily,
         config: EngineConfig,
-        shards: Vec<Shard<C>>,
+        shards: Vec<Shard>,
         epoch: u64,
     ) -> Self {
         assert_eq!(config.shards, shards.len(), "shard count mismatch");
@@ -379,18 +375,20 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
 
     /// The shard a key routes to — stable for the engine's lifetime (the
     /// partition is part of its identity). Public so workload tools can
-    /// construct shard-targeted traffic (e.g. the pipeline bench dirties
-    /// exactly one shard to size a delta checkpoint).
+    /// construct shard-targeted traffic (e.g. dirtying exactly one shard
+    /// to size a delta checkpoint).
     #[must_use]
     pub fn shard_of(&self, key: u64) -> usize {
         route(self.salt, self.shards.len(), key)
     }
 
     /// The engine's key→shard partition as a standalone copyable value,
-    /// for producer-side routing ([`crate::IngestQueue::new`]).
-    #[must_use]
-    pub fn router(&self) -> ShardRouter {
-        ShardRouter::from_parts(self.salt, self.shards.len())
+    /// for producer-side routing in the ingest lanes.
+    pub(crate) fn router(&self) -> ShardRouter {
+        ShardRouter {
+            salt: self.salt,
+            shards: self.shards.len(),
+        }
     }
 
     /// The routing salt (shared with snapshots).
@@ -399,7 +397,7 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
     }
 
     /// The shard slabs (read-only view for the snapshot/checkpoint layers).
-    pub(crate) fn shards(&self) -> &[Arc<Shard<C>>] {
+    pub(crate) fn shards(&self) -> &[Arc<Shard>] {
         &self.shards
     }
 
@@ -407,18 +405,18 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
     /// a placeholder. The engine is *not* a consistent view until the
     /// matching [`CounterEngine::put_shard`] — the drain only exposes it
     /// (to burst hooks) after every shard is back.
-    pub(crate) fn take_shard(&mut self, index: usize) -> Arc<Shard<C>> {
+    pub(crate) fn take_shard(&mut self, index: usize) -> Arc<Shard> {
         std::mem::replace(&mut self.shards[index], Arc::new(Shard::new(0)))
     }
 
     /// Reinstalls a shard moved out by [`CounterEngine::take_shard`].
-    pub(crate) fn put_shard(&mut self, index: usize, shard: Arc<Shard<C>>) {
+    pub(crate) fn put_shard(&mut self, index: usize, shard: Arc<Shard>) {
         self.shards[index] = shard;
     }
 
     /// Replaces whole shards with restored ones (a delta fold) and
     /// resumes the freeze-epoch clock at `epoch`.
-    pub(crate) fn install_restored(&mut self, shards: Vec<(usize, Shard<C>)>, epoch: u64) {
+    pub(crate) fn install_restored(&mut self, shards: Vec<(usize, Shard)>, epoch: u64) {
         for (idx, shard) in shards {
             self.shards[idx] = Arc::new(shard);
         }
@@ -426,7 +424,7 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
     }
 
     /// The reset template counter.
-    pub(crate) fn template(&self) -> &C {
+    pub(crate) fn template(&self) -> &CounterFamily {
         &self.template
     }
 
@@ -462,6 +460,7 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
 
     /// The current estimate for `key`, or `None` if the key was never
     /// touched.
+    #[inline]
     #[must_use]
     pub fn estimate(&self, key: u64) -> Option<f64> {
         self.shards[self.shard_of(key)]
@@ -470,8 +469,9 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
     }
 
     /// Read-only access to `key`'s counter.
+    #[inline]
     #[must_use]
-    pub fn counter(&self, key: u64) -> Option<&C> {
+    pub fn counter(&self, key: u64) -> Option<&CounterFamily> {
         self.shards[self.shard_of(key)].get(key)
     }
 
@@ -496,7 +496,7 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
 
     /// Iterates all `(key, counter)` pairs. Counter states are
     /// deterministic; iteration order is unspecified.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &C)> {
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &CounterFamily)> {
         self.shards.iter().flat_map(|s| s.entries())
     }
 
@@ -568,15 +568,10 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
     /// Propagates [`CoreError::MergeMismatch`] — unreachable when all
     /// counters are clones of one template, as here, but surfaced rather
     /// than swallowed.
-    pub fn merged_total(&self, rng: &mut dyn RandomSource) -> Result<C, CoreError>
-    where
-        C: Mergeable,
-    {
+    pub fn merged_total(&self, rng: &mut dyn RandomSource) -> Result<CounterFamily, CoreError> {
         fold_shards(&self.template, &self.shards, rng)
     }
-}
 
-impl CounterEngine<ac_core::CounterFamily> {
     /// Applies a migration plan: each move re-seeds its key's counter in
     /// the ladder's target spec (estimate-preserving, deterministic — the
     /// shard RNG streams are untouched) and tags the key with its new
@@ -595,8 +590,8 @@ impl CounterEngine<ac_core::CounterFamily> {
     /// errors from invalid specs.
     pub fn apply_migrations(
         &mut self,
-        ladder: &[ac_core::CounterSpec],
-        moves: &[ac_core::TierMove],
+        ladder: &[CounterSpec],
+        moves: &[TierMove],
     ) -> Result<u64, CoreError> {
         let mut migrated = 0u64;
         for m in moves {
@@ -619,22 +614,29 @@ impl CounterEngine<ac_core::CounterFamily> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ac_core::{ExactCounter, MorrisCounter};
     use ac_randkit::Xoshiro256PlusPlus;
 
     fn cfg(shards: usize) -> EngineConfig {
         EngineConfig { shards, seed: 42 }
     }
 
+    fn exact() -> CounterFamily {
+        CounterSpec::Exact.build().unwrap()
+    }
+
+    fn morris(a: f64) -> CounterFamily {
+        CounterSpec::Morris { a }.build().unwrap()
+    }
+
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn rejects_zero_shards() {
-        let _ = CounterEngine::new(ExactCounter::new(), cfg(0));
+        let _ = CounterEngine::new(exact(), cfg(0));
     }
 
     #[test]
     fn exact_cells_count_exactly() {
-        let mut e = CounterEngine::new(ExactCounter::new(), cfg(8));
+        let mut e = CounterEngine::new(exact(), cfg(8));
         e.apply(&[(1, 10), (2, 20), (1, 5), (3, 1)]);
         assert_eq!(e.estimate(1), Some(15.0));
         assert_eq!(e.estimate(2), Some(20.0));
@@ -646,7 +648,7 @@ mod tests {
 
     #[test]
     fn template_is_reset_before_cloning() {
-        let mut dirty = ExactCounter::new();
+        let mut dirty = exact();
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);
         dirty.increment_by(1_000, &mut rng);
         let mut e = CounterEngine::new(dirty, cfg(4));
@@ -656,7 +658,7 @@ mod tests {
 
     #[test]
     fn keys_spread_across_shards() {
-        let mut e = CounterEngine::new(ExactCounter::new(), cfg(16));
+        let mut e = CounterEngine::new(exact(), cfg(16));
         let batch: Vec<(u64, u64)> = (0..10_000u64).map(|k| (k, 1)).collect();
         e.apply(&batch);
         let stats = e.stats();
@@ -672,19 +674,19 @@ mod tests {
 
     #[test]
     fn merged_total_is_exact_for_exact_counters() {
-        let mut e = CounterEngine::new(ExactCounter::new(), cfg(8));
+        let mut e = CounterEngine::new(exact(), cfg(8));
         let batch: Vec<(u64, u64)> = (0..1_000u64).map(|k| (k, k % 17 + 1)).collect();
         e.apply(&batch);
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(3);
         let total = e.merged_total(&mut rng).unwrap();
-        assert_eq!(total.count(), e.total_events());
+        assert_eq!(total.exact_count(), Some(e.total_events()));
     }
 
     #[test]
     fn merged_total_tracks_events_for_morris() {
         // 200 keys x 5_000 increments: the merged Morris counter's
         // estimate concentrates around the exact event total.
-        let mut e = CounterEngine::new(MorrisCounter::new(0.05).unwrap(), cfg(8));
+        let mut e = CounterEngine::new(morris(0.05), cfg(8));
         let batch: Vec<(u64, u64)> = (0..200u64).map(|k| (k, 5_000)).collect();
         e.apply(&batch);
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(4);
@@ -697,7 +699,7 @@ mod tests {
 
     #[test]
     fn stats_audit_memory() {
-        let mut e = CounterEngine::new(MorrisCounter::new(1.0).unwrap(), cfg(4));
+        let mut e = CounterEngine::new(morris(1.0), cfg(4));
         e.apply(&[(1, 1_000), (2, 1_000_000)]);
         let stats = e.stats();
         assert_eq!(stats.shards, 4);
@@ -718,7 +720,7 @@ mod tests {
 
     #[test]
     fn dirty_shards_track_writes_within_the_current_epoch() {
-        let mut e = CounterEngine::new(ExactCounter::new(), cfg(8));
+        let mut e = CounterEngine::new(exact(), cfg(8));
         assert_eq!(e.stats().dirty_shards, 0);
         e.apply(&[(1, 1)]);
         assert_eq!(e.stats().dirty_shards, 1, "one shard written");
@@ -733,8 +735,51 @@ mod tests {
     }
 
     #[test]
+    fn a_fold_merges_exactly_the_sampled_keys() {
+        // The merge-law experiment's population: 5,000 keys still in the
+        // exact epoch and four sampled ones, each key's count split over
+        // four batches, restored through a checkpoint. The exact keys
+        // only add to a sum; the fold merges the sampled ones alone.
+        let spec = CounterSpec::NelsonYu {
+            eps: 0.25,
+            delta_log2: 8,
+        };
+        let mut e = CounterEngine::new(
+            spec.build().unwrap(),
+            EngineConfig::new().with_shards(16).with_seed(0),
+        );
+        let counts: Vec<(u64, u64)> = (0..5_000u64)
+            .map(|k| (k, k % 50 + 1))
+            .chain([
+                (5_000, 6_000),
+                (5_001, 20_000),
+                (5_002, 60_000),
+                (5_003, 150_000),
+            ])
+            .collect();
+        for b in 0..4u64 {
+            let batch: Vec<(u64, u64)> = counts
+                .iter()
+                .map(|&(key, n)| (key, n / 4 + u64::from(b < n % 4)))
+                .filter(|&(_, delta)| delta > 0)
+                .collect();
+            e.apply(&batch);
+        }
+        let frame = crate::checkpoint(&e.snapshot(), None, None).unwrap();
+        let restored = crate::restore_checkpoint(&[spec], &[frame.bytes()]).unwrap();
+        let sampled = restored
+            .iter()
+            .filter(|(_, c)| c.exact_count().is_none())
+            .count() as u64;
+        assert_eq!(sampled, 4, "the four heavy keys left the exact epoch");
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(0xE5_C1);
+        let fold = merge_shards(restored.template(), restored.shards(), &mut rng).unwrap();
+        assert_eq!(fold.merges, sampled);
+    }
+
+    #[test]
     fn config_is_preserved() {
-        let e = CounterEngine::new(ExactCounter::new(), cfg(8));
+        let e = CounterEngine::new(exact(), cfg(8));
         assert_eq!(e.config(), cfg(8));
     }
 }

@@ -10,12 +10,15 @@
 //!   via [`CounterSpec`];
 //! * **bit-identical durability** — the threaded routed drain, the serial
 //!   `drain_into`, and `CounterEngine::apply` on the flattened stream
-//!   produce identical checkpoint *bytes* (property test).
+//!   produce identical checkpoint *bytes* (property test);
+//! * **within 2x of raw apply** — the routed drain's throughput against
+//!   `CounterEngine::apply` on the same pairs (an ignored test: it
+//!   times, so it runs in release builds only, with `--ignored`).
 
+use crate::checkpoint::checkpoint;
+use crate::ingest::{BackpressurePolicy, IngestConfig, IngestQueue};
+use crate::registry::{CounterEngine, EngineConfig};
 use ac_core::CounterSpec;
-use ac_engine::{
-    checkpoint, BackpressurePolicy, CounterEngine, EngineConfig, IngestConfig, IngestQueue,
-};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -223,8 +226,8 @@ fn drain_with(
     seed: u64,
     events: &[(u64, u64)],
     burst_batches: usize,
-    drain: impl FnOnce(&IngestQueue, &mut CounterEngine<ac_core::CounterFamily>),
-) -> CounterEngine<ac_core::CounterFamily> {
+    drain: impl FnOnce(&IngestQueue, &mut CounterEngine),
+) -> CounterEngine {
     let mut engine = CounterEngine::new(
         spec.build().expect("valid spec"),
         EngineConfig::new().with_shards(4).with_seed(seed),
@@ -468,4 +471,108 @@ fn routed_fail_policy_rolls_back_and_conserves_under_lane_backpressure() {
     assert_eq!(stats.dropped_events, 0, "Fail never drops silently");
     assert_eq!(stats.producers[0].applied_seq, 2);
     assert_eq!(stats.producers[0].enqueued_seq, 2);
+}
+
+/// The fleet workload of the throughput check: every key touched once,
+/// then the rest of the event budget on hashed keys with small deltas,
+/// dealt round-robin into `producers` streams.
+fn producer_streams(keys: u64, events: u64, producers: u64) -> Vec<Vec<(u64, u64)>> {
+    use ac_randkit::{RandomSource, SplitMix64};
+    let mut streams: Vec<Vec<(u64, u64)>> = (0..producers).map(|_| Vec::new()).collect();
+    for key in 0..keys {
+        streams[(key % producers) as usize].push((key, 1));
+    }
+    let mut remaining = events - keys;
+    let mut gen = SplitMix64::new(0x05EE_DE13);
+    let mut turn = 0usize;
+    while remaining > 0 {
+        let key = gen.next_u64() % keys;
+        let delta = (1 + gen.next_u64() % 32).min(remaining);
+        streams[turn % producers as usize].push((key, delta));
+        turn += 1;
+        remaining -= delta;
+    }
+    streams
+}
+
+fn throughput_engine() -> CounterEngine {
+    let spec = CounterSpec::NelsonYu {
+        eps: 0.2,
+        delta_log2: 8,
+    };
+    CounterEngine::new(
+        spec.build().expect("valid spec"),
+        EngineConfig::new().with_shards(32).with_seed(0xE13),
+    )
+}
+
+/// `CounterEngine::apply` on every stream in turn, no queue: the bound
+/// any ingest path chases. Events per second.
+fn raw_apply_rate(streams: &[Vec<(u64, u64)>], events: u64) -> f64 {
+    let mut engine = throughput_engine();
+    let start = std::time::Instant::now();
+    for stream in streams {
+        for chunk in stream.chunks(4096) {
+            engine.apply(chunk);
+        }
+    }
+    let secs = start.elapsed().as_secs_f64();
+    assert_eq!(engine.total_events(), events, "raw apply lost events");
+    events as f64 / secs
+}
+
+/// One producer thread per stream into a fresh queue, emptied by the
+/// routed drain on this thread. Events per second.
+fn routed_rate(streams: &[Vec<(u64, u64)>], events: u64) -> f64 {
+    let mut engine = throughput_engine();
+    let queue = IngestQueue::new(IngestConfig::default(), engine.router());
+    let start = std::time::Instant::now();
+    let applied = thread::scope(|s| {
+        let handles: Vec<_> = streams
+            .iter()
+            .map(|stream| {
+                let mut p = queue.producer();
+                s.spawn(move || {
+                    for &(key, delta) in stream {
+                        p.record(key, delta);
+                    }
+                })
+            })
+            .collect();
+        s.spawn(|| {
+            for h in handles {
+                h.join().expect("producer");
+            }
+            queue.close();
+        });
+        queue.drain_routed(&mut engine, None, |_, _| {})
+    });
+    let secs = start.elapsed().as_secs_f64();
+    assert_eq!(applied, events, "routed drain lost events");
+    events as f64 / secs
+}
+
+/// The routed drain keeps raw apply within 2x: 500K events over 50K
+/// keys from four producers into 32 shards. The routed leg takes the
+/// best of three runs, because one descheduled burst on a loaded or
+/// single-core host can swing a single run by more than the gap.
+#[test]
+#[ignore = "times the routed drain; run in release builds with --ignored"]
+fn within_2x_of_raw() {
+    const KEYS: u64 = 50_000;
+    const EVENTS: u64 = 500_000;
+    let streams = producer_streams(KEYS, EVENTS, 4);
+    let raw = raw_apply_rate(&streams, EVENTS);
+    let routed = (0..3)
+        .map(|_| routed_rate(&streams, EVENTS))
+        .fold(0.0f64, f64::max);
+    eprintln!(
+        "raw apply {raw:.0} events/s, routed drain {routed:.0} events/s: {:.2}x",
+        raw / routed
+    );
+    assert!(
+        raw / routed <= 2.0,
+        "raw apply {raw:.0} events/s is {:.2}x the routed drain's {routed:.0}",
+        raw / routed
+    );
 }

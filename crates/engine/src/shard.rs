@@ -30,9 +30,9 @@ pub(crate) fn route(salt: u64, shards: usize, key: u64) -> usize {
 
 /// A shard owns every counter whose key hashes to it.
 ///
-/// Counters live in a dense slab (`Vec<C>`) so bulk scans (aggregation,
-/// memory audits) are cache-friendly; the `HashMap` only resolves
-/// key→slot. Each shard draws from its *own* [`Xoshiro256PlusPlus`],
+/// Counters live in a dense slab (`Vec<CounterFamily>`) so bulk scans
+/// (aggregation, memory audits) are cache-friendly; the `HashMap` only
+/// resolves key→slot. Each shard draws from its *own* [`Xoshiro256PlusPlus`],
 /// seeded from the engine seed and the shard id, which makes every
 /// shard's evolution deterministic and independent of how batches are
 /// interleaved across shards — the property that lets the per-shard
@@ -55,11 +55,11 @@ pub(crate) fn route(salt: u64, shards: usize, key: u64) -> usize {
 /// most once, so under plain increments `sampled` only grows; families
 /// with no exact count (Morris, Csűrös) list every key.
 #[derive(Debug, Clone)]
-pub(crate) struct Shard<C> {
+pub(crate) struct Shard {
     /// key → slab slot. `u32` slots cap a shard at ~4 billion counters,
     /// comfortably beyond any per-shard load the engine targets.
     index: KeyIndex,
-    slab: Vec<C>,
+    slab: Vec<CounterFamily>,
     /// Per-slot accuracy-tier tags, parallel to `slab`. **Lazy:** empty
     /// means every slot sits in tier 0 (the default), so untiered engines
     /// pay zero bytes and zero branches for the tag machinery. The vec
@@ -84,7 +84,7 @@ pub(crate) struct Shard<C> {
     sampled: Vec<(u64, u32)>,
 }
 
-impl<C: ApproxCounter + Clone> Shard<C> {
+impl Shard {
     pub(crate) fn new(seed: u64) -> Self {
         Self {
             index: KeyIndex::default(),
@@ -110,7 +110,7 @@ impl<C: ApproxCounter + Clone> Shard<C> {
     pub(crate) fn from_restored(
         rng: Xoshiro256PlusPlus,
         events: u64,
-        entries: Vec<(u64, C)>,
+        entries: Vec<(u64, CounterFamily)>,
         tiers: Vec<u8>,
         dirty_epoch: u64,
     ) -> Self {
@@ -148,8 +148,11 @@ impl<C: ApproxCounter + Clone> Shard<C> {
     }
 
     /// Routes `delta` increments into `key`'s counter, materializing it
-    /// from `template` on first touch.
-    pub(crate) fn apply_one(&mut self, template: &C, key: u64, delta: u64) {
+    /// from `template` on first touch. Inlined into the per-pair apply
+    /// loops: called out of line, it cost zipf-mem about 6% of its
+    /// ingest rate.
+    #[inline(always)]
+    pub(crate) fn apply_one(&mut self, template: &CounterFamily, key: u64, delta: u64) {
         let slot = if let Some(&slot) = self.index.get(&key) {
             slot
         } else {
@@ -223,7 +226,7 @@ impl<C: ApproxCounter + Clone> Shard<C> {
 
     /// Applies a routed lane slice of pairs in order — the drains'
     /// per-shard inner loop.
-    pub(crate) fn apply_pairs(&mut self, template: &C, pairs: &[(u64, u64)]) {
+    pub(crate) fn apply_pairs(&mut self, template: &CounterFamily, pairs: &[(u64, u64)]) {
         for &(key, delta) in pairs {
             self.apply_one(template, key, delta);
         }
@@ -241,7 +244,7 @@ impl<C: ApproxCounter + Clone> Shard<C> {
         self.dirty_epoch
     }
 
-    pub(crate) fn get(&self, key: u64) -> Option<&C> {
+    pub(crate) fn get(&self, key: u64) -> Option<&CounterFamily> {
         self.index.get(&key).map(|&slot| &self.slab[slot as usize])
     }
 
@@ -262,7 +265,7 @@ impl<C: ApproxCounter + Clone> Shard<C> {
 
     /// Iterates `(key, counter)` pairs in unspecified order (the counter
     /// *states* are deterministic; only the iteration order is not).
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (u64, &C)> {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u64, &CounterFamily)> {
         self.index
             .iter()
             .map(|(&key, &slot)| (key, &self.slab[slot as usize]))
@@ -281,7 +284,7 @@ impl<C: ApproxCounter + Clone> Shard<C> {
 
     /// The counters without an exact count and their tiers, in ascending
     /// key order: the only counters the merged aggregate merges.
-    pub(crate) fn sampled_in_key_order(&self) -> impl Iterator<Item = (&C, u8)> {
+    pub(crate) fn sampled_in_key_order(&self) -> impl Iterator<Item = (&CounterFamily, u8)> {
         let mut order = self.sampled.clone();
         order.sort_unstable_by_key(|&(key, _)| key);
         order.into_iter().map(|(_, slot)| {
@@ -291,7 +294,7 @@ impl<C: ApproxCounter + Clone> Shard<C> {
     }
 
     /// Some counter in tier `tier`, if the shard holds one.
-    pub(crate) fn any_in_tier(&self, tier: u8) -> Option<&C> {
+    pub(crate) fn any_in_tier(&self, tier: u8) -> Option<&CounterFamily> {
         let slot = if self.tiers.is_empty() {
             (tier == 0 && !self.slab.is_empty()).then_some(0)
         } else {
@@ -341,7 +344,7 @@ impl<C: ApproxCounter + Clone> Shard<C> {
 
     /// Iterates `(key, counter, tier)` triples in unspecified order — the
     /// tiered checkpoint writer's view.
-    pub(crate) fn entries_tagged(&self) -> impl Iterator<Item = (u64, &C, u8)> {
+    pub(crate) fn entries_tagged(&self) -> impl Iterator<Item = (u64, &CounterFamily, u8)> {
         self.index.iter().map(|(&key, &slot)| {
             (
                 key,
@@ -382,9 +385,7 @@ impl<C: ApproxCounter + Clone> Shard<C> {
         }
         self.tiers[slot] = tier;
     }
-}
 
-impl Shard<CounterFamily> {
     /// Migrates `key`'s counter to `spec` via the estimate-preserving
     /// [`CounterFamily::migrate_to`] and tags it `tier`, keeping the
     /// shard's incremental `state_bits` and merged-aggregate books

@@ -30,13 +30,13 @@
 //! snapshot and the caller's RNG, so a primary, its replica and a
 //! restored copy pinned to the same contents and seed agree on it.
 //!
-//! [`CounterEngine::snapshot_deep`] keeps the PR 3 stop-the-world
-//! `O(keys)` deep-clone freeze alive as a benchmark baseline and as the
-//! oracle for the CoW-equivalence property tests.
+//! [`CounterEngine::snapshot_deep`] keeps the stop-the-world `O(keys)`
+//! deep-clone freeze alive as the oracle for the CoW-equivalence property
+//! tests.
 
 use crate::registry::{fold_shards, CounterEngine, EngineConfig, Fold};
 use crate::shard::{route, Shard};
-use ac_core::{ApproxCounter, CoreError, Mergeable};
+use ac_core::{ApproxCounter, CoreError, CounterFamily};
 use ac_randkit::RandomSource;
 use std::sync::Arc;
 use std::time::Instant;
@@ -46,9 +46,9 @@ use std::time::Instant;
 /// Created by [`CounterEngine::snapshot`]; cloning is cheap (shared
 /// frozen shards). Every query runs lock-free against the frozen data.
 #[derive(Debug, Clone)]
-pub struct EngineSnapshot<C> {
-    pub(crate) shards: Vec<Arc<Shard<C>>>,
-    pub(crate) template: C,
+pub struct EngineSnapshot {
+    pub(crate) shards: Vec<Arc<Shard>>,
+    pub(crate) template: CounterFamily,
     config: EngineConfig,
     salt: u64,
     /// The freeze epoch this replica belongs to; the delta-checkpoint
@@ -58,7 +58,7 @@ pub struct EngineSnapshot<C> {
     events: u64,
 }
 
-impl<C: ApproxCounter + Clone> CounterEngine<C> {
+impl CounterEngine {
     /// Freezes a read replica of the engine's current state: `O(shards)`
     /// `Arc` clones plus an `O(shards)` metadata scan. No counter is
     /// copied here; shards the writer touches after this call are cloned
@@ -67,21 +67,20 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
     /// Takes `&mut self` because a freeze advances the engine's epoch
     /// clock (and records its own duration for
     /// [`EngineStats::last_freeze_ns`](crate::EngineStats::last_freeze_ns)).
-    pub fn snapshot(&mut self) -> EngineSnapshot<C> {
+    pub fn snapshot(&mut self) -> EngineSnapshot {
         let start = Instant::now();
-        let shards: Vec<Arc<Shard<C>>> = self.shards().to_vec();
+        let shards: Vec<Arc<Shard>> = self.shards().to_vec();
         let snap = self.freeze_parts(shards, start);
         debug_assert_eq!(snap.epoch + 1, self.epoch());
         snap
     }
 
-    /// The PR 3 freeze: deep-clones every slab, `O(keys)`, stopping the
-    /// world for the duration. Kept as the measured baseline the
-    /// copy-on-write path is benchmarked against, and as the oracle in
-    /// the CoW-equivalence property tests — not for production use.
-    pub fn snapshot_deep(&mut self) -> EngineSnapshot<C> {
+    /// The stop-the-world freeze: deep-clones every slab, `O(keys)`.
+    /// Kept as the oracle in the CoW-equivalence property tests — not
+    /// for production use.
+    pub fn snapshot_deep(&mut self) -> EngineSnapshot {
         let start = Instant::now();
-        let shards: Vec<Arc<Shard<C>>> = self
+        let shards: Vec<Arc<Shard>> = self
             .shards()
             .iter()
             .map(|s| Arc::new(s.as_ref().clone()))
@@ -89,7 +88,7 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
         self.freeze_parts(shards, start)
     }
 
-    fn freeze_parts(&mut self, shards: Vec<Arc<Shard<C>>>, start: Instant) -> EngineSnapshot<C> {
+    fn freeze_parts(&mut self, shards: Vec<Arc<Shard>>, start: Instant) -> EngineSnapshot {
         let keys = shards.iter().map(|s| s.len()).sum();
         let events = shards.iter().map(|s| s.events()).sum();
         let snap = EngineSnapshot {
@@ -107,17 +106,20 @@ impl<C: ApproxCounter + Clone> CounterEngine<C> {
     }
 }
 
-impl<C: ApproxCounter + Clone> EngineSnapshot<C> {
+impl EngineSnapshot {
     /// The estimate for `key` at freeze time, or `None` if the key had
     /// never been touched.
+    #[inline]
     #[must_use]
     pub fn estimate(&self, key: u64) -> Option<f64> {
         self.counter(key).map(ApproxCounter::estimate)
     }
 
-    /// Read-only access to `key`'s frozen counter.
+    /// Read-only access to `key`'s frozen counter. Inlined into the
+    /// point-read paths, which call it once per query.
+    #[inline]
     #[must_use]
-    pub fn counter(&self, key: u64) -> Option<&C> {
+    pub fn counter(&self, key: u64) -> Option<&CounterFamily> {
         self.shards[route(self.salt, self.shards.len(), key)].get(key)
     }
 
@@ -152,10 +154,7 @@ impl<C: ApproxCounter + Clone> EngineSnapshot<C> {
     ///
     /// Propagates [`CoreError::MergeMismatch`] from the fold —
     /// unreachable when all counters are clones of one template, as here.
-    pub fn merged_total(&self, rng: &mut dyn RandomSource) -> Result<C, CoreError>
-    where
-        C: Mergeable,
-    {
+    pub fn merged_total(&self, rng: &mut dyn RandomSource) -> Result<CounterFamily, CoreError> {
         fold_shards(&self.template, &self.shards, rng)
     }
 
@@ -204,7 +203,7 @@ impl<C: ApproxCounter + Clone> EngineSnapshot<C> {
     }
 
     /// Iterates all frozen `(key, counter)` pairs, in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &C)> {
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &CounterFamily)> {
         self.shards.iter().flat_map(|s| s.entries())
     }
 
@@ -215,9 +214,7 @@ impl<C: ApproxCounter + Clone> EngineSnapshot<C> {
     pub fn counter_state_bits(&self) -> u64 {
         self.shards.iter().map(|s| s.state_bits()).sum()
     }
-}
 
-impl EngineSnapshot<ac_core::CounterFamily> {
     /// The cross-shard merged aggregate for a **tiered** snapshot, where
     /// keys on different rungs hold different counter families and a
     /// single [`EngineSnapshot::merged_total`] fold would refuse to mix
@@ -245,7 +242,7 @@ impl EngineSnapshot<ac_core::CounterFamily> {
         tiers: usize,
         rng: &mut dyn RandomSource,
     ) -> Result<f64, CoreError> {
-        let mut folds: Vec<Option<Fold<ac_core::CounterFamily>>> = vec![None; tiers];
+        let mut folds: Vec<Option<Fold>> = vec![None; tiers];
         let mut exact = vec![0u64; tiers];
         for shard in &self.shards {
             debug_assert!(shard.books_match_scan(), "merged-aggregate books drifted");
@@ -291,16 +288,24 @@ impl EngineSnapshot<ac_core::CounterFamily> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ac_core::{ExactCounter, NelsonYuCounter, NyParams};
+    use ac_core::{CounterSpec, Mergeable};
     use ac_randkit::Xoshiro256PlusPlus;
 
     fn cfg() -> EngineConfig {
         EngineConfig { shards: 8, seed: 5 }
     }
 
+    fn exact() -> CounterFamily {
+        CounterSpec::Exact.build().unwrap()
+    }
+
+    fn ny(eps: f64, delta_log2: u32) -> CounterFamily {
+        CounterSpec::NelsonYu { eps, delta_log2 }.build().unwrap()
+    }
+
     #[test]
     fn snapshot_is_a_faithful_point_in_time_copy() {
-        let mut e = CounterEngine::new(ExactCounter::new(), cfg());
+        let mut e = CounterEngine::new(exact(), cfg());
         e.apply(&[(1, 10), (2, 20), (3, 30)]);
         let snap = e.snapshot();
 
@@ -311,7 +316,7 @@ mod tests {
         assert_eq!(snap.len(), 3);
         assert_eq!(snap.total_events(), 60);
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);
-        assert_eq!(snap.merged_total(&mut rng).unwrap().count(), 60);
+        assert_eq!(snap.merged_total(&mut rng).unwrap().exact_count(), Some(60));
         assert_eq!(e.estimate(1), Some(110.0), "writer advanced independently");
         assert_eq!(snap.iter().count(), 3);
         assert_eq!(snap.config(), cfg());
@@ -319,7 +324,7 @@ mod tests {
 
     #[test]
     fn clones_share_frozen_shards() {
-        let mut e = CounterEngine::new(ExactCounter::new(), cfg());
+        let mut e = CounterEngine::new(exact(), cfg());
         e.apply(&[(1, 1), (2, 2)]);
         let snap = e.snapshot();
         let replica = snap.clone();
@@ -334,7 +339,7 @@ mod tests {
         // The CoW contract itself: at freeze time no slab is copied (the
         // snapshot and engine share every shard); the first write to a
         // shard splits that shard and only that shard.
-        let mut e = CounterEngine::new(ExactCounter::new(), cfg());
+        let mut e = CounterEngine::new(exact(), cfg());
         let batch: Vec<(u64, u64)> = (0..500u64).map(|k| (k, 1)).collect();
         e.apply(&batch);
         let snap = e.snapshot();
@@ -359,8 +364,7 @@ mod tests {
 
     #[test]
     fn merged_aggregate_tracks_event_total_for_approximate_families() {
-        let p = NyParams::new(0.2, 8).unwrap();
-        let mut e = CounterEngine::new(NelsonYuCounter::new(p), cfg());
+        let mut e = CounterEngine::new(ny(0.2, 8), cfg());
         let batch: Vec<(u64, u64)> = (0..500u64).map(|k| (k, 1_000)).collect();
         e.apply(&batch);
         let snap = e.snapshot();
@@ -373,8 +377,7 @@ mod tests {
 
     #[test]
     fn snapshot_state_bits_match_engine_stats() {
-        let p = NyParams::new(0.25, 6).unwrap();
-        let mut e = CounterEngine::new(NelsonYuCounter::new(p), cfg());
+        let mut e = CounterEngine::new(ny(0.25, 6), cfg());
         e.apply(&(0..200u64).map(|k| (k, k + 1)).collect::<Vec<_>>());
         let snap = e.snapshot();
         assert_eq!(snap.counter_state_bits(), e.stats().state_bits_total);
@@ -382,8 +385,7 @@ mod tests {
 
     #[test]
     fn deep_snapshot_matches_cow_snapshot() {
-        let p = NyParams::new(0.25, 6).unwrap();
-        let mut e = CounterEngine::new(NelsonYuCounter::new(p), cfg());
+        let mut e = CounterEngine::new(ny(0.25, 6), cfg());
         e.apply(&(0..300u64).map(|k| (k, 3 * k + 1)).collect::<Vec<_>>());
         let cow = e.snapshot();
         let deep = e.snapshot_deep();
@@ -413,14 +415,14 @@ mod tests {
     fn merged_total_cache_is_exact_for_exact_counters() {
         // With the deterministic exact merge, every freeze's merged total
         // equals the frozen event count.
-        let mut e = CounterEngine::new(ExactCounter::new(), cfg());
+        let mut e = CounterEngine::new(exact(), cfg());
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(2);
         for round in 0..5u64 {
             e.apply(&[(round, 10 + round), (7 * round + 3, 1)]);
             let snap = e.snapshot();
             assert_eq!(
-                snap.merged_total(&mut rng).unwrap().count(),
-                snap.total_events(),
+                snap.merged_total(&mut rng).unwrap().exact_count(),
+                Some(snap.total_events()),
                 "round {round}"
             );
         }
@@ -428,9 +430,8 @@ mod tests {
 
     #[test]
     fn tier_migrations_evict_stale_tiered_folds() {
-        use ac_core::{CounterSpec, TierMove};
-        let template = CounterSpec::Exact.build().unwrap();
-        let mut e = CounterEngine::new(template, cfg());
+        use ac_core::TierMove;
+        let mut e = CounterEngine::new(exact(), cfg());
         let batch: Vec<(u64, u64)> = (0..64u64).map(|k| (k, 12)).collect();
         e.apply(&batch);
         let ladder = [CounterSpec::Exact, CounterSpec::Csuros { mantissa_bits: 1 }];
@@ -466,7 +467,6 @@ mod tests {
 
     #[test]
     fn exact_counter_folds_are_the_exact_total_and_draw_nothing() {
-        use ac_core::CounterSpec;
         let batch: Vec<(u64, u64)> = (0..3_000u64).map(|k| (k, k % 23 + 1)).collect();
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(21);
         let mut counting = CountingSource {
@@ -474,15 +474,14 @@ mod tests {
             draws: 0,
         };
 
-        let mut e = CounterEngine::new(ExactCounter::new(), cfg());
+        let mut e = CounterEngine::new(exact(), cfg());
         e.apply(&batch);
         let n = e.total_events();
-        assert_eq!(e.merged_total(&mut counting).unwrap().count(), n);
-        assert_eq!(e.snapshot().merged_total(&mut counting).unwrap().count(), n);
-
-        let mut f = CounterEngine::new(CounterSpec::Exact.build().unwrap(), cfg());
-        f.apply(&batch);
-        let snap = f.snapshot();
+        assert_eq!(
+            e.merged_total(&mut counting).unwrap().exact_count(),
+            Some(n)
+        );
+        let snap = e.snapshot();
         assert_eq!(
             snap.merged_total(&mut counting).unwrap().estimate(),
             n as f64
@@ -501,8 +500,7 @@ mod tests {
     fn all_sampled_folds_keep_the_pairwise_draws() {
         // No key has an exact count, so the fold is the pairwise fold
         // in (shard, key) order, draw for draw.
-        let p = NyParams::new(0.2, 8).unwrap();
-        let mut e = CounterEngine::new(NelsonYuCounter::new(p), cfg());
+        let mut e = CounterEngine::new(ny(0.2, 8), cfg());
         e.apply(
             &(0..50u64)
                 .rev()
@@ -526,9 +524,8 @@ mod tests {
 
     #[test]
     fn tiered_fold_sums_an_exact_count_tier() {
-        use ac_core::{CounterSpec, TierMove};
-        let template = CounterSpec::Exact.build().unwrap();
-        let mut e = CounterEngine::new(template, cfg());
+        use ac_core::TierMove;
+        let mut e = CounterEngine::new(exact(), cfg());
         e.apply(&(0..400u64).map(|k| (k, k % 9 + 1)).collect::<Vec<_>>());
         e.apply(&[(1_000, 50_000), (1_001, 70_000)]);
         let ladder = [
@@ -576,10 +573,10 @@ mod tests {
 
     #[test]
     fn empty_engine_snapshots_cleanly() {
-        let mut e = CounterEngine::new(ExactCounter::new(), cfg());
+        let mut e = CounterEngine::new(exact(), cfg());
         let snap = e.snapshot();
         assert!(snap.is_empty());
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(5);
-        assert_eq!(snap.merged_total(&mut rng).unwrap().count(), 0);
+        assert_eq!(snap.merged_total(&mut rng).unwrap().exact_count(), Some(0));
     }
 }

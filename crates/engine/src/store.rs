@@ -1,19 +1,19 @@
 //! The [`Store`]: the engine pipeline under one roof, as a running
 //! service.
 //!
-//! The layered API (ingest → engine → snapshot → checkpoint) stays public
-//! as the expert surface, but deploying it means hand-wiring four layers,
-//! fixing the counter family at compile time, and writing your own crash
-//! recovery. The store is the service-shaped answer:
+//! The engine, its snapshots and the four checkpoint functions stay public
+//! as the expert surface, but deploying them means hand-wiring ingest,
+//! checkpoint cadence and crash recovery. The store is the service-shaped
+//! answer:
 //!
 //! * **one builder** — [`Store::builder`] takes a runtime
 //!   [`CounterSpec`] (family + parameters as data) plus shard, ingest,
 //!   and durability knobs, and [`StoreBuilder::start`] yields a running
 //!   service that owns the applier loop and the background checkpointer
 //!   internally;
-//! * **handles, not layers** — cloneable [`StoreWriter`]s (wrapping
-//!   [`IngestProducer`]s, each with its own producer id and sequence
-//!   numbers) and epoch-pinned [`StoreReader`]s (wrapping published
+//! * **handles, not layers** — cloneable [`StoreWriter`]s (each with its
+//!   own ingest producer id and sequence numbers) and epoch-pinned
+//!   [`StoreReader`]s (wrapping published
 //!   [`EngineSnapshot`]s with `estimate` / `merged_total`);
 //! * **crash recovery** — [`Store::open`] reads the directory's
 //!   [`Manifest`], rebuilds the family from the recorded spec, discovers
@@ -95,16 +95,15 @@ pub struct StoreOptions {
     pub detector_slots: usize,
     /// When set, the checkpointer's off-thread compactor folds the live
     /// base + deltas chain into a fresh base whenever it holds more than
-    /// this many frames — bounding recovery time by state size instead
-    /// of history (see
-    /// [`CheckpointerConfig::with_max_chain_len`](crate::CheckpointerConfig::with_max_chain_len)).
+    /// this many frames (base included) — bounding recovery time by
+    /// state size instead of history.
     pub compact_max_chain_len: Option<usize>,
-    /// Byte-size companion trigger for the compactor (see
-    /// [`CheckpointerConfig::with_max_chain_bytes`](crate::CheckpointerConfig::with_max_chain_bytes)).
+    /// Byte-size companion trigger for the compactor: fold once the live
+    /// chain's frame files exceed this many bytes.
     pub compact_max_chain_bytes: Option<u64>,
     /// How long superseded frame files linger after a compaction commit
-    /// stops referencing them (see
-    /// [`CheckpointerConfig::with_retention`](crate::CheckpointerConfig::with_retention)).
+    /// stops referencing them (a grace window for external backup
+    /// tooling; zero prunes immediately).
     pub retention: std::time::Duration,
 }
 
@@ -493,15 +492,14 @@ impl Drop for DirLock {
 }
 
 /// Everything the applier thread needs to run tier migrations: the
-/// planner, the ladder's built templates (also handed to the
-/// checkpointer so frames serialize as version 3), the SpaceSaving
+/// planner (whose ladder is also handed to the checkpointer so frames
+/// serialize as version 3), the SpaceSaving
 /// detector fed from the ingest tap, and the resident map of keys
 /// currently above the default tier (rebuilt from the engine's tier
 /// tags on recovery — migrations only ever run on this thread, so the
 /// map stays exact).
 struct TierSetup {
     controller: BudgetController,
-    templates: Vec<CounterFamily>,
     detector: SpaceSaving<ExactCounter>,
     rng: SplitMix64,
     resident: HashMap<u64, u8>,
@@ -522,11 +520,9 @@ impl TierSetup {
         budget_bits: u64,
         detector_slots: usize,
     ) -> Result<Self, EngineError> {
-        let templates = policy.templates()?;
         let controller = BudgetController::new(policy, budget_bits)?;
         Ok(Self {
             controller,
-            templates,
             // The detector needs no entropy for exact slot counters, but
             // the trait takes a source; any fixed seed keeps the applier
             // deterministic for a given arrival order.
@@ -554,7 +550,7 @@ impl TierSetup {
     /// is quiescent: rank the window's heavy hitters, close the detector
     /// epoch, plan promotions/demotions under the budget, and apply the
     /// estimate-preserving migrations.
-    fn round(&mut self, engine: &mut CounterEngine<CounterFamily>) {
+    fn round(&mut self, engine: &mut CounterEngine) {
         let hot: Vec<(u64, f64)> = self
             .detector
             .report()
@@ -594,7 +590,7 @@ impl TierSetup {
 #[derive(Debug)]
 struct Shared {
     /// The newest published read replica.
-    snap: RwLock<Arc<EngineSnapshot<CounterFamily>>>,
+    snap: RwLock<Arc<EngineSnapshot>>,
     /// Engine stats as of the newest publish.
     stats: Mutex<EngineStats>,
     /// Whether shutdown should cut a final durable frame (`close`) or
@@ -606,7 +602,7 @@ struct Shared {
 /// thread at batch boundaries (and once at launch / shutdown).
 fn publish(
     shared: &Shared,
-    engine: &mut CounterEngine<CounterFamily>,
+    engine: &mut CounterEngine,
     queue: &IngestQueue,
     probe: Option<&CheckpointerProbe>,
 ) {
@@ -629,7 +625,7 @@ pub struct Store {
     queue: IngestQueue,
     shared: Arc<Shared>,
     #[allow(clippy::type_complexity)]
-    applier: Option<JoinHandle<(CounterEngine<CounterFamily>, Option<CheckpointerReport>)>>,
+    applier: Option<JoinHandle<(CounterEngine, Option<CheckpointerReport>)>>,
     probe: Option<CheckpointerProbe>,
     directory: Option<PathBuf>,
     recovery: Option<RecoveryReport>,
@@ -731,7 +727,7 @@ impl Store {
         config: EngineConfig,
         opts: StoreOptions,
         durability: Option<(PathBuf, u64)>,
-        mut engine: CounterEngine<CounterFamily>,
+        mut engine: CounterEngine,
         recovery: Option<RecoveryReport>,
         lock: Option<DirLock>,
         tiering: Option<TierSetup>,
@@ -757,7 +753,7 @@ impl Store {
             .ingest
             .with_burst_batches(opts.ingest.burst_batches.min(batches_for_cap));
         let queue = IngestQueue::new(ingest, engine.router());
-        let checkpointer: Option<BackgroundCheckpointer<CounterFamily>> =
+        let checkpointer: Option<BackgroundCheckpointer> =
             durability.as_ref().map(|(dir, session)| {
                 // A tiered store's checkpointer serializes against the
                 // ladder so tier-tagged snapshots land as version-3
@@ -782,7 +778,9 @@ impl Store {
                 }
                 BackgroundCheckpointer::spawn(
                     ck_config,
-                    tiering.as_ref().map(|t| t.templates.clone()),
+                    tiering
+                        .as_ref()
+                        .map(|t| t.controller.policy().specs().to_vec()),
                 )
             });
         let probe = checkpointer.as_ref().map(BackgroundCheckpointer::probe);
@@ -991,10 +989,7 @@ impl Store {
 
     /// Common shutdown: close the queue, join the applier, return the
     /// engine and checkpoint history.
-    fn shutdown(
-        &mut self,
-        finalize: bool,
-    ) -> (CounterEngine<CounterFamily>, Option<CheckpointerReport>) {
+    fn shutdown(&mut self, finalize: bool) -> (CounterEngine, Option<CheckpointerReport>) {
         self.shared.finalize.store(finalize, Ordering::SeqCst);
         self.queue.close();
         let handle = self.applier.take().expect("store not yet shut down");
@@ -1086,8 +1081,7 @@ impl StoreWriter {
     ///
     /// # Panics
     ///
-    /// Panics if `pairs` carries no events (see
-    /// [`IngestProducer::submit_batch`](crate::IngestProducer::submit_batch)).
+    /// Panics if `pairs` carries no events.
     pub fn submit_batch(&mut self, pairs: Vec<(u64, u64)>) -> Result<u64, SendError> {
         self.producer.submit_batch(pairs)
     }
@@ -1185,7 +1179,7 @@ impl Clone for StoreWriter {
 #[derive(Debug, Clone)]
 pub struct StoreReader {
     shared: Arc<Shared>,
-    snap: Arc<EngineSnapshot<CounterFamily>>,
+    snap: Arc<EngineSnapshot>,
     seed: u64,
 }
 
@@ -1282,7 +1276,7 @@ impl StoreReader {
 
     /// The pinned frozen replica itself (the expert API underneath).
     #[must_use]
-    pub fn snapshot(&self) -> &EngineSnapshot<CounterFamily> {
+    pub fn snapshot(&self) -> &EngineSnapshot {
         &self.snap
     }
 
@@ -1297,31 +1291,26 @@ impl StoreReader {
 fn recover(
     dir: &Path,
     manifest: &Manifest,
-) -> Result<(CounterEngine<CounterFamily>, RecoveryReport), EngineError> {
+) -> Result<(CounterEngine, RecoveryReport), EngineError> {
     use crate::checkpoint::CheckpointKind;
 
     // For a tiered directory, restore against the manifest's ladder —
     // version-3 frames decode each key's state with its tier's template.
     // An untiered directory restores with the one-rung "ladder", which
     // is exactly the classic single-template restore.
-    let templates: Vec<CounterFamily> = match &manifest.tiering {
-        Some(t) => {
-            if t.ladder.first() != Some(&manifest.spec) {
-                return Err(EngineError::ManifestCorrupt {
-                    what: "manifest ladder's default rung disagrees with its spec".into(),
-                });
-            }
-            t.ladder
-                .iter()
-                .map(CounterSpec::build)
-                .collect::<Result<_, _>>()?
+    let ladder = match &manifest.tiering {
+        Some(t) if t.ladder.first() != Some(&manifest.spec) => {
+            return Err(EngineError::ManifestCorrupt {
+                what: "manifest ladder's default rung disagrees with its spec".into(),
+            });
         }
-        None => vec![manifest.spec.build()?],
+        Some(t) => t.ladder.as_slice(),
+        None => std::slice::from_ref(&manifest.spec),
     };
     let frames = &manifest.frames;
     if frames.is_empty() {
         // A store that never reached its first checkpoint: resume empty.
-        let engine = CounterEngine::new(templates[0].clone(), manifest.config);
+        let engine = CounterEngine::new(manifest.spec.build()?, manifest.config);
         let report = RecoveryReport {
             directory: dir.to_path_buf(),
             frames_in_manifest: 0,
@@ -1368,13 +1357,13 @@ fn recover(
         let Some((first, rest)) = segments.split_first() else {
             continue;
         };
-        let Ok(mut engine) = restore_checkpoint(&templates, &[first]) else {
+        let Ok(mut engine) = restore_checkpoint(ladder, &[first]) else {
             continue;
         };
         let mut tip = read_header(first).expect("a restored base has a valid header");
         let mut used = 1;
         for delta in rest {
-            let Ok(header) = fold_checkpoint_delta(&mut engine, &templates, &tip, delta) else {
+            let Ok(header) = fold_checkpoint_delta(&mut engine, ladder, &tip, delta) else {
                 break;
             };
             tip = header;

@@ -11,10 +11,7 @@
 //! digests mean equal bytes. Any change to the encoding — or to who
 //! encodes which section — that moves a single bit fails here.
 
-use ac_core::{
-    CounterFamily, CsurosCounter, ExactCounter, MorrisCounter, MorrisPlus, NelsonYuCounter,
-    NyParams, StateCodec, TierMove, TierPolicy,
-};
+use ac_core::{CounterSpec, TierMove, TierPolicy};
 use ac_engine::{
     checkpoint, compact_checkpoint, restore_checkpoint, Checkpoint, CheckpointKind, CounterEngine,
     EngineConfig, EngineSnapshot,
@@ -23,49 +20,36 @@ use ac_randkit::{RandomSource, SplitMix64};
 
 // ---- the public checkpoint API, in one place ---------------------------
 
-fn full<C: StateCodec + Clone + Send + Sync>(snap: &EngineSnapshot<C>) -> Checkpoint {
+fn full(snap: &EngineSnapshot) -> Checkpoint {
     checkpoint(snap, None, None).unwrap()
 }
 
-fn delta<C: StateCodec + Clone + Send + Sync>(
-    snap: &EngineSnapshot<C>,
-    parent: &Checkpoint,
-) -> Checkpoint {
+fn delta(snap: &EngineSnapshot, parent: &Checkpoint) -> Checkpoint {
     checkpoint(snap, None, Some(&parent.header())).unwrap()
 }
 
-fn compact_from_chain<C: StateCodec + Clone + Send + Sync>(
-    template: &C,
-    chain: &[&Checkpoint],
-) -> Checkpoint {
-    compact_tiered_from_chain(std::slice::from_ref(template), chain, None)
+fn compact_from_chain(spec: &CounterSpec, chain: &[&Checkpoint]) -> Checkpoint {
+    compact_tiered_from_chain(std::slice::from_ref(spec), chain, None)
 }
 
-fn compact_from_tip<C: StateCodec + Clone + Send + Sync>(
-    snap: &EngineSnapshot<C>,
-    tip: &Checkpoint,
-) -> Checkpoint {
+fn compact_from_tip(snap: &EngineSnapshot, tip: &Checkpoint) -> Checkpoint {
     compact_checkpoint(snap, None, &tip.header()).unwrap()
 }
 
-fn full_tiered(snap: &EngineSnapshot<CounterFamily>, ladder: &[CounterFamily]) -> Checkpoint {
+fn full_tiered(snap: &EngineSnapshot, ladder: &[CounterSpec]) -> Checkpoint {
     checkpoint(snap, Some(ladder), None).unwrap()
 }
 
-fn delta_tiered(
-    snap: &EngineSnapshot<CounterFamily>,
-    ladder: &[CounterFamily],
-    parent: &Checkpoint,
-) -> Checkpoint {
+fn delta_tiered(snap: &EngineSnapshot, ladder: &[CounterSpec], parent: &Checkpoint) -> Checkpoint {
     checkpoint(snap, Some(ladder), Some(&parent.header())).unwrap()
 }
 
 /// Restores `chain` through `ladder` and writes its compacted base,
 /// tiered when `tiers` is given.
-fn compact_tiered_from_chain<C: StateCodec + Clone + Send + Sync>(
-    ladder: &[C],
+fn compact_tiered_from_chain(
+    ladder: &[CounterSpec],
     chain: &[&Checkpoint],
-    tiers: Option<&[C]>,
+    tiers: Option<&[CounterSpec]>,
 ) -> Checkpoint {
     let segments: Vec<&[u8]> = chain.iter().map(|f| f.bytes()).collect();
     let tip = chain.last().unwrap().header();
@@ -94,11 +78,7 @@ fn seed_traffic(seed: u64) -> Vec<(u64, u64)> {
 
 /// Traffic confined to `shards`, half on existing keys and half on new
 /// ones, so a delta writes exactly those shards.
-fn shard_traffic<C: StateCodec + Clone + Send + Sync>(
-    e: &CounterEngine<C>,
-    shards: &[usize],
-    seed: u64,
-) -> Vec<(u64, u64)> {
+fn shard_traffic(e: &CounterEngine, shards: &[usize], seed: u64) -> Vec<(u64, u64)> {
     let mut gen = SplitMix64::new(seed);
     (0..2 * KEYS)
         .filter(|&k| shards.contains(&e.shard_of(key(k))))
@@ -115,8 +95,8 @@ fn golden(label: &'static str, frame: &Checkpoint) -> Golden {
 }
 
 /// Full, two deltas, and the compacted base from both routes.
-fn untiered_frames<C: StateCodec + Clone + Send + Sync>(template: C, seed: u64) -> Vec<Golden> {
-    let mut e = CounterEngine::new(template.clone(), config());
+fn untiered_frames(spec: CounterSpec, seed: u64) -> Vec<Golden> {
+    let mut e = CounterEngine::new(spec.build().unwrap(), config());
     e.apply(&seed_traffic(seed));
     let base = full(&e.snapshot());
     e.apply(&shard_traffic(&e, &[0, 3], seed + 1));
@@ -127,7 +107,7 @@ fn untiered_frames<C: StateCodec + Clone + Send + Sync>(template: C, seed: u64) 
     assert_eq!(d1.stats().shards_written, 2);
     assert_eq!(d2.stats().shards_written, 3);
 
-    let from_chain = compact_from_chain(&template, &[&base, &d1, &d2]);
+    let from_chain = compact_from_chain(&spec, &[&base, &d1, &d2]);
     let from_tip = compact_from_tip(&tip_snap, &d2);
     assert_eq!(
         from_chain.bytes(),
@@ -145,8 +125,8 @@ fn untiered_frames<C: StateCodec + Clone + Send + Sync>(template: C, seed: u64) 
 /// A version-2 base cut before tiering, then the version-3 frames.
 fn tiered_frames() -> Vec<Golden> {
     let policy = TierPolicy::default_ladder();
-    let ladder = policy.templates().unwrap();
-    let mut e = CounterEngine::new(ladder[0].clone(), config());
+    let ladder = policy.specs();
+    let mut e = CounterEngine::new(ladder[0].build().unwrap(), config());
     e.apply(&seed_traffic(50));
     let v2_base = full(&e.snapshot());
     let moves: Vec<TierMove> = (0..KEYS)
@@ -159,9 +139,9 @@ fn tiered_frames() -> Vec<Golden> {
     e.apply_migrations(policy.specs(), &moves).unwrap();
     e.apply(&shard_traffic(&e, &[1, 4], 51));
     let snap = e.snapshot();
-    let v3_delta = delta_tiered(&snap, &ladder, &v2_base);
-    let v3_full = full_tiered(&snap, &ladder);
-    let v3_compacted = compact_tiered_from_chain(&ladder, &[&v2_base, &v3_delta], Some(&ladder));
+    let v3_delta = delta_tiered(&snap, ladder, &v2_base);
+    let v3_full = full_tiered(&snap, ladder);
+    let v3_compacted = compact_tiered_from_chain(ladder, &[&v2_base, &v3_delta], Some(ladder));
     for frame in [&v3_delta, &v3_full, &v3_compacted] {
         assert_eq!(frame.header().version, 3);
     }
@@ -178,37 +158,41 @@ fn assert_golden(family: &str, got: &[Golden], want: &[Golden]) {
     assert_eq!(got, want, "{family}: frames moved; got {got:#x?}");
 }
 
-fn ny() -> NelsonYuCounter {
-    NelsonYuCounter::new(NyParams::new(0.2, 8).unwrap())
-}
-
 #[test]
 fn exact_frames_are_golden() {
-    let got = untiered_frames(ExactCounter::new(), 10);
+    let got = untiered_frames(CounterSpec::Exact, 10);
     assert_golden("exact", &got, &EXACT);
 }
 
 #[test]
 fn morris_frames_are_golden() {
-    let got = untiered_frames(MorrisCounter::new(0.25).unwrap(), 20);
+    let got = untiered_frames(CounterSpec::Morris { a: 0.25 }, 20);
     assert_golden("morris", &got, &MORRIS);
 }
 
 #[test]
 fn morris_plus_frames_are_golden() {
-    let got = untiered_frames(MorrisPlus::new(0.2, 8).unwrap(), 30);
+    let spec = CounterSpec::MorrisPlus {
+        eps: 0.2,
+        delta_log2: 8,
+    };
+    let got = untiered_frames(spec, 30);
     assert_golden("morris+", &got, &MORRIS_PLUS);
 }
 
 #[test]
 fn nelson_yu_frames_are_golden() {
-    let got = untiered_frames(ny(), 40);
+    let spec = CounterSpec::NelsonYu {
+        eps: 0.2,
+        delta_log2: 8,
+    };
+    let got = untiered_frames(spec, 40);
     assert_golden("nelson-yu", &got, &NELSON_YU);
 }
 
 #[test]
 fn csuros_frames_are_golden() {
-    let got = untiered_frames(CsurosCounter::new(8).unwrap(), 50);
+    let got = untiered_frames(CounterSpec::Csuros { mantissa_bits: 8 }, 50);
     assert_golden("csuros", &got, &CSUROS);
 }
 

@@ -13,11 +13,14 @@
 //!   draw. Debug builds also audit every shard's books against a scan
 //!   inside each fold. Because the fold follows key order, not arrival
 //!   order, an engine and its restored copy merge to equal states.
+//! * **At scale** — a keyed workload with most keys lightly touched keeps
+//!   exact event and key totals, and its merged aggregate lands within
+//!   2ε of the exact event total.
 
-use ac_core::{ApproxCounter, CounterFamily, CounterSpec, NelsonYuCounter, NyParams, TierMove};
+use ac_core::{ApproxCounter, CounterFamily, CounterSpec, TierMove};
 use ac_engine::{
     checkpoint, fold_checkpoint_delta, restore_checkpoint, Checkpoint, CounterEngine, EngineConfig,
-    EngineSnapshot, ShardRouter,
+    EngineSnapshot,
 };
 use ac_randkit::{mix64, RandomSource, Xoshiro256PlusPlus, Zipf};
 use ac_stats::ks::ks_two_sample;
@@ -25,25 +28,32 @@ use proptest::prelude::*;
 
 const TRIALS: u64 = 400;
 
-fn params() -> NyParams {
-    NyParams::new(0.2, 8).unwrap()
+const EPS: f64 = 0.2;
+
+const NY: CounterSpec = CounterSpec::NelsonYu {
+    eps: EPS,
+    delta_log2: 8,
+};
+
+fn ny() -> CounterFamily {
+    NY.build().unwrap()
 }
 
-/// How far a counter has advanced: its level plus the filled share of
-/// the current epoch. The level alone barely varies at these
+/// How far a Nelson–Yu counter has advanced: its level plus the filled
+/// share of the current epoch. The level alone barely varies at these
 /// parameters; `Y` carries the spread the KS tests need.
-fn progress(c: &NelsonYuCounter) -> f64 {
+fn progress(c: &CounterFamily) -> f64 {
+    let CounterFamily::NelsonYu(c) = c else {
+        panic!("a Nelson-Yu counter");
+    };
     c.level() as f64 + c.y() as f64 / (c.current_threshold() + 1) as f64
 }
 
 /// Three thousand keys still in the exact epoch plus three sampled
 /// ones: the shape of a Zipf key population. Returns the frozen
 /// population and its exact event total.
-fn mixed_population(seed: u64) -> (EngineSnapshot<NelsonYuCounter>, u64) {
-    let mut e = CounterEngine::new(
-        NelsonYuCounter::new(params()),
-        EngineConfig::new().with_shards(8).with_seed(seed),
-    );
+fn mixed_population(seed: u64) -> (EngineSnapshot, u64) {
+    let mut e = CounterEngine::new(ny(), EngineConfig::new().with_shards(8).with_seed(seed));
     let mut batch: Vec<(u64, u64)> = (0..3_000u64).map(|k| (k, k % 40 + 1)).collect();
     batch.extend([(10_001, 6_000), (10_002, 20_000), (10_003, 90_000)]);
     e.apply(&batch);
@@ -59,13 +69,10 @@ fn mixed_population(seed: u64) -> (EngineSnapshot<NelsonYuCounter>, u64) {
 
 /// The merge law's reference: every counter merged in turn into a
 /// fresh counter, with no exact-count shortcut.
-fn pairwise_fold(
-    snap: &EngineSnapshot<NelsonYuCounter>,
-    rng: &mut dyn RandomSource,
-) -> NelsonYuCounter {
-    let mut total = NelsonYuCounter::new(params());
+fn pairwise_fold(snap: &EngineSnapshot, rng: &mut dyn RandomSource) -> CounterFamily {
+    let mut total = ny();
     for (_, c) in snap.iter() {
-        total.merge_from(c, rng).unwrap();
+        ac_core::Mergeable::merge_from(&mut total, c, rng).unwrap();
     }
     total
 }
@@ -78,7 +85,7 @@ fn mixed_population_fold_matches_one_counter_over_the_total() {
     for trial in 0..TRIALS {
         let (snap, n) = mixed_population(1_000 + trial);
         folded.push(progress(&snap.merged_total(&mut rng).unwrap()));
-        let mut c = NelsonYuCounter::new(params());
+        let mut c = ny();
         c.increment_by(n, &mut rng);
         single.push(progress(&c));
     }
@@ -119,8 +126,10 @@ fn all_specs() -> [CounterSpec; 5] {
 
 /// A snapshot's counters in fold order: shard by shard, ascending key
 /// within each shard.
-fn fold_order(snap: &EngineSnapshot<CounterFamily>) -> Vec<(u64, &CounterFamily)> {
-    let router = ShardRouter::new(snap.config());
+fn fold_order(snap: &EngineSnapshot) -> Vec<(u64, &CounterFamily)> {
+    // The partition depends on the config alone, so a fresh engine built
+    // with the snapshot's config names every key's shard.
+    let router = CounterEngine::new(ny(), snap.config());
     let mut entries: Vec<_> = snap.iter().collect();
     entries.sort_unstable_by_key(|&(key, _)| (router.shard_of(key), key));
     entries
@@ -130,7 +139,7 @@ fn fold_order(snap: &EngineSnapshot<CounterFamily>) -> Vec<(u64, &CounterFamily)
 /// order, merge the ones without an exact count as they come, and apply
 /// the summed exact counts once at the end.
 fn reference_total(
-    snap: &EngineSnapshot<CounterFamily>,
+    snap: &EngineSnapshot,
     template: &CounterFamily,
     rng: &mut dyn RandomSource,
 ) -> CounterFamily {
@@ -155,7 +164,7 @@ fn reference_total(
 /// (onto a fresh rung counter when the tier has no sampled one); the
 /// tiers' estimates sum in ladder order.
 fn reference_tiered(
-    snap: &EngineSnapshot<CounterFamily>,
+    snap: &EngineSnapshot,
     tier_of: impl Fn(u64) -> u8,
     ladder: &[CounterSpec],
     rng: &mut dyn RandomSource,
@@ -192,7 +201,7 @@ fn rng(seed: u64) -> Xoshiro256PlusPlus {
 /// The engine's fold against the reference, same seed: equal states
 /// and equal RNG streams afterwards.
 fn assert_total_matches_reference(
-    snap: &EngineSnapshot<CounterFamily>,
+    snap: &EngineSnapshot,
     template: &CounterFamily,
     seed: u64,
 ) -> Result<(), TestCaseError> {
@@ -205,8 +214,8 @@ fn assert_total_matches_reference(
 
 /// Two snapshots holding the same counters merge to equal states.
 fn assert_same_total(
-    a: &EngineSnapshot<CounterFamily>,
-    b: &EngineSnapshot<CounterFamily>,
+    a: &EngineSnapshot,
+    b: &EngineSnapshot,
     seed: u64,
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(
@@ -236,8 +245,8 @@ proptest! {
         let config = EngineConfig::new().with_shards(4).with_seed(seed);
         let mut engine = CounterEngine::new(template.clone(), config);
         let mut frames: Vec<Checkpoint> = Vec::new();
-        let mut replica: Option<CounterEngine<CounterFamily>> = None;
-        let one_rung = std::slice::from_ref(&template);
+        let mut replica: Option<CounterEngine> = None;
+        let one_rung = std::slice::from_ref(&spec);
         for batch in &batches {
             engine.apply(batch);
             let snap = engine.snapshot();
@@ -267,7 +276,6 @@ proptest! {
         let other = if spec == CounterSpec::Exact { all_specs()[3] } else { CounterSpec::Exact };
         let ladder = [spec, other];
         let moves: Vec<TierMove> = moves.iter().map(|&(key, tier)| TierMove { key, tier }).collect();
-        let templates: Vec<CounterFamily> = ladder.iter().map(|s| s.build().unwrap()).collect();
         for round in 0..2 {
             if round == 0 {
                 engine.apply_migrations(&ladder, &moves).unwrap();
@@ -281,8 +289,8 @@ proptest! {
             prop_assert_eq!(tiered, expected);
             prop_assert_eq!(a.next_u64(), b.next_u64());
 
-            let frame = checkpoint(&snap, Some(&templates), None).unwrap();
-            let copy = restore_checkpoint(&templates, &[frame.bytes()]).unwrap().snapshot();
+            let frame = checkpoint(&snap, Some(&ladder), None).unwrap();
+            let copy = restore_checkpoint(&ladder, &[frame.bytes()]).unwrap().snapshot();
             prop_assert_eq!(
                 copy.merged_estimate_tiered(ladder.len(), &mut rng(seed)).unwrap(),
                 tiered
@@ -303,15 +311,13 @@ fn zipf_stream(keys: u64, events: usize, seed: u64) -> Vec<(u64, u64)> {
 
 #[test]
 fn an_engine_and_its_restored_copy_merge_to_equal_states() {
-    let template = CounterSpec::NelsonYu {
+    let spec = CounterSpec::NelsonYu {
         eps: 0.3,
         delta_log2: 2,
-    }
-    .build()
-    .unwrap();
+    };
     for seed in 0..20u64 {
         let mut engine = CounterEngine::new(
-            template.clone(),
+            spec.build().unwrap(),
             EngineConfig::new().with_shards(8).with_seed(seed),
         );
         for batch in zipf_stream(20_000, 60_000, seed).chunks(1_024) {
@@ -323,12 +329,10 @@ fn an_engine_and_its_restored_copy_merge_to_equal_states() {
             .filter(|(_, c)| c.exact_count().is_none())
             .count();
         assert!(sampled >= 10, "seed {seed}: only {sampled} sampled keys");
-        let restored = restore_checkpoint(
-            std::slice::from_ref(&template),
-            &[checkpoint(&snap, None, None).unwrap().bytes()],
-        )
-        .unwrap()
-        .snapshot();
+        let restored =
+            restore_checkpoint(&[spec], &[checkpoint(&snap, None, None).unwrap().bytes()])
+                .unwrap()
+                .snapshot();
         let fold_seed = mix64(seed);
         assert_eq!(
             snap.merged_total(&mut rng(fold_seed)).unwrap(),
@@ -336,4 +340,35 @@ fn an_engine_and_its_restored_copy_merge_to_equal_states() {
             "seed {seed}"
         );
     }
+}
+
+/// The keyed workload at test size: every key touched once, then the
+/// rest of the event budget on hashed keys with small deltas, so most
+/// counters see light traffic. Event and key totals are exact, and the
+/// cross-shard merged aggregate lands within 2ε of the exact total.
+#[test]
+fn keyed_workload_books_exactly_and_merges_within_two_eps() {
+    const KEYS: u64 = 20_000;
+    const EVENTS: u64 = 200_000;
+    let mut engine = CounterEngine::new(ny(), EngineConfig::new().with_shards(32).with_seed(0xE12));
+    let mut pairs: Vec<(u64, u64)> = (0..KEYS).map(|key| (key, 1)).collect();
+    let mut remaining = EVENTS - KEYS;
+    let mut keygen = rng(0x5EED);
+    while remaining > 0 {
+        let key = keygen.next_u64() % KEYS;
+        let delta = (1 + keygen.next_u64() % 32).min(remaining);
+        pairs.push((key, delta));
+        remaining -= delta;
+    }
+    for chunk in pairs.chunks(1 << 16) {
+        engine.apply(chunk);
+    }
+    let stats = engine.stats();
+    assert_eq!(stats.events, EVENTS, "exact event bookkeeping");
+    assert_eq!(stats.keys as u64, KEYS, "every key materialized");
+
+    let total = engine.merged_total(&mut rng(0xE12_A66)).unwrap();
+    let exact = EVENTS as f64;
+    let rel = (total.estimate() - exact).abs() / exact;
+    assert!(rel <= 2.0 * EPS, "merged rel err {rel} past 2 eps");
 }

@@ -4,29 +4,47 @@
 //! counter families; the copy-on-write freeze is bit-identical to the
 //! legacy deep-clone freeze under arbitrary interleavings of writes and
 //! freezes; base + delta chains fold back to exactly the engine a full
-//! checkpoint restores — RNG streams included; and corrupted checkpoints,
+//! checkpoint restores — RNG streams included; corrupted checkpoints,
 //! broken chains, and mismatched restores are rejected with typed errors,
-//! never a panic or a silently wrong engine.
+//! never a panic or a silently wrong engine; and at fleet shape a full
+//! frame costs about its counters' state bits, a restore continues the
+//! random stream, and a delta after touching 1% of shards costs about 1%
+//! of a full frame.
 
-use ac_bitio::{BitVec, BitWriter};
-use ac_core::{
-    CsurosCounter, ExactCounter, MorrisCounter, MorrisPlus, NelsonYuCounter, NyParams, StateCodec,
-};
+use ac_bitio::{BitVec, BitWriter, StateBits};
+use ac_core::{ApproxCounter, CounterFamily, CounterSpec, StateCodec};
 use ac_engine::{
     checkpoint, fold_checkpoint_delta, restore_checkpoint, Checkpoint, CheckpointError,
     CounterEngine, EngineConfig,
 };
+use ac_randkit::{RandomSource, SplitMix64};
 use proptest::prelude::*;
 
+const EXACT: CounterSpec = CounterSpec::Exact;
+const MORRIS: CounterSpec = CounterSpec::Morris { a: 0.25 };
+const MORRIS_PLUS: CounterSpec = CounterSpec::MorrisPlus {
+    eps: 0.2,
+    delta_log2: 8,
+};
+const NELSON_YU: CounterSpec = CounterSpec::NelsonYu {
+    eps: 0.2,
+    delta_log2: 8,
+};
+const CSUROS: CounterSpec = CounterSpec::Csuros { mantissa_bits: 8 };
+
+fn engine(spec: &CounterSpec, config: EngineConfig) -> CounterEngine {
+    CounterEngine::new(spec.build().unwrap(), config)
+}
+
 /// Builds an engine over the given workload and checkpoints it.
-fn engine_and_checkpoint<C: StateCodec + Clone + Send + Sync>(
-    template: &C,
+fn engine_and_checkpoint(
+    spec: &CounterSpec,
     shards: usize,
     seed: u64,
     events: &[(u64, u64)],
-) -> (CounterEngine<C>, Checkpoint) {
-    let mut engine = CounterEngine::new(
-        template.clone(),
+) -> (CounterEngine, Checkpoint) {
+    let mut engine = engine(
+        spec,
         EngineConfig::new().with_shards(shards).with_seed(seed),
     );
     engine.apply(events);
@@ -35,22 +53,22 @@ fn engine_and_checkpoint<C: StateCodec + Clone + Send + Sync>(
 }
 
 /// The family-generic "bit-identical persistent state" oracle.
-fn encoded<C: StateCodec>(c: &C) -> BitVec {
+fn encoded(c: &CounterFamily) -> BitVec {
     let mut v = BitVec::new();
     c.encode_state(&mut BitWriter::new(&mut v));
     v
 }
 
 /// The family-generic fidelity check.
-fn assert_restores_exactly<C: StateCodec + Clone + Send + Sync>(
-    template: &C,
+fn assert_restores_exactly(
+    spec: &CounterSpec,
     shards: usize,
     seed: u64,
     events: &[(u64, u64)],
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    let (engine, ck) = engine_and_checkpoint(template, shards, seed, events);
-    let restored = restore_checkpoint(std::slice::from_ref(template), &[ck.bytes()])
-        .expect("valid checkpoint");
+    let (engine, ck) = engine_and_checkpoint(spec, shards, seed, events);
+    let restored =
+        restore_checkpoint(std::slice::from_ref(spec), &[ck.bytes()]).expect("valid checkpoint");
 
     prop_assert_eq!(restored.len(), engine.len());
     prop_assert_eq!(restored.total_events(), engine.total_events());
@@ -85,16 +103,16 @@ fn assert_restores_exactly<C: StateCodec + Clone + Send + Sync>(
 /// base + deltas chain cut along the way folds back to exactly what one
 /// final full checkpoint restores — and both restored engines continue
 /// the same RNG stream under a follow-up batch.
-fn assert_cow_and_chain_faithful<C: StateCodec + Clone + Send + Sync>(
-    template: &C,
+fn assert_cow_and_chain_faithful(
+    spec: &CounterSpec,
     shards: usize,
     seed: u64,
     schedule: &[(Vec<(u64, u64)>, bool)],
     follow_up: &[(u64, u64)],
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let config = EngineConfig::new().with_shards(shards).with_seed(seed);
-    let mut cow = CounterEngine::new(template.clone(), config);
-    let mut deep = CounterEngine::new(template.clone(), config);
+    let mut cow = engine(spec, config);
+    let mut deep = engine(spec, config);
 
     let mut chain: Vec<Checkpoint> = Vec::new();
     for (batch, freeze) in schedule {
@@ -131,7 +149,7 @@ fn assert_cow_and_chain_faithful<C: StateCodec + Clone + Send + Sync>(
         // twin of that same moment.
         let segments: Vec<&[u8]> = chain.iter().map(Checkpoint::bytes).collect();
         let mut via_chain =
-            restore_checkpoint(std::slice::from_ref(template), &segments).expect("intact chain");
+            restore_checkpoint(std::slice::from_ref(spec), &segments).expect("intact chain");
 
         // Rebuild the stream prefix up to (and including) the last frozen
         // batch on a fresh engine — freezes themselves never perturb
@@ -141,12 +159,12 @@ fn assert_cow_and_chain_faithful<C: StateCodec + Clone + Send + Sync>(
             .iter()
             .rposition(|(_, f)| *f)
             .expect("chain exists");
-        let mut at_freeze = CounterEngine::new(template.clone(), config);
+        let mut at_freeze = engine(spec, config);
         for (batch, _) in &schedule[..=last_freeze] {
             at_freeze.apply(batch);
         }
         let mut via_full = restore_checkpoint(
-            std::slice::from_ref(template),
+            std::slice::from_ref(spec),
             &[checkpoint(&at_freeze.snapshot(), None, None)
                 .unwrap()
                 .bytes()],
@@ -196,7 +214,7 @@ proptest! {
         shards in 1usize..9,
         seed in 0u64..1_000_000,
     ) {
-        assert_restores_exactly(&ExactCounter::new(), shards, seed, &events)?;
+        assert_restores_exactly(&EXACT, shards, seed, &events)?;
     }
 
     #[test]
@@ -205,7 +223,7 @@ proptest! {
         shards in 1usize..9,
         seed in 0u64..1_000_000,
     ) {
-        assert_restores_exactly(&MorrisCounter::new(0.25).unwrap(), shards, seed, &events)?;
+        assert_restores_exactly(&MORRIS, shards, seed, &events)?;
     }
 
     #[test]
@@ -214,7 +232,7 @@ proptest! {
         shards in 1usize..9,
         seed in 0u64..1_000_000,
     ) {
-        assert_restores_exactly(&MorrisPlus::new(0.2, 8).unwrap(), shards, seed, &events)?;
+        assert_restores_exactly(&MORRIS_PLUS, shards, seed, &events)?;
     }
 
     #[test]
@@ -223,8 +241,7 @@ proptest! {
         shards in 1usize..9,
         seed in 0u64..1_000_000,
     ) {
-        let template = NelsonYuCounter::new(NyParams::new(0.2, 8).unwrap());
-        assert_restores_exactly(&template, shards, seed, &events)?;
+        assert_restores_exactly(&NELSON_YU, shards, seed, &events)?;
     }
 
     #[test]
@@ -233,7 +250,7 @@ proptest! {
         shards in 1usize..9,
         seed in 0u64..1_000_000,
     ) {
-        assert_restores_exactly(&CsurosCounter::new(8).unwrap(), shards, seed, &events)?;
+        assert_restores_exactly(&CSUROS, shards, seed, &events)?;
     }
 
     #[test]
@@ -243,7 +260,7 @@ proptest! {
         events in prop::collection::vec((proptest::arbitrary::any::<u64>(), 1u64..50), 1..80),
         shards in 1usize..5,
     ) {
-        assert_restores_exactly(&ExactCounter::new(), shards, 99, &events)?;
+        assert_restores_exactly(&EXACT, shards, 99, &events)?;
     }
 
     #[test]
@@ -253,17 +270,9 @@ proptest! {
         shards in 1usize..6,
         seed in 0u64..100_000,
     ) {
-        assert_cow_and_chain_faithful(
-            &ExactCounter::new(), shards, seed, &schedule, &follow_up)?;
-        assert_cow_and_chain_faithful(
-            &MorrisCounter::new(0.25).unwrap(), shards, seed, &schedule, &follow_up)?;
-        assert_cow_and_chain_faithful(
-            &MorrisPlus::new(0.2, 8).unwrap(), shards, seed, &schedule, &follow_up)?;
-        assert_cow_and_chain_faithful(
-            &NelsonYuCounter::new(NyParams::new(0.2, 8).unwrap()),
-            shards, seed, &schedule, &follow_up)?;
-        assert_cow_and_chain_faithful(
-            &CsurosCounter::new(8).unwrap(), shards, seed, &schedule, &follow_up)?;
+        for spec in [EXACT, MORRIS, MORRIS_PLUS, NELSON_YU, CSUROS] {
+            assert_cow_and_chain_faithful(&spec, shards, seed, &schedule, &follow_up)?;
+        }
     }
 
     #[test]
@@ -276,13 +285,12 @@ proptest! {
         // anywhere in the checkpoint must yield a typed error (or, for a
         // handful of prefix bits, a different-but-typed magic/version
         // error). Never a panic, never a silently different engine.
-        let template = NelsonYuCounter::new(NyParams::new(0.2, 8).unwrap());
-        let (_, ck) = engine_and_checkpoint(&template, shards, 5, &events);
+        let (_, ck) = engine_and_checkpoint(&NELSON_YU, shards, 5, &events);
         let mut bytes = ck.bytes().to_vec();
         let bit = (flip % (bytes.len() as u64 * 8)) as usize;
         bytes[bit / 8] ^= 1 << (bit % 8);
         prop_assert!(
-            restore_checkpoint(&[template], &[&bytes]).is_err(),
+            restore_checkpoint(&[NELSON_YU], &[&bytes]).is_err(),
             "flipping bit {} went undetected",
             bit
         );
@@ -294,15 +302,14 @@ proptest! {
         extra in prop::collection::vec((0u64..60, 1u64..500), 1..20),
         flip in proptest::arbitrary::any::<u64>(),
     ) {
-        let template = NelsonYuCounter::new(NyParams::new(0.2, 8).unwrap());
-        let (mut engine, base) = engine_and_checkpoint(&template, 4, 5, &events);
+        let (mut engine, base) = engine_and_checkpoint(&NELSON_YU, 4, 5, &events);
         engine.apply(&extra);
         let delta = checkpoint(&engine.snapshot(), None, Some(&base.header())).unwrap();
         let mut bytes = delta.bytes().to_vec();
         let bit = (flip % (bytes.len() as u64 * 8)) as usize;
         bytes[bit / 8] ^= 1 << (bit % 8);
         prop_assert!(
-            restore_checkpoint(&[template], &[base.bytes(), &bytes]).is_err(),
+            restore_checkpoint(&[NELSON_YU], &[base.bytes(), &bytes]).is_err(),
             "flipping delta bit {} went undetected",
             bit
         );
@@ -313,10 +320,9 @@ proptest! {
         events in prop::collection::vec((0u64..60, 1u64..500), 1..40),
         cut in proptest::arbitrary::any::<u64>(),
     ) {
-        let template = NelsonYuCounter::new(NyParams::new(0.2, 8).unwrap());
-        let (_, ck) = engine_and_checkpoint(&template, 3, 8, &events);
+        let (_, ck) = engine_and_checkpoint(&NELSON_YU, 3, 8, &events);
         let keep = (cut % ck.bytes().len() as u64) as usize;
-        let err = restore_checkpoint(&[template], &[&ck.bytes()[..keep]]).unwrap_err();
+        let err = restore_checkpoint(&[NELSON_YU], &[&ck.bytes()[..keep]]).unwrap_err();
         prop_assert!(
             matches!(err, CheckpointError::Truncated | CheckpointError::Corrupt { .. }),
             "unexpected error for {} kept bytes: {:?}",
@@ -328,22 +334,24 @@ proptest! {
 
 #[test]
 fn mismatched_template_families_are_refused() {
-    let ny = NelsonYuCounter::new(NyParams::new(0.2, 8).unwrap());
     let events: Vec<(u64, u64)> = (0..50u64).map(|k| (k, k + 1)).collect();
-    let (_, ck) = engine_and_checkpoint(&ny, 4, 1, &events);
+    let (_, ck) = engine_and_checkpoint(&NELSON_YU, 4, 1, &events);
 
     assert_eq!(
-        restore_checkpoint(&[MorrisCounter::new(0.5).unwrap()], &[ck.bytes()]).unwrap_err(),
+        restore_checkpoint(&[CounterSpec::Morris { a: 0.5 }], &[ck.bytes()]).unwrap_err(),
         CheckpointError::ScheduleMismatch
     );
     assert_eq!(
-        restore_checkpoint(&[CsurosCounter::new(8).unwrap()], &[ck.bytes()]).unwrap_err(),
+        restore_checkpoint(&[CSUROS], &[ck.bytes()]).unwrap_err(),
         CheckpointError::ScheduleMismatch
     );
     // Same family, different schedule: also refused.
-    let other = NelsonYuCounter::new(NyParams::new(0.2, 9).unwrap());
+    let other = CounterSpec::NelsonYu {
+        eps: 0.2,
+        delta_log2: 9,
+    };
     assert_eq!(
-        restore_checkpoint(std::slice::from_ref(&other), &[ck.bytes()]).unwrap_err(),
+        restore_checkpoint(&[other], &[ck.bytes()]).unwrap_err(),
         CheckpointError::ScheduleMismatch
     );
 }
@@ -352,13 +360,12 @@ fn mismatched_template_families_are_refused() {
 fn pinned_config_mismatch_is_refused() {
     // The resident engine a delta folds into pins the config: a delta cut
     // by an engine with another shard count or seed is refused.
-    let template = ExactCounter::new();
-    let ladder = std::slice::from_ref(&template);
+    let ladder = &[EXACT];
     let events: Vec<(u64, u64)> = (0..30u64).map(|k| (k, 2)).collect();
-    let (mut engine, ck) = engine_and_checkpoint(&template, 4, 7, &events);
+    let (mut engine, ck) = engine_and_checkpoint(&EXACT, 4, 7, &events);
     let mut resident = restore_checkpoint(ladder, &[ck.bytes()]).unwrap();
     for (shards, seed) in [(5, 7), (4, 8)] {
-        let (mut other, other_base) = engine_and_checkpoint(&template, shards, seed, &events);
+        let (mut other, other_base) = engine_and_checkpoint(&EXACT, shards, seed, &events);
         other.apply(&events);
         let delta = checkpoint(&other.snapshot(), None, Some(&other_base.header())).unwrap();
         assert!(matches!(
@@ -370,4 +377,121 @@ fn pinned_config_mismatch_is_refused() {
     let delta = checkpoint(&engine.snapshot(), None, Some(&ck.header())).unwrap();
     fold_checkpoint_delta(&mut resident, ladder, &ck.header(), delta.bytes()).unwrap();
     assert_eq!(resident.total_events(), engine.total_events());
+}
+
+/// The fleet workload: every key touched once, then the rest of the event
+/// budget on hashed keys with small deltas.
+fn fleet(keys: u64, events: u64, seed: u64) -> Vec<(u64, u64)> {
+    let mut pairs: Vec<(u64, u64)> = (0..keys).map(|key| (key, 1)).collect();
+    let mut remaining = events - keys;
+    let mut gen = SplitMix64::new(seed);
+    while remaining > 0 {
+        let key = gen.next_u64() % keys;
+        let delta = (1 + gen.next_u64() % 32).min(remaining);
+        pairs.push((key, delta));
+        remaining -= delta;
+    }
+    pairs
+}
+
+/// A full frame of a fleet-shaped engine costs its counters' state bits
+/// within 2x, plus framing, and writes exactly the state bits the
+/// engine's own gauge reports.
+#[test]
+fn checkpoint_size_tracks_counter_state_bits() {
+    let mut e = engine(
+        &NELSON_YU,
+        EngineConfig::new().with_shards(32).with_seed(0xE13),
+    );
+    e.apply(&fleet(20_000, 200_000, 0x5EED));
+    let state_bits = e.stats().state_bits_total;
+    let s = checkpoint(&e.snapshot(), None, None).unwrap().stats();
+    assert_eq!(s.counter_state_bits, state_bits);
+    assert!(
+        s.total_bits <= 2 * s.counter_state_bits + s.header_bits,
+        "{} bits total vs 2 x {} state bits + {} framing",
+        s.total_bits,
+        s.counter_state_bits,
+        s.header_bits
+    );
+}
+
+/// A restore from the bytes is bit-identical key for key — registers,
+/// estimates, state bits, totals and config — and continues the exact
+/// random stream: the same follow-up batch drives both engines to the
+/// same states.
+#[test]
+fn restore_is_bit_identical_and_continues_the_rng_stream() {
+    let mut e = engine(
+        &NELSON_YU,
+        EngineConfig::new().with_shards(32).with_seed(0xE13),
+    );
+    e.apply(&fleet(20_000, 200_000, 0x5EED));
+    let bytes = checkpoint(&e.snapshot(), None, None).unwrap().into_bytes();
+    let mut back = restore_checkpoint(&[NELSON_YU], &[&bytes]).unwrap();
+    assert_eq!(back.len(), e.len());
+    assert_eq!(back.total_events(), e.total_events());
+    assert_eq!(back.config(), e.config());
+    for (key, counter) in e.iter() {
+        let restored = back.counter(key).expect("key restored");
+        assert_eq!(encoded(restored), encoded(counter), "key {key}");
+        assert_eq!(restored.estimate(), counter.estimate(), "key {key}");
+        assert_eq!(restored.state_bits(), counter.state_bits(), "key {key}");
+    }
+    let follow_up: Vec<(u64, u64)> = (0..2_000u64)
+        .map(|k| (k * 17 % 20_000, 3 + k % 9))
+        .collect();
+    e.apply(&follow_up);
+    back.apply(&follow_up);
+    for (key, counter) in e.iter() {
+        assert_eq!(
+            back.counter(key).map(encoded),
+            Some(encoded(counter)),
+            "key {key}"
+        );
+    }
+}
+
+/// After touching keys in 2 of 256 shards (under 1%), the delta costs
+/// about 1% of the full frame, and base + delta restores to the live
+/// engine with the random stream continued.
+#[test]
+fn delta_at_one_percent_dirty_shards_costs_one_percent_of_a_full_frame() {
+    const SHARDS: usize = 256;
+    const KEYS: u64 = 100_000;
+    let mut e = engine(
+        &NELSON_YU,
+        EngineConfig::new().with_shards(SHARDS).with_seed(0xE13D),
+    );
+    e.apply(&(0..KEYS).map(|k| (k, 1 + k % 32)).collect::<Vec<_>>());
+    let base = checkpoint(&e.snapshot(), None, None).unwrap();
+    let hot: Vec<(u64, u64)> = (0..KEYS)
+        .filter(|&k| e.shard_of(k) < 2)
+        .take(500)
+        .map(|k| (k, 100))
+        .collect();
+    e.apply(&hot);
+    let delta = checkpoint(&e.snapshot(), None, Some(&base.header())).unwrap();
+    let dirty = delta.stats().shards_written;
+    assert_eq!(dirty, 2);
+    assert!(dirty as f64 / SHARDS as f64 <= 0.01);
+    let ratio = delta.bytes().len() as f64 / base.bytes().len() as f64;
+    assert!(
+        ratio <= 0.01,
+        "delta is {:.2}% of the full frame",
+        ratio * 100.0
+    );
+
+    let mut back = restore_checkpoint(&[NELSON_YU], &[base.bytes(), delta.bytes()]).unwrap();
+    let follow_up: Vec<(u64, u64)> = (0..2_000u64).map(|k| (k * 17 % KEYS, 3 + k % 9)).collect();
+    e.apply(&follow_up);
+    back.apply(&follow_up);
+    assert_eq!(back.total_events(), e.total_events());
+    for (key, counter) in e.iter() {
+        assert_eq!(
+            back.counter(key).map(encoded),
+            Some(encoded(counter)),
+            "key {key}"
+        );
+    }
 }

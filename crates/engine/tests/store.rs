@@ -1,10 +1,5 @@
 //! Service-facade guarantees, proven end to end:
 //!
-//! * **runtime ≡ compile-time** — a `CounterEngine<CounterFamily>` built
-//!   from a [`CounterSpec`] is bit-identical to the monomorphized
-//!   `CounterEngine<C>` fed the same stream, for all five families:
-//!   same states, same estimates, same checkpoint *bytes*, and each
-//!   side restores the other's checkpoints (property tests);
 //! * **the `Store` applies what a bare engine applies** — a single
 //!   writer driving the service reproduces direct `apply` bit for bit;
 //! * **crash recovery** — `Store::open` resumes an intact chain
@@ -14,99 +9,21 @@
 //!   corrupt, or missing manifests and unrestorable directories.
 
 use ac_bitio::{BitVec, BitWriter};
-use ac_core::{
-    ApproxCounter, CounterFamily, CounterSpec, CsurosCounter, ExactCounter, MorrisCounter,
-    MorrisPlus, NelsonYuCounter, NyParams, StateCodec,
-};
+use ac_core::{CounterFamily, CounterSpec, StateCodec};
 use ac_engine::{
-    checkpoint, compact_checkpoint, read_header, restore_checkpoint, CheckpointKind, CounterEngine,
+    compact_checkpoint, read_header, restore_checkpoint, CheckpointKind, CounterEngine,
     EngineConfig, EngineError, IngestConfig, Manifest, Store, StoreOptions,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
-fn encoded<C: StateCodec>(c: &C) -> BitVec {
+fn encoded(c: &CounterFamily) -> BitVec {
     let mut v = BitVec::new();
     c.encode_state(&mut BitWriter::new(&mut v));
     v
 }
 
-/// The tentpole equivalence: spec-built enum dispatch vs monomorphized
-/// generic engine — states, estimates, checkpoint bytes, cross-restores.
-fn assert_runtime_matches_generic<C: StateCodec + Clone + Send + Sync>(
-    concrete: &C,
-    spec: CounterSpec,
-    shards: usize,
-    seed: u64,
-    events: &[(u64, u64)],
-) -> Result<(), proptest::test_runner::TestCaseError> {
-    let config = EngineConfig::new().with_shards(shards).with_seed(seed);
-    let family = spec.build().expect("valid spec");
-    prop_assert_eq!(
-        family.params_fingerprint(),
-        concrete.params_fingerprint(),
-        "spec must build a schedule-compatible counter"
-    );
-
-    let mut generic = CounterEngine::new(concrete.clone(), config);
-    let mut runtime = CounterEngine::new(family.clone(), config);
-    generic.apply(events);
-    runtime.apply(events);
-
-    prop_assert_eq!(runtime.len(), generic.len());
-    prop_assert_eq!(runtime.total_events(), generic.total_events());
-    for (key, counter) in generic.iter() {
-        let twin = runtime.counter(key);
-        prop_assert!(twin.is_some(), "key {} missing from runtime engine", key);
-        let twin = twin.expect("checked");
-        prop_assert_eq!(twin.estimate(), counter.estimate(), "estimate key {}", key);
-        prop_assert_eq!(
-            encoded(twin),
-            encoded(counter),
-            "state bits for key {}",
-            key
-        );
-    }
-
-    // Checkpoint bytes are identical — the durable format cannot tell
-    // enum dispatch from monomorphization.
-    let ck_generic = checkpoint(&generic.snapshot(), None, None).unwrap();
-    let ck_runtime = checkpoint(&runtime.snapshot(), None, None).unwrap();
-    prop_assert_eq!(ck_runtime.bytes(), ck_generic.bytes());
-
-    // And each side restores the other's checkpoint.
-    let cross = restore_checkpoint(std::slice::from_ref(&family), &[ck_generic.bytes()])
-        .expect("cross-restore");
-    prop_assert_eq!(cross.total_events(), generic.total_events());
-    let back = restore_checkpoint(std::slice::from_ref(concrete), &[ck_runtime.bytes()])
-        .expect("cross-restore");
-    prop_assert_eq!(back.total_events(), runtime.total_events());
-    Ok(())
-}
-
 proptest! {
-    #[test]
-    fn runtime_family_matches_generic_engine_for_all_families(
-        events in prop::collection::vec((0u64..300, 1u64..2_000), 1..80),
-        shards in 1usize..7,
-        seed in 0u64..100_000,
-    ) {
-        assert_runtime_matches_generic(
-            &ExactCounter::new(), CounterSpec::Exact, shards, seed, &events)?;
-        assert_runtime_matches_generic(
-            &MorrisCounter::new(0.25).unwrap(),
-            CounterSpec::Morris { a: 0.25 }, shards, seed, &events)?;
-        assert_runtime_matches_generic(
-            &MorrisPlus::new(0.2, 8).unwrap(),
-            CounterSpec::MorrisPlus { eps: 0.2, delta_log2: 8 }, shards, seed, &events)?;
-        assert_runtime_matches_generic(
-            &NelsonYuCounter::new(NyParams::new(0.2, 8).unwrap()),
-            CounterSpec::NelsonYu { eps: 0.2, delta_log2: 8 }, shards, seed, &events)?;
-        assert_runtime_matches_generic(
-            &CsurosCounter::new(8).unwrap(),
-            CounterSpec::Csuros { mantissa_bits: 8 }, shards, seed, &events)?;
-    }
-
     #[test]
     fn store_reproduces_direct_apply_bit_for_bit(
         rounds in prop::collection::vec(
@@ -225,7 +142,7 @@ fn newest_chain_files(dir: &Path) -> Vec<(PathBuf, CheckpointKind)> {
         .collect()
 }
 
-fn restore_clean(dir: &Path, drop_tail: usize) -> CounterEngine<CounterFamily> {
+fn restore_clean(dir: &Path, drop_tail: usize) -> CounterEngine {
     let files = newest_chain_files(dir);
     let keep = files.len() - drop_tail;
     let segments: Vec<Vec<u8>> = files[..keep]
@@ -233,10 +150,10 @@ fn restore_clean(dir: &Path, drop_tail: usize) -> CounterEngine<CounterFamily> {
         .map(|(p, _)| std::fs::read(p).unwrap())
         .collect();
     let refs: Vec<&[u8]> = segments.iter().map(Vec::as_slice).collect();
-    restore_checkpoint(&[family_template()], &refs).unwrap()
+    restore_checkpoint(&[spec()], &refs).unwrap()
 }
 
-fn assert_store_matches_engine(store: &Store, engine: &CounterEngine<CounterFamily>) {
+fn assert_store_matches_engine(store: &Store, engine: &CounterEngine) {
     let reader = store.reader();
     assert_eq!(reader.total_events(), engine.total_events());
     assert_eq!(reader.len(), engine.len());
@@ -573,7 +490,7 @@ fn orphan_compacted_base_from_a_crashed_compactor_is_ignored() {
         .collect();
     let refs: Vec<&[u8]> = segments.iter().map(Vec::as_slice).collect();
     let tip = read_header(refs.last().unwrap()).unwrap();
-    let mut folded = restore_checkpoint(&[family_template()], &refs).unwrap();
+    let mut folded = restore_checkpoint(&[spec()], &refs).unwrap();
     let orphan = compact_checkpoint(&folded.snapshot().with_epoch(tip.epoch), None, &tip).unwrap();
     std::fs::write(dir.join("ckpt-000-c99999-full.bin"), orphan.bytes()).unwrap();
 

@@ -51,18 +51,17 @@ impl Default for ReplicaConfig {
 #[derive(Debug, Default)]
 struct Mirror {
     tip: Option<CheckpointHeader>,
-    snap: Option<Arc<EngineSnapshot<CounterFamily>>>,
+    snap: Option<Arc<EngineSnapshot>>,
     folds: u64,
 }
 
 /// The feed thread's engine and the header of the segment folded last.
-type Resident = Option<(CounterEngine<CounterFamily>, CheckpointHeader)>;
+type Resident = Option<(CounterEngine, CheckpointHeader)>;
 
 #[derive(Debug)]
 struct ReplicaInner {
     addr: SocketAddr,
     identity: Identity,
-    template: CounterFamily,
     config: ReplicaConfig,
     mirror: RwLock<Mirror>,
     stop: AtomicBool,
@@ -107,7 +106,7 @@ impl ReplicaNode {
         let addr = addr.to_socket_addrs()?.next().ok_or(NetError::Malformed {
             what: "address resolves to nothing",
         })?;
-        let template = identity.spec.build().map_err(|_| NetError::Malformed {
+        identity.spec.build().map_err(|_| NetError::Malformed {
             what: "replica spec does not build",
         })?;
         let mut conn = connect(addr, &identity, Role::Replica, NEW_PRODUCER, 0)?;
@@ -115,7 +114,6 @@ impl ReplicaNode {
         let inner = Arc::new(ReplicaInner {
             addr,
             identity,
-            template,
             config,
             mirror: RwLock::new(Mirror::default()),
             stop: AtomicBool::new(false),
@@ -327,7 +325,7 @@ fn fold_segment(
     let (engine, tip) = if header.kind == CheckpointKind::Full {
         // A full frame starts a fresh chain — the primary restarted the
         // stream (first contact, or compaction passed our ack).
-        let ladder = std::slice::from_ref(&inner.template);
+        let ladder = std::slice::from_ref(&inner.identity.spec);
         let engine = restore_checkpoint(ladder, &[bytes]).map_err(refused)?;
         let (engine, tip) = resident.insert((engine, header));
         (engine, tip)
@@ -335,7 +333,7 @@ fn fold_segment(
         let (engine, tip) = resident.as_mut().ok_or(NetError::Malformed {
             what: "delta segment before any base",
         })?;
-        let ladder = std::slice::from_ref(&inner.template);
+        let ladder = std::slice::from_ref(&inner.identity.spec);
         *tip = fold_checkpoint_delta(engine, ladder, tip, bytes).map_err(refused)?;
         (engine, tip)
     };

@@ -16,15 +16,23 @@
 //! $ cargo run --release --example checkpoint_roundtrip -- chain-restore /tmp/ckpt-dir
 //! ```
 
+use approx_counting::bitio::{BitVec, BitWriter};
 use approx_counting::engine::{checkpoint, restore_checkpoint, CounterEngine, EngineConfig};
 use approx_counting::prelude::*;
 use std::path::Path;
 
 const KEYS: u64 = 10_000;
 const CONFIG: EngineConfig = EngineConfig::new().with_shards(8).with_seed(0xC1AC_C0DE);
+const SPEC: CounterSpec = CounterSpec::NelsonYu {
+    eps: 0.2,
+    delta_log2: 8,
+};
 
-fn template() -> NelsonYuCounter {
-    NelsonYuCounter::new(NyParams::new(0.2, 8).expect("valid parameters"))
+/// A counter's persistent registers, as their encoded bits.
+fn state(c: &CounterFamily) -> BitVec {
+    let mut v = BitVec::new();
+    c.encode_state(&mut BitWriter::new(&mut v));
+    v
 }
 
 /// The deterministic base workload both processes can rebuild.
@@ -38,7 +46,7 @@ fn base_batch() -> Vec<(u64, u64)> {
 /// The two deterministic post-base rounds the delta frames capture: each
 /// round hammers base keys that all route to one shard, so each delta
 /// serializes exactly one dirty shard out of eight.
-fn delta_batches(engine: &CounterEngine<NelsonYuCounter>) -> [Vec<(u64, u64)>; 2] {
+fn delta_batches(engine: &CounterEngine) -> [Vec<(u64, u64)>; 2] {
     let keys_in_shard = |shard: usize, n: usize| -> Vec<u64> {
         (0..KEYS)
             .map(|k| k * 31 + 7)
@@ -58,14 +66,14 @@ fn delta_batches(engine: &CounterEngine<NelsonYuCounter>) -> [Vec<(u64, u64)>; 2
     ]
 }
 
-fn reference_engine() -> CounterEngine<NelsonYuCounter> {
-    let mut engine = CounterEngine::new(template(), CONFIG);
+fn reference_engine() -> CounterEngine {
+    let mut engine = CounterEngine::new(SPEC.build().expect("valid parameters"), CONFIG);
     engine.apply(&base_batch());
     engine
 }
 
 /// Replays base + both delta rounds — the state the chain tip describes.
-fn reference_engine_after_deltas() -> CounterEngine<NelsonYuCounter> {
+fn reference_engine_after_deltas() -> CounterEngine {
     let mut engine = reference_engine();
     let _ = engine.snapshot(); // same freeze points as chain-write
     for batch in delta_batches(&engine) {
@@ -75,17 +83,14 @@ fn reference_engine_after_deltas() -> CounterEngine<NelsonYuCounter> {
     engine
 }
 
-fn verify_matches(
-    restored: &CounterEngine<NelsonYuCounter>,
-    reference: &CounterEngine<NelsonYuCounter>,
-) -> u64 {
+fn verify_matches(restored: &CounterEngine, reference: &CounterEngine) -> u64 {
     assert_eq!(restored.len(), reference.len(), "key count");
     assert_eq!(restored.total_events(), reference.total_events(), "events");
     assert_eq!(restored.config(), reference.config(), "config");
     let mut checked = 0u64;
     for (key, counter) in reference.iter() {
         let back = restored.counter(key).expect("restored key");
-        assert_eq!(back.state_parts(), counter.state_parts(), "key {key}");
+        assert_eq!(state(back), state(counter), "key {key}");
         assert_eq!(back.estimate(), counter.estimate(), "key {key}");
         assert_eq!(back.state_bits(), counter.state_bits(), "key {key}");
         checked += 1;
@@ -131,8 +136,7 @@ fn main() {
         }
         "restore" => {
             let bytes = std::fs::read(path).expect("read checkpoint");
-            let restored =
-                restore_checkpoint(&[template()], &[&bytes]).expect("restore checkpoint");
+            let restored = restore_checkpoint(&[SPEC], &[&bytes]).expect("restore checkpoint");
             let checked = verify_matches(&restored, &reference_engine());
             println!(
                 "restored {checked} keys from {path} in a fresh process: \
@@ -182,12 +186,12 @@ fn main() {
                 .map(|p| std::fs::read(p).expect("read chain segment"))
                 .collect();
             let refs: Vec<&[u8]> = segments.iter().map(Vec::as_slice).collect();
-            let restored = restore_checkpoint(&[template()], &refs).expect("restore chain");
+            let restored = restore_checkpoint(&[SPEC], &refs).expect("restore chain");
             let checked = verify_matches(&restored, &reference_engine_after_deltas());
 
             // A truncated final delta must be refused, never half-folded.
             let truncated = &segments[2][..segments[2].len() / 2];
-            let err = restore_checkpoint(&[template()], &[&segments[0], &segments[1], truncated])
+            let err = restore_checkpoint(&[SPEC], &[&segments[0], &segments[1], truncated])
                 .expect_err("truncated delta must not restore");
             println!(
                 "restored {checked} keys from a base+2-delta chain in a fresh process: \

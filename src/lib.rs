@@ -24,12 +24,13 @@
 //!   via [`CounterSpec`](core::CounterSpec), cloneable writer/reader
 //!   handles with a nonblocking `try_send`/`send` surface and explicit
 //!   [`BackpressurePolicy`](engine::BackpressurePolicy), manifest-driven
-//!   crash recovery) over four expert layers —
-//!   lock-free per-producer ingest rings with per-producer sequence
-//!   numbers, the copy-on-write batch-update write path, `O(shards)` snapshot read
-//!   replicas with a dirty-epoch-cached merged aggregate, and bit-exact
-//!   full + delta checkpoint chains through `ac-bitio` with a background
-//!   checkpoint writer.
+//!   crash recovery) over four layers — lock-free per-producer ingest
+//!   rings with per-producer sequence numbers and a background checkpoint
+//!   writer (both inside the store), and, public as the expert API, the
+//!   copy-on-write batch-update [`CounterEngine`](engine::CounterEngine),
+//!   its `O(shards)` snapshot read replicas with an on-demand merged
+//!   aggregate, and bit-exact full + delta checkpoint chains through
+//!   `ac-bitio` taking `CounterSpec` tier ladders.
 //! * [`net`] — the wire-protocol front-end: a framed TCP protocol with
 //!   per-frame checksums and identity-checked handshakes, the
 //!   [`StoreServer`](net::StoreServer) (exactly-once multi-client
@@ -84,11 +85,10 @@ pub mod prelude {
     };
     pub use ac_engine::{
         checkpoint, compact_checkpoint, fold_checkpoint_delta, restore_checkpoint,
-        BackgroundCheckpointer, BackpressurePolicy, Checkpoint, CheckpointError, CheckpointKind,
-        CheckpointStats, CheckpointerConfig, CounterEngine, EngineConfig, EngineError,
-        EngineSnapshot, EngineStats, IngestConfig, IngestStats, Manifest, ProducerMark,
-        RecoveryReport, SendError, Store, StoreBuilder, StoreOptions, StoreReader, StoreStats,
-        StoreWriter,
+        BackpressurePolicy, Checkpoint, CheckpointError, CheckpointKind, CheckpointStats,
+        CounterEngine, EngineConfig, EngineError, EngineSnapshot, EngineStats, IngestConfig,
+        IngestStats, Manifest, ProducerMark, RecoveryReport, SendError, Store, StoreBuilder,
+        StoreOptions, StoreReader, StoreStats, StoreWriter,
     };
     pub use ac_net::{
         Identity, NetError, NetWriter, RefuseCode, RemoteReader, ReplicaConfig, ReplicaNode,
