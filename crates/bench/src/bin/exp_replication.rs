@@ -5,7 +5,9 @@
 //! over the wire (the applied total equals the generated total to the
 //! event), both replicas converging to the primary's exact chain
 //! digest, the merged aggregate staying within the (ε, δ) band of the
-//! exact total on primary and replicas alike — and the TCP path's
+//! exact total on primary and replicas alike, and all three nodes
+//! giving the identical merged estimate (a sum of per-key counts, so no
+//! seed is shared between them) — and the TCP path's
 //! throughput measured against the same workload pushed through
 //! in-process writers, so the framing + checksum + ack overhead is a
 //! number, not a feeling.
@@ -207,9 +209,11 @@ fn main() {
     reader.close();
     let rel = |est: f64| (est - expected as f64).abs() / expected as f64;
     let in_band = rel(primary_est) <= EPS && rel(a_est) <= EPS && rel(b_est) <= EPS;
+    let estimates_identical = primary_est == a_est && primary_est == b_est;
     println!(
         "exact {expected}: primary {primary_est:.0} ({:+.2}%), replica A {a_est:.0} \
-         ({:+.2}%), replica B {b_est:.0} ({:+.2}%) — all within eps={EPS}: {in_band}",
+         ({:+.2}%), replica B {b_est:.0} ({:+.2}%) — all within eps={EPS}: {in_band}; \
+         identical: {estimates_identical}",
         100.0 * (primary_est / expected as f64 - 1.0),
         100.0 * (a_est / expected as f64 - 1.0),
         100.0 * (b_est / expected as f64 - 1.0),
@@ -222,7 +226,12 @@ fn main() {
     let server_total_ok = report.stats.events == expected;
 
     // ----- Report -------------------------------------------------------
-    let ok = exactly_once && replicas_converged && digests_identical && in_band && server_total_ok;
+    let ok = exactly_once
+        && replicas_converged
+        && digests_identical
+        && in_band
+        && estimates_identical
+        && server_total_ok;
     let json = JsonObject::new()
         .str("experiment", "E16")
         .str("title", "replicated store over loopback TCP")
@@ -261,7 +270,8 @@ fn main() {
                 .num("replica_a_estimate", a_est)
                 .num("replica_b_estimate", b_est)
                 .num("primary_rel_error", rel(primary_est))
-                .bool("within_band", in_band),
+                .bool("within_band", in_band)
+                .bool("estimates_identical", estimates_identical),
         )
         .bool("exactly_once", exactly_once && server_total_ok)
         .bool("reproduced", ok);
@@ -272,7 +282,7 @@ fn main() {
         "four remote writers, one primary, two delta-fed replicas: totals are \
          exactly-once over the wire, replicas converge to the primary's chain \
          digest, and every node's merged aggregate lands within the (eps, \
-         delta) band of the exact total",
+         delta) band of the exact total and is identical across nodes",
     );
     if !ok {
         std::process::exit(1);

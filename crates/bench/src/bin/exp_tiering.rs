@@ -148,9 +148,7 @@ fn main() {
     }
     let within_budget = ceiling_breaches == 0;
     let (tiered_mean, tiered_max) = score_top(&workload, &exact, |key| reader.estimate(key));
-    let merged = reader
-        .merged_estimate_tiered(ladder.tiers())
-        .expect("merged aggregate");
+    let merged = reader.merged_estimate().expect("merged aggregate");
     let aggregate_rel = (merged - total_events as f64).abs() / total_events as f64;
     let aggregate_ok = aggregate_rel <= AGGREGATE_BAND;
 

@@ -81,6 +81,20 @@ impl NelsonYuCounter {
         self.y
     }
 
+    /// `Y·2ᵗ`: the count the sampled register stands for, saturating at
+    /// `u64::MAX`. Each increment lands in `Y` with probability `2^{-t}`,
+    /// so this is the counter's unbiased estimate of `N`; in the exact
+    /// epoch (`t = 0`) it is `Y`, the exact count. Algorithm 1's query
+    /// ([`ApproxCounter::estimate`]) answers `T` instead.
+    #[must_use]
+    pub fn unbiased_count(&self) -> u64 {
+        match 1u64.checked_shl(self.t) {
+            Some(rate) => self.y.saturating_mul(rate),
+            None if self.y == 0 => 0,
+            None => u64::MAX,
+        }
+    }
+
     /// The current sampling exponent `t` (`α = 2^{-t}`).
     #[must_use]
     pub fn sampling_exponent(&self) -> u32 {
@@ -712,6 +726,32 @@ mod tests {
         assert_eq!(r.exact_count(), None);
         r.try_restore_parts(p.x0(), 3, 0).unwrap();
         assert_eq!(r.exact_count(), Some(3));
+    }
+
+    #[test]
+    fn unbiased_count_is_y_scaled_by_the_sampling_rate() {
+        let p = params(0.2, 8);
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(19);
+        let mut c = NelsonYuCounter::new(p);
+        c.increment_by(c.current_threshold(), &mut rng);
+        assert_eq!(Some(c.unbiased_count()), c.exact_count(), "exact epoch");
+        let mut r = NelsonYuCounter::new(p);
+        r.try_restore_parts(p.x0(), 3, 2).unwrap();
+        assert_eq!(r.unbiased_count(), 12);
+
+        // Unbiased: the mean over fresh counters lands on N.
+        let n = 100_000u64;
+        let trials = 2_000;
+        let mean = (0..trials)
+            .map(|_| {
+                let mut c = NelsonYuCounter::new(p);
+                c.increment_by(n, &mut rng);
+                assert!(c.sampling_exponent() > 0, "left the exact epoch");
+                c.unbiased_count() as f64
+            })
+            .sum::<f64>()
+            / f64::from(trials);
+        assert!((mean / n as f64 - 1.0).abs() < 0.005, "mean {mean}");
     }
 
     #[test]

@@ -201,6 +201,24 @@ impl fmt::Display for CounterSpec {
 }
 
 impl CounterFamily {
+    /// The family's integer unbiased count, where it has one: an
+    /// [`ExactCounter`]'s count and a Nelson–Yu counter's `Y·2ᵗ`
+    /// ([`NelsonYuCounter::unbiased_count`]). `None` for Morris, Morris+
+    /// and Csűrös, whose estimates are not integers. Integer counts sum
+    /// exactly, so an aggregate over many keys can keep them in a running
+    /// integer sum instead of visiting each counter.
+    #[inline]
+    #[must_use]
+    pub fn unbiased_count(&self) -> Option<u64> {
+        match self {
+            CounterFamily::Exact(c) => c.exact_count(),
+            CounterFamily::NelsonYu(c) => Some(c.unbiased_count()),
+            CounterFamily::Morris(_) | CounterFamily::MorrisPlus(_) | CounterFamily::Csuros(_) => {
+                None
+            }
+        }
+    }
+
     /// Estimate-preserving re-seeding into another family: builds the
     /// counter `spec` describes and seeds its state so that its estimate
     /// is the **nearest representable value** to `self.estimate()`.

@@ -35,8 +35,9 @@
 //!    cloneable read replicas. A freeze is `O(shards)` `Arc` clones — no
 //!    counter is copied; writers split dirty shards lazily (CoW), so a
 //!    freeze's true cost is `O(dirty shards)`, amortized into the writes
-//!    that follow. The cross-shard merged aggregate (Remark 2.4) folds on
-//!    demand on a reader thread, never on the freeze path.
+//!    that follow. The cross-shard total
+//!    ([`EngineSnapshot::merged_estimate`]) sums per-shard integer books
+//!    of per-key unbiased counts: `O(shards)`, no RNG, no counter merge.
 //! 4. **Checkpoint** ([`checkpoint`] / [`restore_checkpoint`] /
 //!    [`fold_checkpoint_delta`] / [`compact_checkpoint`]) — snapshots
 //!    serialized through `ac-bitio`: each family's `StateCodec` counter
@@ -80,9 +81,7 @@
 //! ## The expert API: engine → snapshot → checkpoint → restore
 //!
 //! ```
-//! use ac_core::ApproxCounter;
 //! use ac_engine::{checkpoint, restore_checkpoint, CounterEngine, CounterSpec, EngineConfig};
-//! use ac_randkit::Xoshiro256PlusPlus;
 //!
 //! let spec = CounterSpec::NelsonYu { eps: 0.2, delta_log2: 8 };
 //! let mut engine = CounterEngine::new(spec.build().unwrap(), EngineConfig::default());
@@ -90,13 +89,12 @@
 //! // Write: batched (key, delta) pairs, one increment_by each.
 //! engine.apply(&[(1, 50_000), (2, 10_000), (1, 50_000)]);
 //!
-//! // Snapshot: an O(shards) freeze; lock-free reads; the merged
-//! // aggregate folds on demand, off the freeze path.
+//! // Snapshot: an O(shards) freeze; lock-free reads; the total sums the
+//! // shards' books of per-key unbiased counts, with no RNG.
 //! let snap = engine.snapshot();
-//! let mut rng = Xoshiro256PlusPlus::seed_from_u64(7);
 //! assert!((snap.estimate(1).unwrap() - 1.0e5).abs() / 1.0e5 < 0.5);
-//! let merged = snap.merged_total(&mut rng).unwrap();
-//! assert!((merged.estimate() - 1.1e5).abs() / 1.1e5 < 0.5);
+//! let total = snap.merged_estimate();
+//! assert!((total - 1.1e5).abs() / 1.1e5 < 0.1);
 //!
 //! // Checkpoint: a full base, then deltas priced at O(dirty data).
 //! // `None` tiers: an untiered (version-2) frame; `None` parent: full.

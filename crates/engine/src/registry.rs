@@ -20,7 +20,9 @@
 //! old stop-the-world `O(keys)` clone. Every write also stamps its
 //! shard's [`dirty epoch`](crate::shard::Shard::touch), which is what the
 //! incremental checkpoint layer reads to serialize only shards dirtied
-//! since a parent checkpoint.
+//! since a parent checkpoint, and moves its shard's book of unbiased
+//! counts, which [`EngineSnapshot::merged_estimate`](crate::EngineSnapshot::merged_estimate)
+//! sums.
 
 use crate::checkpointer::CheckpointerStats;
 use crate::ingest::{IngestStats, ProducerMark};
@@ -195,7 +197,7 @@ impl EngineStats {
 }
 
 /// A fold of counters into one under the family's merge law
-/// (Remark 2.4): the shared step of every merged aggregate.
+/// (Remark 2.4): the merged *state* behind [`CounterEngine::merged_total`].
 ///
 /// Sampled counters [`Fold::merge`] into a running aggregate. Exact
 /// counts ([`ApproxCounter::exact_count`]) are only [`Fold::count`]ed
@@ -206,19 +208,19 @@ impl EngineStats {
 /// the result has the distribution of merging every counter in turn.
 /// Only the grouping of random draws differs. Exact counts are summed
 /// without the parameter check `merge_from` makes: every caller folds
-/// clones of one template (per tier, in a tiered fold).
+/// clones of one template.
 #[derive(Debug, Clone)]
-pub(crate) struct Fold {
+struct Fold {
     acc: CounterFamily,
     pending: u64,
-    /// Counters merged so far: what the `O(sampled keys)` bound counts.
+    /// Counters merged so far.
     #[cfg(test)]
-    pub(crate) merges: u64,
+    merges: u64,
 }
 
 impl Fold {
     /// A fold whose running aggregate starts at `start`.
-    pub(crate) fn onto(start: CounterFamily) -> Self {
+    fn onto(start: CounterFamily) -> Self {
         Self {
             acc: start,
             pending: 0,
@@ -228,11 +230,7 @@ impl Fold {
     }
 
     /// Merges the sampled counter `c` into the running aggregate.
-    pub(crate) fn merge(
-        &mut self,
-        c: &CounterFamily,
-        rng: &mut dyn RandomSource,
-    ) -> Result<(), CoreError> {
+    fn merge(&mut self, c: &CounterFamily, rng: &mut dyn RandomSource) -> Result<(), CoreError> {
         #[cfg(test)]
         {
             self.merges += 1;
@@ -241,13 +239,13 @@ impl Fold {
     }
 
     /// Adds `n` exact increments, applied at [`Fold::finish`].
-    pub(crate) fn count(&mut self, n: u64) {
+    fn count(&mut self, n: u64) {
         self.pending = self.pending.saturating_add(n);
     }
 
     /// The folded counter: the running aggregate with the summed exact
     /// counts applied.
-    pub(crate) fn finish(mut self, rng: &mut dyn RandomSource) -> CounterFamily {
+    fn finish(mut self, rng: &mut dyn RandomSource) -> CounterFamily {
         if self.pending > 0 {
             self.acc.increment_by(self.pending, rng);
         }
@@ -256,10 +254,11 @@ impl Fold {
 }
 
 /// The merged aggregate of `shards`, folded onto `template` (reset):
-/// each shard's sampled counters merge in ascending key order, shard by
-/// shard, then the shards' exact sums land in one `increment_by`. Costs
-/// `O(sampled keys + shards)` and is a pure function of the shards'
-/// contents and `rng`, whatever order the keys arrived in.
+/// each shard's counters are scanned in ascending key order, shard by
+/// shard; the sampled ones merge as they come and the exact counts land
+/// in one `increment_by` at the end. Costs `O(keys log keys)` and is a
+/// pure function of the shards' contents and `rng`, whatever order the
+/// keys arrived in.
 pub(crate) fn fold_shards(
     template: &CounterFamily,
     shards: &[Arc<Shard>],
@@ -269,7 +268,7 @@ pub(crate) fn fold_shards(
 }
 
 /// The fold [`fold_shards`] finishes: every shard's sampled counters
-/// merged onto `template`, every exact sum counted.
+/// merged onto `template`, every exact count counted.
 fn merge_shards(
     template: &CounterFamily,
     shards: &[Arc<Shard>],
@@ -277,12 +276,11 @@ fn merge_shards(
 ) -> Result<Fold, CoreError> {
     let mut fold = Fold::onto(template.clone());
     for shard in shards {
-        debug_assert!(shard.books_match_scan(), "merged-aggregate books drifted");
-        for (c, _) in shard.sampled_in_key_order() {
-            fold.merge(c, rng)?;
-        }
-        for &n in shard.exact_sums() {
-            fold.count(n);
+        for (_, c) in shard.entries_in_key_order() {
+            match c.exact_count() {
+                Some(n) => fold.count(n),
+                None => fold.merge(c, rng)?,
+            }
         }
     }
     Ok(fold)
@@ -560,14 +558,15 @@ impl CounterEngine {
     ///
     /// The same fold as
     /// [`EngineSnapshot::merged_total`](crate::EngineSnapshot::merged_total):
-    /// `O(sampled keys + shards)`, with the counters without an exact
-    /// count merged in key order and the exact counts applied once.
+    /// a scan of every shard in key order, merging the counters without
+    /// an exact count as they come and applying the exact counts once.
+    /// It reproduces Remark 2.4; a total for serving is
+    /// [`EngineSnapshot::merged_estimate`](crate::EngineSnapshot::merged_estimate).
     ///
     /// # Errors
     ///
-    /// Propagates [`CoreError::MergeMismatch`] — unreachable when all
-    /// counters are clones of one template, as here, but surfaced rather
-    /// than swallowed.
+    /// [`CoreError::MergeMismatch`] after tier migrations have put
+    /// keys of different families side by side.
     pub fn merged_total(&self, rng: &mut dyn RandomSource) -> Result<CounterFamily, CoreError> {
         fold_shards(&self.template, &self.shards, rng)
     }

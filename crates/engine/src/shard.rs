@@ -43,17 +43,16 @@ pub(crate) fn route(salt: u64, shards: usize, key: u64) -> usize {
 /// and checkpoint epochs to decide what a freeze must copy and what a
 /// delta checkpoint must serialize; the shard itself only stores it.
 ///
-/// ## The merged aggregate's bookkeeping
+/// ## The merged estimate's book
 ///
 /// Every state change compares the counter's
-/// [`exact_count`](ApproxCounter::exact_count) before and after, and
-/// keeps two things current: `exact`, the sum of the exact counts per
-/// tier, and `sampled`, the `(key, slot)` pairs of every counter without
-/// one. The merged aggregate ([`crate::EngineSnapshot::merged_total`])
-/// merges only the sampled counters and applies the exact sums once, so
-/// it never scans the slab. A Nelson–Yu key leaves its exact epoch at
-/// most once, so under plain increments `sampled` only grows; families
-/// with no exact count (Morris, Csűrös) list every key.
+/// [`unbiased_count`](CounterFamily::unbiased_count) before and after and
+/// moves `book`, the sum of those counts, by the difference. `inexact`
+/// counts the keys with none (Morris, Morris+, Csűrös). The merged
+/// estimate ([`crate::EngineSnapshot::merged_estimate`]) reads the book
+/// and visits counters only in shards where `inexact` is not zero. An
+/// increment never changes a counter's family, so only a new key or a
+/// tier migration moves `inexact`.
 #[derive(Debug, Clone)]
 pub(crate) struct Shard {
     /// key → slab slot. `u32` slots cap a shard at ~4 billion counters,
@@ -75,13 +74,12 @@ pub(crate) struct Shard {
     /// Engine freeze epoch of the last write into this shard (0 = never
     /// written). Maintained by the registry via [`Shard::touch`].
     dirty_epoch: u64,
-    /// `exact[t]`: the sum of the exact counts of tier-`t` counters.
-    /// Grows to cover every tier tag the shard has held (empty: no
-    /// counter yet).
-    exact: Vec<u64>,
-    /// `(key, slot)` of every counter without an exact count, in the
-    /// order they became sampled (readers sort by key).
-    sampled: Vec<(u64, u32)>,
+    /// The sum of every counter's unbiased count. A `u128` cannot
+    /// overflow on `u32` slots of `u64` counts, so taking a count out
+    /// always undoes putting it in.
+    book: u128,
+    /// Counters without an unbiased count.
+    inexact: u32,
 }
 
 impl Shard {
@@ -94,8 +92,8 @@ impl Shard {
             events: 0,
             state_bits: 0,
             dirty_epoch: 0,
-            exact: Vec::new(),
-            sampled: Vec::new(),
+            book: 0,
+            inexact: 0,
         }
     }
 
@@ -105,8 +103,8 @@ impl Shard {
     /// per-key tier tags — either parallel to `entries` or empty for
     /// "every key in tier 0" (the v2-checkpoint case). `dirty_epoch` is
     /// the restore-time epoch — conservatively "dirty as of the
-    /// checkpoint it came from". The merged-aggregate books are rebuilt
-    /// from the entries, so a restored shard folds like the original.
+    /// checkpoint it came from". The book is rebuilt from the entries,
+    /// so a restored shard answers like the original.
     pub(crate) fn from_restored(
         rng: Xoshiro256PlusPlus,
         events: u64,
@@ -133,15 +131,14 @@ impl Shard {
             events,
             state_bits: 0,
             dirty_epoch,
-            exact: Vec::new(),
-            sampled: Vec::new(),
+            book: 0,
+            inexact: 0,
         };
         for (key, counter) in entries {
             let slot = shard.slab.len() as u32;
             shard.index.insert(key, slot);
             shard.state_bits += ac_bitio::StateBits::state_bits(&counter);
-            let tier = shard.tier_of_slot(slot as usize);
-            shard.book(key, slot, tier, counter.exact_count());
+            shard.enter(&counter);
             shard.slab.push(counter);
         }
         shard
@@ -160,7 +157,7 @@ impl Shard {
             let slot = self.slab.len() as u32;
             let fresh = template.clone();
             self.state_bits += ac_bitio::StateBits::state_bits(&fresh);
-            self.book(key, slot, 0, fresh.exact_count());
+            self.enter(&fresh);
             self.slab.push(fresh);
             if !self.tiers.is_empty() {
                 self.tiers.push(0);
@@ -170,57 +167,33 @@ impl Shard {
         };
         let counter = &mut self.slab[slot as usize];
         let bits_before = ac_bitio::StateBits::state_bits(counter);
-        let exact_before = counter.exact_count();
+        let count_before = counter.unbiased_count();
         counter.increment_by(delta, &mut self.rng);
         let bits_after = ac_bitio::StateBits::state_bits(counter);
-        let exact_after = counter.exact_count();
+        let count_after = counter.unbiased_count();
         self.state_bits = self.state_bits - bits_before + bits_after;
         self.events += delta;
-        // Branch-free on the hot path: an exact counter moves its tier's
-        // sum by the change in its count, a sampled one by zero, and one
-        // leaving its exact epoch takes its count out. Increments never
-        // turn a sampled counter exact again.
-        debug_assert!(exact_before.is_some() || exact_after.is_none());
-        let tier = usize::from(self.tier_of_slot(slot as usize));
-        let sum = &mut self.exact[tier];
-        *sum = *sum - exact_before.unwrap_or(0) + exact_after.unwrap_or(0);
-        if exact_before.is_some() && exact_after.is_none() {
-            self.sampled.push((key, slot));
+        // Branch-free on the hot path: a counter without an unbiased
+        // count moves the book by zero, and an increment never changes
+        // whether a counter has one.
+        debug_assert_eq!(count_before.is_some(), count_after.is_some());
+        self.book = self.book - u128::from(count_before.unwrap_or(0))
+            + u128::from(count_after.unwrap_or(0));
+    }
+
+    /// Enters `counter` into the book.
+    fn enter(&mut self, counter: &CounterFamily) {
+        match counter.unbiased_count() {
+            Some(n) => self.book += u128::from(n),
+            None => self.inexact += 1,
         }
     }
 
-    /// Enters `key`'s counter (at `slot`, in `tier`, with exact count
-    /// `exact`) into the merged aggregate's books.
-    fn book(&mut self, key: u64, slot: u32, tier: u8, exact: Option<u64>) {
-        self.cover_tier(tier);
-        match exact {
-            Some(n) => self.exact[usize::from(tier)] += n,
-            None => self.sampled.push((key, slot)),
-        }
-    }
-
-    /// Takes `key`'s counter (in `tier`, with exact count `exact`) out of
-    /// the merged aggregate's books.
-    fn unbook(&mut self, key: u64, tier: u8, exact: Option<u64>) {
-        match exact {
-            Some(n) => self.exact[usize::from(tier)] -= n,
-            None => {
-                let at = self
-                    .sampled
-                    .iter()
-                    .position(|&(k, _)| k == key)
-                    .expect("a sampled counter is listed");
-                self.sampled.swap_remove(at);
-            }
-        }
-    }
-
-    /// Grows `exact` to cover tier `tier`, so that `exact.len()` bounds
-    /// every tag the shard has held ([`Shard::tags_below`] relies on it).
-    fn cover_tier(&mut self, tier: u8) {
-        let len = usize::from(tier) + 1;
-        if self.exact.len() < len {
-            self.exact.resize(len, 0);
+    /// Takes `counter` out of the book.
+    fn leave(&mut self, counter: &CounterFamily) {
+        match counter.unbiased_count() {
+            Some(n) => self.book -= u128::from(n),
+            None => self.inexact -= 1,
         }
     }
 
@@ -277,55 +250,37 @@ impl Shard {
         self.state_bits
     }
 
-    /// The sum of the exact counts of tier-`t` counters, at index `t`.
-    pub(crate) fn exact_sums(&self) -> &[u64] {
-        &self.exact
+    /// The sum of the shard's unbiased counts (`O(1)` to read).
+    pub(crate) fn book(&self) -> u128 {
+        self.book
     }
 
-    /// The counters without an exact count and their tiers, in ascending
-    /// key order: the only counters the merged aggregate merges.
-    pub(crate) fn sampled_in_key_order(&self) -> impl Iterator<Item = (&CounterFamily, u8)> {
-        let mut order = self.sampled.clone();
-        order.sort_unstable_by_key(|&(key, _)| key);
-        order.into_iter().map(|(_, slot)| {
-            let slot = slot as usize;
-            (&self.slab[slot], self.tier_of_slot(slot))
-        })
+    /// True when some counter has no unbiased count, so an aggregate
+    /// must visit the slab.
+    pub(crate) fn has_inexact(&self) -> bool {
+        self.inexact > 0
     }
 
-    /// Some counter in tier `tier`, if the shard holds one.
-    pub(crate) fn any_in_tier(&self, tier: u8) -> Option<&CounterFamily> {
-        let slot = if self.tiers.is_empty() {
-            (tier == 0 && !self.slab.is_empty()).then_some(0)
-        } else {
-            self.tiers.iter().position(|&t| t == tier)
-        };
-        slot.map(|slot| &self.slab[slot])
+    /// The `(key, counter)` pairs in ascending key order (`O(keys log
+    /// keys)`).
+    pub(crate) fn entries_in_key_order(&self) -> Vec<(u64, &CounterFamily)> {
+        let mut entries: Vec<_> = self.entries().collect();
+        entries.sort_unstable_by_key(|&(key, _)| key);
+        entries
     }
 
-    /// True when every key carries a tier tag below `tiers`. Scans the
-    /// tags only if the shard has ever held a tag at or above `tiers`.
-    pub(crate) fn tags_below(&self, tiers: usize) -> bool {
-        self.exact.len() <= tiers || self.tiers.iter().all(|&t| usize::from(t) < tiers)
-    }
-
-    /// True when the merged-aggregate books equal a from-scratch scan of
-    /// the slab (an `O(keys)` audit for debug assertions and tests).
+    /// True when the book equals a from-scratch scan of the slab (an
+    /// `O(keys)` audit for debug assertions and tests).
     pub(crate) fn books_match_scan(&self) -> bool {
-        let mut exact = vec![0u64; self.exact.len()];
-        let mut sampled = Vec::new();
-        for (key, &slot) in &self.index {
-            let tier = self.tier_of_slot(slot as usize);
-            match self.slab[slot as usize].exact_count() {
-                Some(n) if usize::from(tier) < exact.len() => exact[usize::from(tier)] += n,
-                Some(_) => return false,
-                None => sampled.push((*key, slot)),
+        let mut book = 0u128;
+        let mut inexact = 0u32;
+        for counter in &self.slab {
+            match counter.unbiased_count() {
+                Some(n) => book += u128::from(n),
+                None => inexact += 1,
             }
         }
-        let mut listed = self.sampled.clone();
-        listed.sort_unstable();
-        sampled.sort_unstable();
-        exact == self.exact && listed == sampled
+        book == self.book && inexact == self.inexact
     }
 
     /// The accuracy tier of slab slot `slot`.
@@ -376,7 +331,6 @@ impl Shard {
     /// Tags slab slot `slot` with `tier`, materializing the lazy tag
     /// vector on the first non-default assignment.
     fn set_tier_slot(&mut self, slot: usize, tier: u8) {
-        self.cover_tier(tier);
         if self.tiers.is_empty() {
             if tier == 0 {
                 return;
@@ -388,9 +342,9 @@ impl Shard {
 
     /// Migrates `key`'s counter to `spec` via the estimate-preserving
     /// [`CounterFamily::migrate_to`] and tags it `tier`, keeping the
-    /// shard's incremental `state_bits` and merged-aggregate books
-    /// exact. Returns `Ok(false)` for a key the shard does not track (it
-    /// may have been routed here by a stale plan).
+    /// shard's incremental `state_bits` and its book exact. Returns
+    /// `Ok(false)` for a key the shard does not track (it may have been
+    /// routed here by a stale plan).
     ///
     /// The migration construction is deterministic and consumes no
     /// randomness, so the shard's RNG stream — which checkpoints persist
@@ -405,20 +359,13 @@ impl Shard {
             return Ok(false);
         };
         let migrated = self.slab[slot as usize].migrate_to(spec, &mut self.rng)?;
-        let old = &self.slab[slot as usize];
-        let before = ac_bitio::StateBits::state_bits(old);
-        let after = ac_bitio::StateBits::state_bits(&migrated);
+        self.enter(&migrated);
+        let old = std::mem::replace(&mut self.slab[slot as usize], migrated);
+        self.leave(&old);
+        let before = ac_bitio::StateBits::state_bits(&old);
+        let after = ac_bitio::StateBits::state_bits(&self.slab[slot as usize]);
         self.state_bits = self.state_bits - before + after;
-        let (old_tier, old_exact) = (self.tier_of_slot(slot as usize), old.exact_count());
-        let new_exact = migrated.exact_count();
-        self.slab[slot as usize] = migrated;
         self.set_tier_slot(slot as usize, tier);
-        // A counter sampled before and after stays listed; its tier is
-        // read from the tags.
-        if old_exact.is_some() || new_exact.is_some() {
-            self.unbook(key, old_tier, old_exact);
-            self.book(key, slot, tier, new_exact);
-        }
         Ok(true)
     }
 }

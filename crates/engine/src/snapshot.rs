@@ -17,27 +17,29 @@
 //!   durability rides the same freeze and the write path never stalls for
 //!   I/O (see [`crate::checkpoint`]).
 //!
-//! The cross-shard merged aggregate (Remark 2.4) is *not* folded at
-//! freeze time. [`EngineSnapshot::merged_total`] computes it on demand,
-//! on whichever reader thread wants it, from bookkeeping the write path
-//! already keeps: each shard's running sum of exact counts
-//! ([`ApproxCounter::exact_count`]) and its list of sampled counters.
-//! Under a skewed key distribution nearly every key is still exact, so
-//! a fold merges a few dozen counters in ascending key order, applies
-//! the summed exact counts in one `increment_by`, and costs
-//! `O(sampled keys + shards)` — never a scan of the slabs. It takes no
-//! lock and keeps no cache: the merged state is a pure function of the
-//! snapshot and the caller's RNG, so a primary, its replica and a
-//! restored copy pinned to the same contents and seed agree on it.
+//! The cross-shard total, [`EngineSnapshot::merged_estimate`], is a sum
+//! of per-key unbiased counts, not a merged counter. The write path keeps
+//! it current: each shard holds one integer book, the sum of its
+//! counters' [`CounterFamily::unbiased_count`]s (an exact count, or a
+//! Nelson–Yu counter's `Y·2ᵗ`). Reading the total adds the books, so it
+//! costs `O(shards)` and needs no RNG. Only keys of families without an
+//! integer count (Morris, Morris+, Csűrös) are visited, one estimate each.
+//! The answer is a pure function of the snapshot, so a primary, its
+//! replica and a restored copy holding the same counters agree on it to
+//! the bit. [`EngineSnapshot::merged_total`] still folds the counters
+//! into one under Remark 2.4's merge law, for the experiments that
+//! reproduce it.
 //!
 //! [`CounterEngine::snapshot_deep`] keeps the stop-the-world `O(keys)`
 //! deep-clone freeze alive as the oracle for the CoW-equivalence property
 //! tests.
 
-use crate::registry::{fold_shards, CounterEngine, EngineConfig, Fold};
+use crate::registry::{fold_shards, CounterEngine, EngineConfig};
 use crate::shard::{route, Shard};
 use ac_core::{ApproxCounter, CoreError, CounterFamily};
 use ac_randkit::RandomSource;
+#[cfg(test)]
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -123,37 +125,66 @@ impl EngineSnapshot {
         self.shards[route(self.salt, self.shards.len(), key)].get(key)
     }
 
-    /// Folds the cross-shard merged aggregate: a single counter
-    /// distributed as if it had processed the whole frozen stream
-    /// (Remark 2.4), agreeing with [`EngineSnapshot::total_events`]
-    /// within the family's `(ε, δ)` guarantee. Run it on a reader
-    /// thread; the freeze itself never pays this fold.
+    /// The frozen stream's total, estimated as the sum of the per-key
+    /// unbiased counts: the integer books of every key with a
+    /// [`CounterFamily::unbiased_count`] (Exact counts, Nelson–Yu `Y·2ᵗ`),
+    /// plus the [`ApproxCounter::estimate`] of every other key (Morris,
+    /// Morris+, Csűrös), added in ascending key order. The sum crosses
+    /// tiers, so a tiered snapshot answers like an untiered one.
+    ///
+    /// Each key keeps its own sampling rate, so the sum is tighter than
+    /// one merged counter's estimate, and exact when every key is.
+    /// Point reads still answer Algorithm 1's `T` for a Nelson–Yu key
+    /// past its exact epoch, so this total is not the sum of
+    /// [`EngineSnapshot::estimate`]s.
     ///
     /// ## Cost
     ///
-    /// `O(sampled keys + shards)`. Each shard keeps, as it applies
-    /// writes, the sum of its exact counts ([`ApproxCounter::exact_count`]:
-    /// a Nelson–Yu counter still in its exact epoch, any
-    /// [`ExactCounter`](ac_core::ExactCounter)) and the list of its
-    /// counters without one. The fold sorts each shard's list by key,
-    /// merges the listed counters shard by shard, then applies the summed
-    /// exact counts in one `increment_by`. The result has the
-    /// distribution of merging every counter in turn. Families with no
-    /// exact count (Morris, Csűrös) list every key, so for them the fold
-    /// is `O(keys)`.
+    /// `O(shards)`: each shard keeps its book as it applies writes. A
+    /// shard holding keys without an integer count adds their
+    /// estimates, `O(keys log keys)` for that shard. No RNG is drawn and
+    /// no counter is cloned, so snapshots holding the same counters —
+    /// a primary, its replica, a copy restored from a checkpoint — give
+    /// the same `f64`.
+    #[must_use]
+    pub fn merged_estimate(&self) -> f64 {
+        let mut book = 0u128;
+        let mut inexact = Vec::new();
+        for shard in &self.shards {
+            debug_assert!(shard.books_match_scan(), "the shard's book drifted");
+            book += shard.book();
+            if shard.has_inexact() {
+                for (key, c) in shard.entries() {
+                    #[cfg(test)]
+                    COUNTERS_READ.with(|n| n.set(n.get() + 1));
+                    if c.unbiased_count().is_none() {
+                        inexact.push((key, c.estimate()));
+                    }
+                }
+            }
+        }
+        inexact.sort_unstable_by_key(|&(key, _)| key);
+        book as f64 + inexact.iter().map(|&(_, est)| est).sum::<f64>()
+    }
+
+    /// Folds every frozen counter into one under the family's merge law
+    /// (Remark 2.4): a single counter distributed as if it had processed
+    /// the whole frozen stream. This is the paper's merge, kept for the
+    /// experiments that reproduce it; [`EngineSnapshot::merged_estimate`]
+    /// answers a total without it.
     ///
-    /// ## Determinism
-    ///
-    /// There is no cache and no lock: the merged state is a pure function
-    /// of the snapshot's contents and `rng`. Snapshots holding the same
-    /// counters — a primary, its replica, a copy restored from a
-    /// checkpoint — give equal merged states for equal RNG states,
-    /// whatever order their keys arrived in.
+    /// Scans each shard in ascending key order, shard by shard: counters
+    /// without an [`ApproxCounter::exact_count`] merge as they come, and
+    /// the exact counts land in one `increment_by` at the end. The result
+    /// has the distribution of merging every counter in turn, and is a
+    /// pure function of the snapshot's contents and `rng`: snapshots
+    /// holding the same counters give equal states for equal RNG states,
+    /// whatever order their keys arrived in. Costs `O(keys log keys)`.
     ///
     /// # Errors
     ///
-    /// Propagates [`CoreError::MergeMismatch`] from the fold —
-    /// unreachable when all counters are clones of one template, as here.
+    /// [`CoreError::MergeMismatch`] when the snapshot holds more than one
+    /// counter family (a tiered snapshot).
     pub fn merged_total(&self, rng: &mut dyn RandomSource) -> Result<CounterFamily, CoreError> {
         fold_shards(&self.template, &self.shards, rng)
     }
@@ -214,75 +245,13 @@ impl EngineSnapshot {
     pub fn counter_state_bits(&self) -> u64 {
         self.shards.iter().map(|s| s.state_bits()).sum()
     }
+}
 
-    /// The cross-shard merged aggregate for a **tiered** snapshot, where
-    /// keys on different rungs hold different counter families and a
-    /// single [`EngineSnapshot::merged_total`] fold would refuse to mix
-    /// them. Counters merge *within* each tier under the family's merge
-    /// law (Remark 2.4), and the per-tier totals' estimates sum — so the
-    /// result inherits each tier's `(ε, δ)` guarantee on its share of the
-    /// stream rather than one family-wide bound.
-    ///
-    /// `tiers` is the ladder length; a tag at or above it is refused.
-    ///
-    /// Costs the same as [`EngineSnapshot::merged_total`], per tier: each
-    /// shard keeps a sum of exact counts per tier, so only sampled
-    /// counters merge (shard by shard, in ascending key order), and each
-    /// tier's exact sum lands in one `increment_by`. A tier holding only
-    /// exact counts starts from a reset clone of one of its counters.
-    /// The result is a pure function of the snapshot and `rng`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidState`] when a key carries a tier tag outside
-    /// `0..tiers`; [`CoreError::MergeMismatch`] is unreachable because
-    /// counters within one tier are clones of one template.
-    pub fn merged_estimate_tiered(
-        &self,
-        tiers: usize,
-        rng: &mut dyn RandomSource,
-    ) -> Result<f64, CoreError> {
-        let mut folds: Vec<Option<Fold>> = vec![None; tiers];
-        let mut exact = vec![0u64; tiers];
-        for shard in &self.shards {
-            debug_assert!(shard.books_match_scan(), "merged-aggregate books drifted");
-            if !shard.tags_below(tiers) {
-                return Err(CoreError::InvalidState {
-                    what: "key carries a tier tag outside the ladder",
-                });
-            }
-            for (counter, tier) in shard.sampled_in_key_order() {
-                match &mut folds[usize::from(tier)] {
-                    Some(fold) => fold.merge(counter, rng)?,
-                    slot @ None => *slot = Some(Fold::onto(counter.clone())),
-                }
-            }
-            for (sum, &n) in exact.iter_mut().zip(shard.exact_sums()) {
-                *sum = sum.saturating_add(n);
-            }
-        }
-        let mut total = 0.0;
-        for (tier, (fold, n)) in folds.into_iter().zip(exact).enumerate() {
-            let mut fold = match fold {
-                Some(fold) => fold,
-                None if n == 0 => continue,
-                None => {
-                    let tier = u8::try_from(tier).expect("tier tags are u8");
-                    let mut start = self
-                        .shards
-                        .iter()
-                        .find_map(|s| s.any_in_tier(tier))
-                        .expect("a tier with exact counts holds a counter")
-                        .clone();
-                    start.reset();
-                    Fold::onto(start)
-                }
-            };
-            fold.count(n);
-            total += fold.finish(rng).estimate();
-        }
-        Ok(total)
-    }
+#[cfg(test)]
+thread_local! {
+    /// Counters [`EngineSnapshot::merged_estimate`] has visited on this
+    /// thread.
+    pub(crate) static COUNTERS_READ: Cell<u64> = const { Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -317,6 +286,7 @@ mod tests {
         assert_eq!(snap.total_events(), 60);
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(1);
         assert_eq!(snap.merged_total(&mut rng).unwrap().exact_count(), Some(60));
+        assert_eq!(snap.merged_estimate(), 60.0);
         assert_eq!(e.estimate(1), Some(110.0), "writer advanced independently");
         assert_eq!(snap.iter().count(), 3);
         assert_eq!(snap.config(), cfg());
@@ -429,40 +399,29 @@ mod tests {
     }
 
     #[test]
-    fn tier_migrations_evict_stale_tiered_folds() {
+    fn tier_migrations_reach_the_merged_estimate() {
         use ac_core::TierMove;
         let mut e = CounterEngine::new(exact(), cfg());
         let batch: Vec<(u64, u64)> = (0..64u64).map(|k| (k, 12)).collect();
         e.apply(&batch);
         let ladder = [CounterSpec::Exact, CounterSpec::Csuros { mantissa_bits: 1 }];
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(11);
 
-        let snap1 = e.snapshot();
-        let before = snap1.merged_estimate_tiered(2, &mut rng).unwrap();
+        let before = e.snapshot().merged_estimate();
         assert_eq!(before, 768.0, "all-exact engine sums exactly");
 
         // Migrate one key onto the coarse rung. Its exact count (12) is
         // not representable with a 1-bit mantissa, so the re-seeded
         // estimate moves — while the shard's `events` and `len` do not.
-        // The fold must see the migrated state.
+        // The book must see the migrated state.
         let moved = e
             .apply_migrations(&ladder, &[TierMove { key: 3, tier: 1 }])
             .unwrap();
         assert_eq!(moved, 1);
-        let snap2 = e.snapshot();
-        let after = snap2.merged_estimate_tiered(2, &mut rng).unwrap();
-        let oracle: f64 = snap2
-            .shards
-            .iter()
-            .flat_map(|s| s.entries_tagged())
-            .map(|(_, c, _)| c.estimate())
-            .sum();
-        assert_eq!(after, oracle, "fold must match a from-scratch sum");
+        let snap = e.snapshot();
+        let after = snap.merged_estimate();
+        let migrated = snap.estimate(3).unwrap();
+        assert_eq!(after, 756.0 + migrated, "books plus the Csűrös estimate");
         assert_ne!(after, before, "coarse rung must move the estimate");
-        assert!(
-            snap2.merged_estimate_tiered(1, &mut rng).is_err(),
-            "a tag outside the ladder is refused"
-        );
     }
 
     #[test]
@@ -486,10 +445,7 @@ mod tests {
             snap.merged_total(&mut counting).unwrap().estimate(),
             n as f64
         );
-        assert_eq!(
-            snap.merged_estimate_tiered(1, &mut counting).unwrap(),
-            n as f64
-        );
+        assert_eq!(snap.merged_estimate(), n as f64);
         assert_eq!(
             counting.draws, 0,
             "summing exact counts needs no randomness"
@@ -523,60 +479,12 @@ mod tests {
     }
 
     #[test]
-    fn tiered_fold_sums_an_exact_count_tier() {
-        use ac_core::TierMove;
-        let mut e = CounterEngine::new(exact(), cfg());
-        e.apply(&(0..400u64).map(|k| (k, k % 9 + 1)).collect::<Vec<_>>());
-        e.apply(&[(1_000, 50_000), (1_001, 70_000)]);
-        let ladder = [
-            CounterSpec::Exact,
-            CounterSpec::NelsonYu {
-                eps: 0.2,
-                delta_log2: 8,
-            },
-        ];
-        // Tier 1 holds exact-epoch Nelson–Yu keys and two sampled ones.
-        let moves: Vec<TierMove> = (0..40u64)
-            .chain([1_000, 1_001])
-            .map(|key| TierMove { key, tier: 1 })
-            .collect();
-        assert_eq!(e.apply_migrations(&ladder, &moves).unwrap(), 42);
-        let snap = e.snapshot();
-        let tagged = |tier: u8| {
-            snap.shards
-                .iter()
-                .flat_map(|s| s.entries_tagged())
-                .filter(move |&(_, _, t)| t == tier)
-                .map(|(_, c, _)| c)
-        };
-        let exact_tier: f64 = tagged(0).map(ApproxCounter::estimate).sum();
-        assert_eq!(tagged(1).filter(|c| c.exact_count().is_none()).count(), 2);
-
-        // The tiered fold, less the exact tier's sum, against the
-        // pairwise fold of the Nelson–Yu tier alone.
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(43);
-        let mut tiered = Vec::new();
-        let mut pairwise = Vec::new();
-        for _ in 0..400 {
-            let est = snap.merged_estimate_tiered(2, &mut rng).unwrap();
-            tiered.push(est - exact_tier);
-            let mut ny = tagged(1);
-            let mut total = ny.next().unwrap().clone();
-            for c in ny {
-                total.merge_from(c, &mut rng).unwrap();
-            }
-            pairwise.push(total.estimate());
-        }
-        let ks = ac_stats::ks::ks_two_sample(&tiered, &pairwise);
-        assert!(ks.p_value > 0.001, "KS p={} D={}", ks.p_value, ks.statistic);
-    }
-
-    #[test]
     fn empty_engine_snapshots_cleanly() {
         let mut e = CounterEngine::new(exact(), cfg());
         let snap = e.snapshot();
         assert!(snap.is_empty());
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(5);
         assert_eq!(snap.merged_total(&mut rng).unwrap().exact_count(), Some(0));
+        assert_eq!(snap.merged_estimate(), 0.0);
     }
 }

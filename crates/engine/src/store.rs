@@ -14,7 +14,7 @@
 //! * **handles, not layers** — cloneable [`StoreWriter`]s (each with its
 //!   own ingest producer id and sequence numbers) and epoch-pinned
 //!   [`StoreReader`]s (wrapping published
-//!   [`EngineSnapshot`]s with `estimate` / `merged_total`);
+//!   [`EngineSnapshot`]s with `estimate` / `merged_estimate`);
 //! * **crash recovery** — [`Store::open`] reads the directory's
 //!   [`Manifest`], rebuilds the family from the recorded spec, discovers
 //!   the newest intact base + delta chain (falling back past a truncated
@@ -61,7 +61,7 @@ use crate::snapshot::EngineSnapshot;
 use ac_core::{
     ApproxCounter, BudgetController, CounterFamily, CounterSpec, ExactCounter, TierPolicy,
 };
-use ac_randkit::{mix64, RandomSource, SplitMix64, Xoshiro256PlusPlus};
+use ac_randkit::SplitMix64;
 use ac_streams::SpaceSaving;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -938,7 +938,6 @@ impl Store {
         let snap = Arc::clone(&self.shared.snap.read().expect("snapshot slot"));
         StoreReader {
             shared: Arc::clone(&self.shared),
-            seed: self.config.seed,
             snap,
         }
     }
@@ -1180,7 +1179,6 @@ impl Clone for StoreWriter {
 pub struct StoreReader {
     shared: Arc<Shared>,
     snap: Arc<EngineSnapshot>,
-    seed: u64,
 }
 
 impl StoreReader {
@@ -1197,57 +1195,21 @@ impl StoreReader {
         self.snap.counter(key)
     }
 
-    /// The cross-shard merged aggregate (Remark 2.4) of the pinned
-    /// replica, folded with a deterministic RNG derived from the store
-    /// seed and the pinned epoch — so two readers pinned to the same
-    /// epoch agree, on this process or on a replica. For explicit
-    /// randomness use [`StoreReader::merged_total_with`].
+    /// The service's one-number answer to "how many events, in
+    /// total?" at the pinned freeze: the sum of the per-key unbiased
+    /// counts ([`EngineSnapshot::merged_estimate`]). It costs `O(shards)`
+    /// for Exact and Nelson–Yu keys and one estimate per key of the other
+    /// families, draws no randomness and needs no seed, so every reader,
+    /// replica or reopened store holding the same counters gives the same
+    /// `f64`. It covers every tier of a tiered store. Point reads of a
+    /// Nelson–Yu key past its exact epoch still answer Algorithm 1's `T`,
+    /// so this total is not the sum of [`StoreReader::estimate`]s.
     ///
     /// # Errors
     ///
-    /// Propagates merge errors as [`EngineError::Core`] (unreachable for
-    /// a store's homogeneous counters).
-    pub fn merged_total(&self) -> Result<CounterFamily, EngineError> {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(mix64(self.seed ^ mix64(self.epoch())));
-        self.merged_total_with(&mut rng)
-    }
-
-    /// [`StoreReader::merged_total`] with caller-supplied randomness.
-    ///
-    /// # Errors
-    ///
-    /// Propagates merge errors as [`EngineError::Core`].
-    pub fn merged_total_with(
-        &self,
-        rng: &mut dyn RandomSource,
-    ) -> Result<CounterFamily, EngineError> {
-        Ok(self.snap.merged_total(rng)?)
-    }
-
-    /// The merged aggregate's estimate — the service's one-number answer
-    /// to "how many events, in total?".
-    ///
-    /// # Errors
-    ///
-    /// See [`StoreReader::merged_total`].
+    /// None today; the `Result` keeps the signature callers match on.
     pub fn merged_estimate(&self) -> Result<f64, EngineError> {
-        Ok(self.merged_total()?.estimate())
-    }
-
-    /// The merged aggregate of a **tiered** store: counters merge within
-    /// each tier under the family merge law and the per-tier totals'
-    /// estimates sum (see [`EngineSnapshot::merged_estimate_tiered`]).
-    /// `tiers` is the ladder length the store was started with. Uses the
-    /// same deterministic epoch-derived randomness as
-    /// [`StoreReader::merged_total`].
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Core`] when a key carries a tier tag at or beyond
-    /// `tiers`.
-    pub fn merged_estimate_tiered(&self, tiers: usize) -> Result<f64, EngineError> {
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(mix64(self.seed ^ mix64(self.epoch())));
-        Ok(self.snap.merged_estimate_tiered(tiers, &mut rng)?)
+        Ok(self.snap.merged_estimate())
     }
 
     /// Exact total events at the pinned freeze.
@@ -1470,16 +1432,49 @@ mod tests {
         let report = store.close().unwrap();
         assert_eq!(report.stats.events, 500_000);
 
-        // After close the final replica is published: the merged
-        // aggregate concentrates around the exact total, and repeated
-        // calls on the same pin agree (deterministic seed + warm cache).
+        // After close the final replica is published: the summed
+        // estimate concentrates around the exact total, and repeated
+        // calls on the same pin agree (it is a pure function of the pin).
         reader.refresh();
         assert_eq!(reader.total_events(), 500_000);
         let merged = reader.merged_estimate().unwrap();
         let rel = (merged - 500_000.0).abs() / 500_000.0;
         assert!(rel < 0.4, "merged relative error {rel}");
         let again = reader.merged_estimate().unwrap();
-        assert_eq!(merged, again, "same pin, same fold");
+        assert_eq!(merged, again, "same pin, same sum");
+    }
+
+    /// Exact and Nelson–Yu stores answer the merged estimate from the
+    /// shards' books alone, even with sampled keys; a Morris store reads
+    /// each key once.
+    #[test]
+    fn merged_estimate_reads_counters_only_for_families_without_a_count() {
+        use crate::snapshot::COUNTERS_READ;
+        for (spec, reads) in [
+            (CounterSpec::Exact, 0),
+            (spec(), 0),
+            (CounterSpec::Morris { a: 0.5 }, 300),
+        ] {
+            let store = Store::builder(spec).with_shards(8).start().unwrap();
+            let mut w = store.writer();
+            for key in 0..300u64 {
+                w.record(key, 1 + key * key);
+            }
+            w.flush().unwrap();
+            let mut reader = store.reader();
+            let _ = store.close().unwrap();
+            reader.refresh();
+            let sampled = reader
+                .snapshot()
+                .iter()
+                .filter(|(_, c)| c.exact_count().is_none())
+                .count();
+            assert_eq!(sampled > 0, spec != CounterSpec::Exact, "{spec}");
+            COUNTERS_READ.with(|n| n.set(0));
+            let merged = reader.merged_estimate().unwrap();
+            assert!(merged > 0.0);
+            assert_eq!(COUNTERS_READ.with(std::cell::Cell::get), reads, "{spec}");
+        }
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //!   bit-exactly (counters, shard RNG streams, epoch clock), falls back
 //!   past a truncated tail delta to the best intact prefix, reports the
 //!   per-producer replay cursor, and returns typed errors for empty,
-//!   corrupt, or missing manifests and unrestorable directories.
+//!   corrupt, or missing manifests and unrestorable directories;
+//! * **a tiered store answers a merged total** — keys on different
+//!   rungs hold different families, and the merged estimate sums them.
 
 use ac_bitio::{BitVec, BitWriter};
-use ac_core::{CounterFamily, CounterSpec, StateCodec};
+use ac_core::{ApproxCounter, CounterFamily, CounterSpec, StateCodec, TierPolicy};
 use ac_engine::{
     compact_checkpoint, read_header, restore_checkpoint, CheckpointKind, CounterEngine,
     EngineConfig, EngineError, IngestConfig, Manifest, Store, StoreOptions,
@@ -533,4 +535,61 @@ fn open_with_honors_runtime_options() {
     r.refresh();
     assert_eq!(r.total_events(), before + 128);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A default-ladder store whose hot keys reach the Nelson–Yu rung past
+/// its exact epoch: one merged counter cannot hold Morris and Nelson–Yu
+/// keys together, but the sum of per-key counts can.
+#[test]
+fn tiered_store_merges_across_the_default_ladder() {
+    let store = Store::builder(CounterSpec::Morris { a: 1.0 })
+        .with_shards(4)
+        .with_seed(3)
+        .with_snapshot_every_events(2_000)
+        .with_tiering(TierPolicy::default_ladder(), 1 << 20)
+        .start()
+        .unwrap();
+    let mut w = store.writer();
+    let mut total = 0u64;
+    for round in 0..40u64 {
+        for hot in 0..4u64 {
+            w.record(hot, 500);
+        }
+        for key in 0..50u64 {
+            w.record(1_000 + key + 50 * round, 2);
+        }
+        total += 4 * 500 + 50 * 2;
+        w.flush().unwrap();
+    }
+    let mut reader = store.reader();
+    let report = store.close().unwrap();
+    reader.refresh();
+    assert_eq!(reader.total_events(), total);
+    assert!(
+        report.stats.tier_keys[1] > 0,
+        "{:?}",
+        report.stats.tier_keys
+    );
+    let sampled_ny = reader
+        .snapshot()
+        .iter()
+        .filter(|(_, c)| matches!(c, CounterFamily::NelsonYu(_)) && c.exact_count().is_none())
+        .count();
+    assert!(sampled_ny > 0, "a Nelson-Yu key left its exact epoch");
+
+    let merged = reader.merged_estimate().unwrap();
+    let mut counts = 0u64;
+    let mut others: Vec<(u64, f64)> = Vec::new();
+    for (key, c) in reader.snapshot().iter() {
+        match c {
+            CounterFamily::Exact(c) => counts += c.exact_count().unwrap(),
+            CounterFamily::NelsonYu(c) => counts += c.y() << c.sampling_exponent(),
+            _ => others.push((key, c.estimate())),
+        }
+    }
+    others.sort_unstable_by_key(|&(key, _)| key);
+    let reference = counts as f64 + others.iter().map(|&(_, est)| est).sum::<f64>();
+    assert_eq!(merged, reference);
+    let rel = (merged - total as f64).abs() / total as f64;
+    assert!(rel < 0.25, "merged estimate {merged} vs {total}");
 }

@@ -7,8 +7,6 @@
 use crate::conn::FrameConn;
 use crate::error::NetError;
 use crate::wire::{Frame, Identity, Query, Reply, Role, NEW_PRODUCER, PROTO_VERSION};
-use ac_bitio::{BitReader, BitVec};
-use ac_core::{CounterFamily, StateCodec};
 use ac_engine::BackpressurePolicy;
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -104,17 +102,10 @@ impl StoreClient {
         let (_, _, epoch) = expect_hello_ok(&mut conn)?;
         Ok(RemoteReader {
             conn,
-            template: build_template(&self.identity)?,
             next_id: 1,
             epoch,
         })
     }
-}
-
-fn build_template(identity: &Identity) -> Result<CounterFamily, NetError> {
-    identity.spec.build().map_err(|_| NetError::Malformed {
-        what: "client spec does not build",
-    })
 }
 
 pub(crate) fn connect(
@@ -651,7 +642,6 @@ impl std::error::Error for NetSendError {}
 #[derive(Debug)]
 pub struct RemoteReader {
     conn: FrameConn,
-    template: CounterFamily,
     next_id: u64,
     epoch: u64,
 }
@@ -712,8 +702,7 @@ impl RemoteReader {
     ///
     /// # Errors
     ///
-    /// Transport and protocol failures; [`NetError::Remote`] for
-    /// server-side merge failures.
+    /// Transport and protocol failures.
     ///
     /// [`StoreReader::merged_estimate`]: ac_engine::StoreReader::merged_estimate
     pub fn merged_estimate(&mut self) -> Result<f64, NetError> {
@@ -721,49 +710,6 @@ impl RemoteReader {
             Reply::F64(x) => Ok(x),
             _ => Err(NetError::UnexpectedFrame {
                 what: "merged estimate reply shape",
-            }),
-        }
-    }
-
-    /// Remote [`StoreReader::merged_total`]: the merged aggregate
-    /// counter itself, decoded with this client's template.
-    ///
-    /// # Errors
-    ///
-    /// Transport and protocol failures; [`NetError::Malformed`] if the
-    /// shipped state does not decode under the agreed spec.
-    ///
-    /// [`StoreReader::merged_total`]: ac_engine::StoreReader::merged_total
-    pub fn merged_total(&mut self) -> Result<CounterFamily, NetError> {
-        match self.ask(Query::MergedTotal)? {
-            Reply::State(bytes) => {
-                let v = BitVec::from_bytes(&bytes);
-                let mut r = BitReader::new(&v);
-                self.template
-                    .decode_state(&mut r)
-                    .map_err(|_| NetError::Malformed {
-                        what: "merged counter state does not decode",
-                    })
-            }
-            _ => Err(NetError::UnexpectedFrame {
-                what: "merged total reply shape",
-            }),
-        }
-    }
-
-    /// Remote [`StoreReader::merged_estimate_tiered`].
-    ///
-    /// # Errors
-    ///
-    /// Transport and protocol failures; [`NetError::Remote`] for
-    /// ladder disagreements.
-    ///
-    /// [`StoreReader::merged_estimate_tiered`]: ac_engine::StoreReader::merged_estimate_tiered
-    pub fn merged_estimate_tiered(&mut self, tiers: u32) -> Result<f64, NetError> {
-        match self.ask(Query::MergedEstimateTiered { tiers })? {
-            Reply::F64(x) => Ok(x),
-            _ => Err(NetError::UnexpectedFrame {
-                what: "tiered estimate reply shape",
             }),
         }
     }

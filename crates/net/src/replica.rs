@@ -20,12 +20,10 @@ use crate::client::{connect, expect_hello_ok};
 use crate::conn::FrameConn;
 use crate::error::{NetError, RefuseCode};
 use crate::wire::{Frame, Identity, Role, NEW_PRODUCER};
-use ac_core::{ApproxCounter, CounterFamily};
 use ac_engine::{
     fold_checkpoint_delta, read_header, restore_checkpoint, CheckpointHeader, CheckpointKind,
     CounterEngine, EngineSnapshot,
 };
-use ac_randkit::{mix64, Xoshiro256PlusPlus};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -182,41 +180,23 @@ impl ReplicaNode {
         self.len() == 0
     }
 
-    /// The merged aggregate estimate of the folded snapshot, seeded
-    /// exactly like the primary's [`StoreReader::merged_estimate`] at
-    /// the same epoch — a replica and a primary reader pinned to the
-    /// same freeze agree on the merge. The fold follows key order, not
-    /// the order keys reached either side, so the merged *state* agrees
-    /// too.
+    /// The folded snapshot's total, summed from the per-key unbiased
+    /// counts exactly like the primary's [`StoreReader::merged_estimate`]:
+    /// `O(shards)` for Exact and Nelson–Yu keys, no RNG and no seed. A
+    /// replica and a primary reader holding the same counters return the
+    /// same `f64`, whatever order the keys reached either side.
     ///
     /// # Errors
     ///
-    /// [`NetError::Malformed`] before the first fold;
-    /// [`NetError::Remote`] for merge failures (unreachable for a
-    /// store's homogeneous counters).
+    /// [`NetError::Malformed`] before the first fold.
     ///
     /// [`StoreReader::merged_estimate`]: ac_engine::StoreReader::merged_estimate
     pub fn merged_estimate(&self) -> Result<f64, NetError> {
-        Ok(self.merged_total()?.estimate())
-    }
-
-    /// The merged aggregate counter itself (see
-    /// [`ReplicaNode::merged_estimate`] for the determinism contract).
-    ///
-    /// # Errors
-    ///
-    /// See [`ReplicaNode::merged_estimate`].
-    pub fn merged_total(&self) -> Result<CounterFamily, NetError> {
         let mirror = self.inner.mirror.read().expect("mirror");
         let snap = mirror.snap.as_ref().ok_or(NetError::Malformed {
             what: "replica has not folded a snapshot yet",
         })?;
-        let epoch = mirror.tip.map_or(0, |t| t.epoch);
-        let mut rng =
-            Xoshiro256PlusPlus::seed_from_u64(mix64(self.inner.identity.seed ^ mix64(epoch)));
-        snap.merged_total(&mut rng).map_err(|e| NetError::Remote {
-            reason: e.to_string(),
-        })
+        Ok(snap.merged_estimate())
     }
 
     /// Why the feed died, if it did (fold failures and permanent

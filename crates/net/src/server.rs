@@ -40,7 +40,6 @@
 use crate::conn::FrameConn;
 use crate::error::{NetError, RefuseCode};
 use crate::wire::{Frame, Identity, Query, Reply, Role, NEW_PRODUCER, PROTO_VERSION};
-use ac_bitio::{BitVec, BitWriter};
 use ac_core::StateCodec;
 use ac_engine::{
     checkpoint, compact_checkpoint, Checkpoint, CheckpointHeader, Store, StoreReport, StoreWriter,
@@ -583,21 +582,6 @@ fn serve_query(inner: &ServerInner, reader: &ac_engine::StoreReader, query: Quer
             Ok(x) => Reply::F64(x),
             Err(e) => Reply::Error(e.to_string()),
         },
-        Query::MergedTotal => match reader.merged_total() {
-            Ok(counter) => {
-                let mut v = BitVec::new();
-                let mut w = BitWriter::new(&mut v);
-                counter.encode_state(&mut w);
-                Reply::State(v.to_bytes())
-            }
-            Err(e) => Reply::Error(e.to_string()),
-        },
-        Query::MergedEstimateTiered { tiers } => {
-            match reader.merged_estimate_tiered(tiers as usize) {
-                Ok(x) => Reply::F64(x),
-                Err(e) => Reply::Error(e.to_string()),
-            }
-        }
         Query::TotalEvents => Reply::U64(reader.total_events()),
         Query::Len => Reply::U64(reader.len() as u64),
         Query::Stats => Reply::Stats {

@@ -108,15 +108,8 @@ pub enum Query {
         /// The key to look up.
         key: u64,
     },
-    /// The cross-shard merged aggregate's estimate (Remark 2.4).
+    /// The total's estimate: the sum of the per-key unbiased counts.
     MergedEstimate,
-    /// The merged aggregate itself, shipped as encoded counter state.
-    MergedTotal,
-    /// The tiered merged estimate over a ladder of `tiers` rungs.
-    MergedEstimateTiered {
-        /// Ladder length.
-        tiers: u32,
-    },
     /// Exact total events at the pinned freeze.
     TotalEvents,
     /// Distinct keys at the pinned freeze.
@@ -136,11 +129,8 @@ impl Query {
                 v.push_bits(key, 64);
             }
             Query::MergedEstimate => v.push_bits(1, 8),
-            Query::MergedTotal => v.push_bits(2, 8),
-            Query::MergedEstimateTiered { tiers } => {
-                v.push_bits(3, 8);
-                v.push_bits(u64::from(tiers), 32);
-            }
+            // Codes 2 (merged counter state) and 3 (tiered merge) are
+            // retired: they decode as unknown and are never reused.
             Query::TotalEvents => v.push_bits(4, 8),
             Query::Len => v.push_bits(5, 8),
             Query::Stats => v.push_bits(6, 8),
@@ -153,10 +143,6 @@ impl Query {
         Ok(match kind {
             0 => Query::Estimate { key: take(r, 64)? },
             1 => Query::MergedEstimate,
-            2 => Query::MergedTotal,
-            3 => Query::MergedEstimateTiered {
-                tiers: take(r, 32)? as u32,
-            },
             4 => Query::TotalEvents,
             5 => Query::Len,
             6 => Query::Stats,
@@ -186,9 +172,6 @@ pub enum Reply {
         /// Exact total events.
         events: u64,
     },
-    /// Encoded counter state (decode with the identity's spec as the
-    /// template).
-    State(Vec<u8>),
     /// The server could not serve the query.
     Error(String),
 }
@@ -210,10 +193,8 @@ impl Reply {
                 v.push_bits(*keys, 64);
                 v.push_bits(*events, 64);
             }
-            Reply::State(bytes) => {
-                v.push_bits(4, 8);
-                push_bytes(v, bytes);
-            }
+            // Code 4 (encoded counter state) is retired: it decodes as
+            // unknown and is never reused.
             Reply::Error(reason) => {
                 v.push_bits(5, 8);
                 write_label(v, reason);
@@ -231,7 +212,6 @@ impl Reply {
                 keys: take(r, 64)?,
                 events: take(r, 64)?,
             },
-            4 => Reply::State(take_bytes(r)?),
             5 => Reply::Error(read_label(r).ok_or(NetError::Malformed {
                 what: "undecodable error label",
             })?),

@@ -64,22 +64,18 @@ fn refuse_code_from(sel: u64) -> RefuseCode {
 }
 
 fn query_from(sel: u64, x: u64) -> Query {
-    match sel % 8 {
+    match sel % 6 {
         0 => Query::Estimate { key: x },
         1 => Query::MergedEstimate,
-        2 => Query::MergedTotal,
-        3 => Query::MergedEstimateTiered {
-            tiers: 1 + (x % 8) as u32,
-        },
-        4 => Query::TotalEvents,
-        5 => Query::Len,
-        6 => Query::Stats,
+        2 => Query::TotalEvents,
+        3 => Query::Len,
+        4 => Query::Stats,
         _ => Query::ReplTip,
     }
 }
 
 fn reply_from(sel: u64, x: u64, blob: &[u8]) -> Reply {
-    match sel % 6 {
+    match sel % 5 {
         0 => Reply::Absent,
         // Mask the exponent so the value is finite (NaN breaks the
         // round-trip equality this test relies on).
@@ -89,7 +85,6 @@ fn reply_from(sel: u64, x: u64, blob: &[u8]) -> Reply {
             keys: x,
             events: x.rotate_left(17),
         },
-        4 => Reply::State(blob.to_vec()),
         _ => Reply::Error(label_from(blob)),
     }
 }
@@ -252,4 +247,64 @@ fn oversize_declarations_are_rejected_without_allocation() {
         parse_wire(&bytes),
         Err(NetError::Oversize { len }) if len == u64::from(u32::MAX)
     ));
+}
+
+/// `frame`'s wire bytes with the 8-bit kind field that distinguishes it
+/// from `other` set to `kind`, and the checksum recomputed: a
+/// well-formed frame carrying any kind byte. `other` has the same shape
+/// and a kind differing from `frame`'s in its lowest bit.
+fn with_kind(frame: &Frame, other: &Frame, kind: u8) -> Vec<u8> {
+    let mut bytes = frame.encode();
+    let theirs = other.encode();
+    assert_eq!(bytes.len(), theirs.len(), "frames of one shape");
+    // Fields pack least-significant bit first, so the lowest differing
+    // bit is the kind field's first.
+    let first = (0..bytes.len() * 8)
+        .find(|&bit| (bytes[bit / 8] ^ theirs[bit / 8]) >> (bit % 8) & 1 == 1)
+        .expect("the frames differ");
+    for i in 0..8 {
+        let bit = first + i;
+        bytes[bit / 8] &= !(1 << (bit % 8));
+        bytes[bit / 8] |= ((kind >> i) & 1) << (bit % 8);
+    }
+    let end = bytes.len() - 8;
+    let sum = checksum(&bytes[4..end]);
+    bytes[end..].copy_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+#[test]
+fn retired_query_and_reply_kinds_are_typed_rejections() {
+    let ask = |query| Frame::ReadReq { id: 9, query };
+    let (merged, total) = (ask(Query::MergedEstimate), ask(Query::TotalEvents));
+    assert_eq!(
+        parse_wire(&with_kind(&merged, &total, 5)).unwrap(),
+        ask(Query::Len)
+    );
+    // Codes 2 (the merged counter state) and 3 (the tiered merge) stay
+    // reserved: the other codes keep their numbers.
+    for code in [2, 3] {
+        assert!(
+            matches!(
+                parse_wire(&with_kind(&merged, &total, code)),
+                Err(NetError::Malformed { .. })
+            ),
+            "query code {code}"
+        );
+    }
+
+    let answer = |reply| Frame::ReadResp {
+        id: 9,
+        epoch: 3,
+        reply,
+    };
+    let (counted, float) = (answer(Reply::U64(0)), answer(Reply::F64(0.0)));
+    assert_eq!(parse_wire(&with_kind(&counted, &float, 1)).unwrap(), float);
+    assert!(
+        matches!(
+            parse_wire(&with_kind(&counted, &float, 4)),
+            Err(NetError::Malformed { .. })
+        ),
+        "reply code 4 (encoded counter state)"
+    );
 }

@@ -238,7 +238,7 @@ fn in_process_drill() {
     assert_eq!(
         merged_a.to_bits(),
         merged_b.to_bits(),
-        "identical state + identical epoch => identical merged estimate"
+        "identical counters => identical merged estimate"
     );
 
     reader.close();

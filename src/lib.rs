@@ -28,8 +28,8 @@
 //!   rings with per-producer sequence numbers and a background checkpoint
 //!   writer (both inside the store), and, public as the expert API, the
 //!   copy-on-write batch-update [`CounterEngine`](engine::CounterEngine),
-//!   its `O(shards)` snapshot read replicas with an on-demand merged
-//!   aggregate, and bit-exact full + delta checkpoint chains through
+//!   its `O(shards)` snapshot read replicas with an `O(shards)` merged
+//!   estimate summed from per-shard books, and bit-exact full + delta checkpoint chains through
 //!   `ac-bitio` taking `CounterSpec` tier ladders.
 //! * [`net`] — the wire-protocol front-end: a framed TCP protocol with
 //!   per-frame checksums and identity-checked handshakes, the
