@@ -20,7 +20,6 @@
 //! | `exp_space_tail` | E11 — Theorem 2.3's doubly-exponential tail |
 //! | `exp_engine_throughput` | E12 — batched fast-forward speedups |
 //! | `exp_tiering` | E14 — per-key accuracy tiers under a global bit budget: ceiling held all run, hot-key error beats every uniform allocation at equal bits |
-//! | `exp_durability` | E15 — durability lifecycle: shard-parallel checkpoint encode/restore (bit-identical), recovery time vs chain length with and without off-thread compaction, steady-state ingest with the compactor live |
 //!
 //! Every binary accepts `--quick` to run a reduced-size version (used by
 //! the integration tests) and prints a self-contained report: parameters,

@@ -1779,7 +1779,13 @@ mod tests {
                 .collect();
             e.apply(&batch);
             let ck = checkpoint_of(&mut e);
-            let back = restore(&spec, &[ck.bytes()]).unwrap();
+            let mut back = restore(&spec, &[ck.bytes()]).unwrap();
+            // Pinned to the same freeze epoch, the restored engine
+            // re-encodes to the very frame it was restored from, header
+            // included.
+            let again = checkpoint(&back.snapshot().with_epoch(ck.header().epoch), None, None)
+                .expect("full frame");
+            assert_eq!(again.bytes(), ck.bytes(), "{spec}: re-encoded frame");
             for (key, counter) in e.iter() {
                 let restored = back.counter(key).expect("key present");
                 assert_eq!(encoded(restored), encoded(counter), "{spec}: key {key}");

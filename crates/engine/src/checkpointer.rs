@@ -30,11 +30,10 @@
 //!
 //! A base + deltas chain grows with *history*, so recovery replay time
 //! grows with uptime, not with state size — the opposite of the repo's
-//! thesis. When a chain-length or chain-bytes trigger is configured
-//! ([`CheckpointerConfig::with_max_chain_len`] /
-//! [`CheckpointerConfig::with_max_chain_bytes`]) and the checkpointer
+//! thesis. When a chain-length trigger is configured
+//! ([`CheckpointerConfig::with_max_chain_len`]) and the checkpointer
 //! has a directory + manifest, the writer thread owns a second
-//! **compactor** thread. When the live chain crosses a trigger, the
+//! **compactor** thread. When the live chain crosses the trigger, the
 //! writer hands the chain's frame files to the compactor and keeps
 //! writing; the compactor restores them ([`restore_checkpoint`]) and
 //! writes one fresh full frame ([`compact_checkpoint`]) whose header
@@ -98,9 +97,6 @@ pub(crate) struct CheckpointerConfig {
     /// frames (base included). Requires a directory *and* manifest;
     /// see the module docs.
     pub(crate) compact_max_chain_len: Option<usize>,
-    /// When set, the compactor also triggers whenever the live chain's
-    /// frame files exceed this many bytes in total.
-    pub(crate) compact_max_chain_bytes: Option<u64>,
     /// How long superseded frame files linger on disk after a
     /// compaction commit stops referencing them. `Duration::ZERO`
     /// (default) prunes them immediately.
@@ -119,7 +115,6 @@ impl CheckpointerConfig {
             retain_bytes: false,
             manifest: None,
             compact_max_chain_len: None,
-            compact_max_chain_bytes: None,
             retention: Duration::ZERO,
         }
     }
@@ -166,15 +161,6 @@ impl CheckpointerConfig {
     #[must_use]
     pub(crate) fn with_max_chain_len(mut self, max: usize) -> Self {
         self.compact_max_chain_len = Some(max);
-        self
-    }
-
-    /// Compacts the chain off-thread once its frame files exceed `max`
-    /// total bytes; see the module docs. Only effective together with a
-    /// directory and manifest.
-    #[must_use]
-    pub(crate) fn with_max_chain_bytes(mut self, max: u64) -> Self {
-        self.compact_max_chain_bytes = Some(max);
         self
     }
 
@@ -358,8 +344,6 @@ struct CompactOutcome {
     /// Manifest line for the compacted base (kind full, tip's epoch /
     /// totals / marks, `parent_chain` = the folded tip's chain digest).
     frame: ManifestFrame,
-    /// Size of the compacted base file.
-    bytes: u64,
     /// Wall-clock nanoseconds spent folding + writing.
     nanos: u64,
 }
@@ -421,7 +405,6 @@ fn run_compaction(
     Some(CompactOutcome {
         first_file,
         folded: job.frames.len(),
-        bytes: ck.bytes().len() as u64,
         nanos: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
         frame: ManifestFrame {
             session: job.session,
@@ -438,8 +421,8 @@ fn run_compaction(
 }
 
 /// The writer thread's record of the live (restorable-from-disk) chain:
-/// each frame's manifest line plus its file size.
-type LiveChain = Vec<(ManifestFrame, u64)>;
+/// each frame's manifest line.
+type LiveChain = Vec<ManifestFrame>;
 
 /// Commits a compaction on the writer thread: atomically rewrites the
 /// manifest to `[compacted base] + deltas landed since the job`, then
@@ -456,29 +439,26 @@ fn commit_compaction(
     totals: &Totals,
 ) {
     let extends = chain.len() >= outcome.folded
-        && chain
-            .first()
-            .is_some_and(|(f, _)| f.file == outcome.first_file);
+        && chain.first().is_some_and(|f| f.file == outcome.first_file);
     if !extends {
         let _ = std::fs::remove_file(dir.join(&outcome.frame.file));
         return;
     }
     let mut new_chain: LiveChain = Vec::with_capacity(chain.len() - outcome.folded + 1);
-    new_chain.push((outcome.frame, outcome.bytes));
+    new_chain.push(outcome.frame);
     new_chain.extend(chain.drain(outcome.folded..));
-    let frames: Vec<ManifestFrame> = new_chain.iter().map(|(f, _)| f.clone()).collect();
     Manifest::rewrite(
         dir,
         &info.spec,
         &info.config,
         info.tiering.as_ref(),
-        &frames,
+        &new_chain,
     )
     .expect("rewrite manifest for compacted chain");
     *chain = new_chain;
     // The next rebase counts deltas from the compacted base onward.
     *deltas_since_base = chain.len() - 1;
-    let live: HashSet<&str> = chain.iter().map(|(f, _)| f.file.as_str()).collect();
+    let live: HashSet<&str> = chain.iter().map(|f| f.file.as_str()).collect();
     let pruned = prune_stale_frames(dir, &live, retention);
     totals.compactions.fetch_add(1, Ordering::Relaxed);
     totals
@@ -572,10 +552,7 @@ impl BackgroundCheckpointer {
             let mut deltas_since_base = 0usize;
             // Compaction needs on-disk frames and a manifest to swap.
             let compaction = match (&thread_config.directory, &thread_config.manifest) {
-                (Some(dir), Some(info))
-                    if thread_config.compact_max_chain_len.is_some()
-                        || thread_config.compact_max_chain_bytes.is_some() =>
-                {
+                (Some(dir), Some(info)) if thread_config.compact_max_chain_len.is_some() => {
                     let (job_tx, job_rx) = channel::<CompactJob>();
                     let (result_tx, result_rx) = channel::<Option<CompactOutcome>>();
                     let compactor_dir = dir.clone();
@@ -677,7 +654,7 @@ impl BackgroundCheckpointer {
                         if kind == CheckpointKind::Full {
                             chain.clear();
                         }
-                        chain.push((frame, bytes_len));
+                        chain.push(frame);
                     }
                     path = Some(frame_path);
                 }
@@ -723,24 +700,18 @@ impl BackgroundCheckpointer {
                 // One fold in flight at a time: a job is the whole live
                 // chain, so overlapping folds would only duplicate work.
                 if let Some((jobs, _, _)) = &compaction {
-                    if !in_flight && chain.len() >= 2 {
-                        let chain_bytes: u64 = chain.iter().map(|(_, b)| b).sum();
-                        let over_len = thread_config
-                            .compact_max_chain_len
-                            .is_some_and(|m| chain.len() > m.max(1));
-                        let over_bytes = thread_config
-                            .compact_max_chain_bytes
-                            .is_some_and(|m| chain_bytes > m);
-                        if over_len || over_bytes {
-                            let job = CompactJob {
-                                frames: chain.iter().map(|(f, _)| f.clone()).collect(),
-                                session,
-                                seq: compact_seq,
-                            };
-                            compact_seq += 1;
-                            if jobs.send(job).is_ok() {
-                                in_flight = true;
-                            }
+                    let over_len = thread_config
+                        .compact_max_chain_len
+                        .is_some_and(|m| chain.len() > m.max(1));
+                    if !in_flight && over_len {
+                        let job = CompactJob {
+                            frames: chain.clone(),
+                            session,
+                            seq: compact_seq,
+                        };
+                        compact_seq += 1;
+                        if jobs.send(job).is_ok() {
+                            in_flight = true;
                         }
                     }
                 }

@@ -1487,10 +1487,20 @@ mod tests {
             }
         });
         assert_eq!(applied, engine.total_events());
-        // Durability lag is observable through the stats fold.
+        // Durability lag is observable through the stats fold once the
+        // writer thread has finished a frame: `written` is published
+        // after the frame's event count, so waiting on it first is
+        // enough to read a settled lag.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        let mut stats = ckpt.stats();
+        while stats.written == 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            stats = ckpt.stats();
+        }
+        assert!(stats.written >= 1, "no frame written within 30 s");
         let lag = engine
             .stats()
-            .with_checkpointer(&ckpt.stats())
+            .with_checkpointer(&stats)
             .checkpoint_lag_events;
         assert!(lag < applied, "some checkpoint must have been cut");
 

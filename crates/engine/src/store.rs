@@ -88,19 +88,11 @@ pub struct StoreOptions {
     pub checkpoint_every_events: u64,
     /// Deltas per base before the checkpointer rebases.
     pub max_deltas_per_base: usize,
-    /// Slots in the applier's SpaceSaving hot-key detector (tiered
-    /// stores only). A few times the number of keys a migration round
-    /// can plausibly promote is enough: the detector only has to rank
-    /// the head of the distribution, not hold the tail.
-    pub detector_slots: usize,
     /// When set, the checkpointer's off-thread compactor folds the live
     /// base + deltas chain into a fresh base whenever it holds more than
     /// this many frames (base included) — bounding recovery time by
     /// state size instead of history.
     pub compact_max_chain_len: Option<usize>,
-    /// Byte-size companion trigger for the compactor: fold once the live
-    /// chain's frame files exceed this many bytes.
-    pub compact_max_chain_bytes: Option<u64>,
     /// How long superseded frame files linger after a compaction commit
     /// stops referencing them (a grace window for external backup
     /// tooling; zero prunes immediately).
@@ -109,8 +101,7 @@ pub struct StoreOptions {
 
 impl StoreOptions {
     /// The default runtime knobs (publish every 65 536 events,
-    /// checkpoint every 1 000 000, rebase after 15 deltas, 1024
-    /// detector slots).
+    /// checkpoint every 1 000 000, rebase after 15 deltas).
     #[must_use]
     pub fn new() -> Self {
         Self {
@@ -118,9 +109,7 @@ impl StoreOptions {
             snapshot_every_events: 65_536,
             checkpoint_every_events: 1_000_000,
             max_deltas_per_base: 15,
-            detector_slots: 1024,
             compact_max_chain_len: None,
-            compact_max_chain_bytes: None,
             retention: std::time::Duration::ZERO,
         }
     }
@@ -153,27 +142,11 @@ impl StoreOptions {
         self
     }
 
-    /// Sets the hot-key detector's SpaceSaving slot count (tiered
-    /// stores only).
-    #[must_use]
-    pub fn with_detector_slots(mut self, slots: usize) -> Self {
-        self.detector_slots = slots;
-        self
-    }
-
     /// Compacts the durable chain off-thread once it holds more than
     /// `max` frames (durable stores only).
     #[must_use]
     pub fn with_max_chain_len(mut self, max: usize) -> Self {
         self.compact_max_chain_len = Some(max);
-        self
-    }
-
-    /// Compacts the durable chain off-thread once its frame files
-    /// exceed `max` total bytes (durable stores only).
-    #[must_use]
-    pub fn with_max_chain_bytes(mut self, max: u64) -> Self {
-        self.compact_max_chain_bytes = Some(max);
         self
     }
 
@@ -255,28 +228,11 @@ impl StoreBuilder {
         self
     }
 
-    /// Sets the hot-key detector's SpaceSaving slot count (meaningful
-    /// with [`StoreBuilder::with_tiering`]).
-    #[must_use]
-    pub fn with_detector_slots(mut self, slots: usize) -> Self {
-        self.opts.detector_slots = slots;
-        self
-    }
-
     /// Compacts the durable chain off-thread once it holds more than
     /// `max` frames; see [`StoreOptions::compact_max_chain_len`].
     #[must_use]
     pub fn with_max_chain_len(mut self, max: usize) -> Self {
         self.opts.compact_max_chain_len = Some(max);
-        self
-    }
-
-    /// Compacts the durable chain off-thread once its frame files
-    /// exceed `max` total bytes; see
-    /// [`StoreOptions::compact_max_chain_bytes`].
-    #[must_use]
-    pub fn with_max_chain_bytes(mut self, max: u64) -> Self {
-        self.opts.compact_max_chain_bytes = Some(max);
         self
     }
 
@@ -332,7 +288,7 @@ impl StoreBuilder {
                         what: "tier ladder's default rung must be the store's counter spec",
                     }));
                 }
-                TierSetup::new(policy, budget_bits, self.opts.detector_slots)
+                TierSetup::new(policy, budget_bits)
             })
             .transpose()?;
         let (durability, lock) = match self.durability {
@@ -514,19 +470,21 @@ impl std::fmt::Debug for TierSetup {
     }
 }
 
+/// Slots in the applier's SpaceSaving hot-key detector. A few times
+/// the number of keys a migration round can plausibly promote is
+/// enough: the detector only has to rank the head of the distribution,
+/// not hold the tail.
+const DETECTOR_SLOTS: usize = 1024;
+
 impl TierSetup {
-    fn new(
-        policy: TierPolicy,
-        budget_bits: u64,
-        detector_slots: usize,
-    ) -> Result<Self, EngineError> {
+    fn new(policy: TierPolicy, budget_bits: u64) -> Result<Self, EngineError> {
         let controller = BudgetController::new(policy, budget_bits)?;
         Ok(Self {
             controller,
             // The detector needs no entropy for exact slot counters, but
             // the trait takes a source; any fixed seed keeps the applier
             // deterministic for a given arrival order.
-            detector: SpaceSaving::new(detector_slots, &ExactCounter::new()),
+            detector: SpaceSaving::new(DETECTOR_SLOTS, &ExactCounter::new()),
             rng: SplitMix64::new(0x7157_0000_D1CE_C7ED),
             resident: HashMap::new(),
         })
@@ -695,7 +653,7 @@ impl Store {
             .as_ref()
             .map(|t| -> Result<TierSetup, EngineError> {
                 let policy = TierPolicy::new(t.ladder.clone())?;
-                let mut setup = TierSetup::new(policy, t.budget_bits, opts.detector_slots)?;
+                let mut setup = TierSetup::new(policy, t.budget_bits)?;
                 setup.resident = engine
                     .iter()
                     .filter_map(|(key, _)| {
@@ -772,9 +730,6 @@ impl Store {
                     });
                 if let Some(max) = opts.compact_max_chain_len {
                     ck_config = ck_config.with_max_chain_len(max);
-                }
-                if let Some(max) = opts.compact_max_chain_bytes {
-                    ck_config = ck_config.with_max_chain_bytes(max);
                 }
                 BackgroundCheckpointer::spawn(
                     ck_config,

@@ -166,7 +166,8 @@ fn writers_readers_and_replicas_agree_over_loopback() {
 /// restores its shards in key order while the primary's slabs fill in
 /// arrival order; the estimate is a sum of per-key counts, so neither
 /// order matters. A short exact epoch makes a Zipf stream push a few
-/// dozen keys out of it.
+/// dozen keys out of it, so the merged total's ε band is checked on
+/// sampled counts, not only exact ones.
 #[test]
 fn primary_replica_and_reopened_store_give_equal_merged_estimates() {
     let spec = CounterSpec::NelsonYu {
@@ -225,6 +226,13 @@ fn primary_replica_and_reopened_store_give_equal_merged_estimates() {
         .count();
     assert!(sampled >= 10, "only {sampled} sampled keys");
     let merged = reader.merged_estimate().expect("primary merge");
+    // With sampled keys in the sum, the band check sees the estimator:
+    // the merged total stays within the spec's ε of the true count.
+    let rel = (merged - events as f64).abs() / events as f64;
+    assert!(
+        rel <= 0.3,
+        "merged estimate {merged} off by {rel} of {events}"
+    );
     assert_eq!(merged, replica.merged_estimate().expect("replica merge"));
     let mut remote = client.reader().expect("remote reader");
     assert_eq!(merged, remote.merged_estimate().expect("remote merge"));
